@@ -10,13 +10,29 @@ runs, instantiated with the palette's Delta and the pattern's parameters.
 Floors are audited at runtime; an actual count below the floor means the
 input violated the preconditions or the implementation is wrong.
 
-Pattern search order is C1..C9 and, within a kind, the lexicographically
-smallest anchor tuple, so runs are reproducible.
+Pattern search order is C1..C9 and, within a kind, the smallest anchor
+vertex, so runs are reproducible.
+
+The reduction runs in place on one mutable copy of the input: each step
+removes its plan's edges from the copy, and the extension puts them back,
+last plan first, so every plan is extended against the graph it was built
+on.  Each kind keeps a min-heap of candidate anchors, and after a step only
+vertices near the removed edges are examined again.  A matcher's answer at
+u can change only if an endpoint of a removed edge lies within the distance
+the matcher reads degrees at, measured before the removal:
+
+- radius 1 for C1, C2, C5, C6: they read the degrees of u's neighbours;
+- radius 2 for C3, C4: they also count the degree-2 neighbours of a
+  4-vertex next to u;
+- radius 3 for C7-C9: whether the partner at the far end of a 2-vertex
+  spoke is constraining depends on the partner's neighbours, and C8's
+  ``extra`` is one of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .colouring import (
     ColouringError,
@@ -87,7 +103,9 @@ class ExtensionPlan:
     surviving edges whose colours are dropped before re-insertion; ``sequence``
     is the re-colouring order and covers exactly removed + uncolour.  The
     aligned ``guarantees`` are the per-step free-colour floors, valid at the
-    moment the step runs.
+    moment the step runs.  ``graph`` is the graph the plan was built on; the
+    reduction loop's working copy changes afterwards and is restored before
+    the plan is extended.
     """
 
     config: Configuration
@@ -161,108 +179,97 @@ def _is_constraining(g: Graph, v: int) -> bool:
     return d in (2, 3) or _is_4l(g, v, 3)
 
 
-def _match_c1(g: Graph) -> Configuration | None:
-    for u in g.vertices:
-        if g.degree(u) == 1:
-            v = g.neighbours(u)[0]
-            if g.degree(v) <= 4:
-                return Configuration("C1", {"u": u, "v": v})
+def _match_c1(g: Graph, u: int) -> Configuration | None:
+    if g.degree(u) == 1:
+        v = g.neighbours(u)[0]
+        if g.degree(v) <= 4:
+            return Configuration("C1", {"u": u, "v": v})
     return None
 
 
-def _match_c2(g: Graph) -> Configuration | None:
-    for u in g.vertices:
-        if g.degree(u) != 2:
-            continue
+def _match_c2(g: Graph, u: int) -> Configuration | None:
+    if g.degree(u) == 2:
         v, w = g.neighbours(u)
         if g.degree(v) <= 3 and g.degree(w) <= 3:
             return Configuration("C2", {"u": u, "v": v, "w": w})
     return None
 
 
-def _match_c3(g: Graph) -> Configuration | None:
-    for u in g.vertices:
-        if g.degree(u) != 2:
-            continue
-        a, b = g.neighbours(u)
-        for v, w in ((a, b), (b, a)):
-            if (_is_4l(g, v, 2) or _is_4l(g, v, 3)) and g.degree(w) <= 3:
-                return Configuration("C3", {"u": u, "v": v, "w": w})
+def _match_c3(g: Graph, u: int) -> Configuration | None:
+    if g.degree(u) != 2:
+        return None
+    a, b = g.neighbours(u)
+    for v, w in ((a, b), (b, a)):
+        if (_is_4l(g, v, 2) or _is_4l(g, v, 3)) and g.degree(w) <= 3:
+            return Configuration("C3", {"u": u, "v": v, "w": w})
     return None
 
 
-def _match_c4(g: Graph) -> Configuration | None:
+def _match_c4(g: Graph, u: int) -> Configuration | None:
     # Both 4_3+4_2 and 4_3+4_3 neighbour pairs reduce the same way; the
     # second pair is required for the charge analysis to close, so it is
     # matched here as well.
-    for u in g.vertices:
-        if g.degree(u) != 2:
-            continue
-        a, b = g.neighbours(u)
-        pair = None
-        if _is_4l(g, a, 3) and (_is_4l(g, b, 2) or _is_4l(g, b, 3)):
-            pair = (a, b)
-        elif _is_4l(g, b, 3) and _is_4l(g, a, 2):
-            pair = (b, a)
-        if pair is None:
-            continue
-        v, w = pair
-        v1, v2 = sorted(x for x in g.neighbours(v) if x != u and g.degree(x) == 2)
-        (z,) = [x for x in g.neighbours(v) if g.degree(x) != 2]
-        w_twos = sorted(x for x in g.neighbours(w) if x != u and g.degree(x) == 2)
-        w_rest = sorted(x for x in g.neighbours(w) if x != u and g.degree(x) != 2)
-        anchors = {
-            "u": u,
-            "v": v,
-            "w": w,
-            "v1": v1,
-            "v2": v2,
-            "z": z,
-            "w1": w_twos[0],
-            "rest": tuple(w_twos[1:] + w_rest),
-        }
-        return Configuration("C4", anchors)
+    if g.degree(u) != 2:
+        return None
+    a, b = g.neighbours(u)
+    if _is_4l(g, a, 3) and (_is_4l(g, b, 2) or _is_4l(g, b, 3)):
+        v, w = a, b
+    elif _is_4l(g, b, 3) and _is_4l(g, a, 2):
+        v, w = b, a
+    else:
+        return None
+    v1, v2 = sorted(x for x in g.neighbours(v) if x != u and g.degree(x) == 2)
+    (z,) = [x for x in g.neighbours(v) if g.degree(x) != 2]
+    w_twos = sorted(x for x in g.neighbours(w) if x != u and g.degree(x) == 2)
+    w_rest = sorted(x for x in g.neighbours(w) if x != u and g.degree(x) != 2)
+    anchors = {
+        "u": u,
+        "v": v,
+        "w": w,
+        "v1": v1,
+        "v2": v2,
+        "z": z,
+        "w1": w_twos[0],
+        "rest": tuple(w_twos[1:] + w_rest),
+    }
+    return Configuration("C4", anchors)
+
+
+def _match_c5(g: Graph, u: int) -> Configuration | None:
+    k = g.degree(u)
+    if k < 4:
+        return None
+    ones = [w for w in g.neighbours(u) if g.degree(w) == 1]
+    lows = [w for w in g.neighbours(u) if g.degree(w) <= 2]
+    if len(ones) == k - 2 or (len(ones) == k - 3 and len(lows) >= k - 2):
+        return Configuration("C5", {"u": u, "u1": ones[0]}, k=k)
     return None
 
 
-def _match_c5(g: Graph) -> Configuration | None:
-    for u in g.vertices:
-        k = g.degree(u)
-        if k < 4:
-            continue
-        ones = [w for w in g.neighbours(u) if g.degree(w) == 1]
-        lows = [w for w in g.neighbours(u) if g.degree(w) <= 2]
-        if len(ones) == k - 2 or (len(ones) == k - 3 and len(lows) >= k - 2):
-            return Configuration("C5", {"u": u, "u1": ones[0]}, k=k)
+def _match_c6(g: Graph, u: int) -> Configuration | None:
+    k = g.degree(u)
+    if k >= 4 and all(_two_minus(g, w) for w in g.neighbours(u)):
+        return Configuration("C6", {"u": u, "us": g.neighbours(u)}, k=k)
     return None
 
 
-def _match_c6(g: Graph) -> Configuration | None:
-    for u in g.vertices:
-        k = g.degree(u)
-        if k >= 4 and all(_two_minus(g, w) for w in g.neighbours(u)):
-            return Configuration("C6", {"u": u, "us": g.neighbours(u)}, k=k)
-    return None
-
-
-def _match_c7(g: Graph) -> Configuration | None:
-    for u in g.vertices:
-        k = g.degree(u)
-        if k < 5:
-            continue
-        lows = [w for w in g.neighbours(u) if _two_minus(g, w)]
-        if len(lows) < k - 1:
-            continue
-        for u1 in lows:
-            if g.degree(u1) == 1:
-                return Configuration(
-                    "C7", {"u": u, "u1": u1, "v1": None, "x": _c7_other(g, u, lows, u1)}, k=k
-                )
-            (v1,) = [x for x in g.neighbours(u1) if x != u]
-            if _is_constraining(g, v1):
-                return Configuration(
-                    "C7", {"u": u, "u1": u1, "v1": v1, "x": _c7_other(g, u, lows, u1)}, k=k
-                )
+def _match_c7(g: Graph, u: int) -> Configuration | None:
+    k = g.degree(u)
+    if k < 5:
+        return None
+    lows = [w for w in g.neighbours(u) if _two_minus(g, w)]
+    if len(lows) < k - 1:
+        return None
+    for u1 in lows:
+        if g.degree(u1) == 1:
+            return Configuration(
+                "C7", {"u": u, "u1": u1, "v1": None, "x": _c7_other(g, u, lows, u1)}, k=k
+            )
+        (v1,) = [x for x in g.neighbours(u1) if x != u]
+        if _is_constraining(g, v1):
+            return Configuration(
+                "C7", {"u": u, "u1": u1, "v1": v1, "x": _c7_other(g, u, lows, u1)}, k=k
+            )
     return None
 
 
@@ -286,169 +293,99 @@ def _constrained_paths(g: Graph, u: int) -> list[tuple[int, int]]:
     return out
 
 
-def _match_c8_c9(g: Graph, want_alpha_zero: bool) -> Configuration | None:
-    for u in g.vertices:
-        k = g.degree(u)
-        if k < 5:
-            continue
-        alpha = sum(1 for w in g.neighbours(u) if g.degree(w) == 1)
-        if want_alpha_zero:
-            if alpha != 0:
-                continue
-        else:
-            if not (1 <= alpha <= k - 4):
-                continue
-        twos = [w for w in g.neighbours(u) if g.degree(w) == 2]
-        need = k - 2 - alpha
-        if len(twos) < need:
-            continue
-        paths = _constrained_paths(g, u)
-        m = k - 3 - alpha
-        if len(paths) < m:
-            continue
-        chosen = paths[:m]
-        kind = "C8" if alpha == 0 else "C9"
-        # A path ending in a degree-2/3 vertex, if present, must come last:
-        # its tail edge is the one recoloured with only single-colour slack.
-        tail_idx = next(
-            (i for i, (_, v) in enumerate(chosen) if g.degree(v) <= 3), None
+def _match_c8_c9(g: Graph, u: int, want_alpha_zero: bool) -> Configuration | None:
+    k = g.degree(u)
+    if k < 5:
+        return None
+    alpha = sum(1 for w in g.neighbours(u) if g.degree(w) == 1)
+    if want_alpha_zero:
+        if alpha != 0:
+            return None
+    else:
+        if not (1 <= alpha <= k - 4):
+            return None
+    twos = [w for w in g.neighbours(u) if g.degree(w) == 2]
+    need = k - 2 - alpha
+    if len(twos) < need:
+        return None
+    paths = _constrained_paths(g, u)
+    m = k - 3 - alpha
+    if len(paths) < m:
+        return None
+    chosen = paths[:m]
+    kind = "C8" if alpha == 0 else "C9"
+    # A path ending in a degree-2/3 vertex, if present, must come last:
+    # its tail edge is the one recoloured with only single-colour slack.
+    tail_idx = next(
+        (i for i, (_, v) in enumerate(chosen) if g.degree(v) <= 3), None
+    )
+    if tail_idx is not None:
+        chosen = chosen[:tail_idx] + chosen[tail_idx + 1:] + [chosen[tail_idx]]
+        case = 1
+        extra = None
+    else:
+        case = 2
+        v_last = chosen[-1][1]
+        u_last = chosen[-1][0]
+        extra = min(
+            x for x in g.neighbours(v_last) if g.degree(x) == 2 and x != u_last
         )
-        if tail_idx is not None:
-            chosen = chosen[:tail_idx] + chosen[tail_idx + 1:] + [chosen[tail_idx]]
-            case = 1
-            extra = None
-        else:
-            case = 2
-            v_last = chosen[-1][1]
-            u_last = chosen[-1][0]
-            extra = min(
-                x for x in g.neighbours(v_last) if g.degree(x) == 2 and x != u_last
-            )
-        anchors = {
-            "u": u,
-            "us": tuple(p[0] for p in chosen),
-            "vs": tuple(p[1] for p in chosen),
-            "case": case,
-            "extra": extra,
-        }
-        return Configuration(kind, anchors, k=k, alpha=alpha)
-    return None
+    anchors = {
+        "u": u,
+        "us": tuple(p[0] for p in chosen),
+        "vs": tuple(p[1] for p in chosen),
+        "case": case,
+        "extra": extra,
+    }
+    return Configuration(kind, anchors, k=k, alpha=alpha)
 
 
-_MATCHERS = (
-    ("C1", _match_c1),
-    ("C2", _match_c2),
-    ("C3", _match_c3),
-    ("C4", _match_c4),
-    ("C5", _match_c5),
-    ("C6", _match_c6),
-    ("C7", _match_c7),
-    ("C8", lambda g: _match_c8_c9(g, want_alpha_zero=True)),
-    ("C9", lambda g: _match_c8_c9(g, want_alpha_zero=False)),
-)
+#: Per-vertex matchers in search order: ``match_at(g, u)`` is the occurrence
+#: anchored at ``u``, or None.
+_MATCHERS = {
+    "C1": _match_c1,
+    "C2": _match_c2,
+    "C3": _match_c3,
+    "C4": _match_c4,
+    "C5": _match_c5,
+    "C6": _match_c6,
+    "C7": _match_c7,
+    "C8": lambda g, u: _match_c8_c9(g, u, want_alpha_zero=True),
+    "C9": lambda g, u: _match_c8_c9(g, u, want_alpha_zero=False),
+}
+
+#: How far from ``u`` each matcher reads degrees (see the module docstring).
+_RADIUS = {"C1": 1, "C2": 1, "C3": 2, "C4": 2, "C5": 1, "C6": 1, "C7": 3, "C8": 3, "C9": 3}
 
 
-def find_configuration(g: Graph) -> Configuration | None:
+def find_configuration(
+    g: Graph, candidates: dict[str, list[int]] | None = None
+) -> Configuration | None:
     """First configuration present in ``g`` in kind order C1..C9, smallest
-    anchors first, or None when no pattern occurs."""
-    for _, matcher in _MATCHERS:
-        cfg = matcher(g)
-        if cfg is not None:
-            return cfg
+    anchor first, or None when no pattern occurs.
+
+    ``candidates`` maps each kind to a min-heap of vertices that must hold
+    every anchor of that kind present in ``g``; vertices that no longer
+    match are popped from it.  Without it every vertex is a candidate.
+    """
+    for kind, match_at in _MATCHERS.items():
+        heap = candidates[kind] if candidates is not None else list(g.vertices)
+        while heap:
+            u = heap[0]
+            cfg = match_at(g, u)
+            if cfg is not None:
+                return cfg
+            while heap and heap[0] == u:
+                heappop(heap)
     return None
 
 
 def configuration_holds(g: Graph, cfg: Configuration) -> bool:
-    """Re-check the anchor pattern in the current graph."""
-    a = cfg.anchors
-    try:
-        if cfg.kind == "C1":
-            return g.degree(a["u"]) == 1 and g.has_edge(a["u"], a["v"]) and g.degree(a["v"]) <= 4
-        if cfg.kind == "C2":
-            return (
-                g.degree(a["u"]) == 2
-                and set(g.neighbours(a["u"])) == {a["v"], a["w"]}
-                and g.degree(a["v"]) <= 3
-                and g.degree(a["w"]) <= 3
-            )
-        if cfg.kind == "C3":
-            return (
-                g.degree(a["u"]) == 2
-                and set(g.neighbours(a["u"])) == {a["v"], a["w"]}
-                and (_is_4l(g, a["v"], 2) or _is_4l(g, a["v"], 3))
-                and g.degree(a["w"]) <= 3
-            )
-        if cfg.kind == "C4":
-            return (
-                g.degree(a["u"]) == 2
-                and set(g.neighbours(a["u"])) == {a["v"], a["w"]}
-                and _is_4l(g, a["v"], 3)
-                and (_is_4l(g, a["w"], 2) or _is_4l(g, a["w"], 3))
-                and g.degree(a["v1"]) == 2
-                and g.degree(a["v2"]) == 2
-                and g.has_edge(a["v"], a["v1"])
-                and g.has_edge(a["v"], a["v2"])
-            )
-        if cfg.kind == "C5":
-            k = g.degree(a["u"])
-            ones = [w for w in g.neighbours(a["u"]) if g.degree(w) == 1]
-            lows = [w for w in g.neighbours(a["u"]) if g.degree(w) <= 2]
-            return (
-                k == cfg.k
-                and k >= 4
-                and a["u1"] in ones
-                and (len(ones) == k - 2 or (len(ones) == k - 3 and len(lows) >= k - 2))
-            )
-        if cfg.kind == "C6":
-            return (
-                g.degree(a["u"]) == cfg.k
-                and cfg.k >= 4
-                and tuple(g.neighbours(a["u"])) == a["us"]
-                and all(_two_minus(g, w) for w in a["us"])
-            )
-        if cfg.kind == "C7":
-            k = g.degree(a["u"])
-            if k != cfg.k or k < 5:
-                return False
-            lows = [w for w in g.neighbours(a["u"]) if _two_minus(g, w)]
-            if len(lows) < k - 1 or a["u1"] not in lows:
-                return False
-            if a["v1"] is None:
-                return g.degree(a["u1"]) == 1
-            return (
-                g.degree(a["u1"]) == 2
-                and g.has_edge(a["u1"], a["v1"])
-                and _is_constraining(g, a["v1"])
-            )
-        if cfg.kind in ("C8", "C9"):
-            k = g.degree(a["u"])
-            alpha = sum(1 for w in g.neighbours(a["u"]) if g.degree(w) == 1)
-            if k != cfg.k or k < 5 or alpha != (cfg.alpha or 0):
-                return False
-            if cfg.kind == "C9" and not (1 <= alpha <= k - 4):
-                return False
-            twos = [w for w in g.neighbours(a["u"]) if g.degree(w) == 2]
-            if len(twos) < k - 2 - alpha:
-                return False
-            for ui, vi in zip(a["us"], a["vs"]):
-                if g.degree(ui) != 2 or not g.has_edge(a["u"], ui):
-                    return False
-                if not g.has_edge(ui, vi) or not _is_constraining(g, vi) or g.degree(vi) < 2:
-                    return False
-            if a["case"] == 1:
-                if g.degree(a["vs"][-1]) > 3:
-                    return False
-            else:
-                if any(g.degree(v) <= 3 for v in a["vs"]):
-                    return False
-                if a["extra"] is None or g.degree(a["extra"]) != 2:
-                    return False
-                if not g.has_edge(a["vs"][-1], a["extra"]):
-                    return False
-            return True
-    except (KeyError, ValueError):
-        return False
-    return False
+    """Re-check the anchor pattern in the current graph: the kind's matcher
+    finds exactly this occurrence at the anchor ``u``."""
+    match_at = _MATCHERS.get(cfg.kind)
+    u = cfg.anchors.get("u")
+    return match_at is not None and u in g and match_at(g, u) == cfg
 
 
 # -- reduction plans ----------------------------------------------------------
@@ -591,38 +528,95 @@ def colour_girth6(
         raise PreconditionError(f"girth {girth} < 6")
     delta = g.max_degree()
     if g.num_edges() == 0:
-        return PartialColouring(g, Palette(1), checked=False)
-    if delta <= 3:
-        return _colour_small_delta(g)
-
-    palette = Palette(3 * delta + 1)
-    col = PartialColouring(g, palette, checked=False)
-    plans: list[ExtensionPlan] = []
-    current = g
-    while current.num_edges() > 0:
-        if current.max_degree() <= 3:
-            break
-        cfg = find_configuration(current)
-        if cfg is None:
-            raise TheoremViolation(
-                "no configuration in a planar girth>=6 graph with max degree >= 4"
-            )
-        plan = plan_reduction(current, cfg, palette_delta=delta)
-        if not plan.removed:
-            raise InternalInconsistency(f"{cfg.kind} reduction removed nothing")
-        plans.append(plan)
-        current = current.subgraph_without_edges(plan.removed)
-
-    _greedy_residual(current, col, trace)
-    for plan in reversed(plans):
-        extend(col, plan, audit=trace)
-
+        col = PartialColouring(g, Palette(1), checked=False)
+    elif delta <= 3:
+        col = _colour_small_delta(g)
+    else:
+        col = _reduce_and_extend(g, delta, trace)
     violations = verify_strong(g, col, require_total=True)
     if violations:
         raise InternalInconsistency(
             f"final colouring failed verification: {violations[0]}"
         )
     return col
+
+
+def _reduce_and_extend(
+    g: Graph, delta: int, trace: list[ExtendStep] | None
+) -> PartialColouring:
+    """The reduction loop on a working copy of ``g``: remove configurations
+    until Delta <= 3, colour the rest greedily, then put each plan's edges
+    back and extend, last plan first."""
+    col = PartialColouring(g, Palette(3 * delta + 1), checked=False)
+    plans: list[ExtensionPlan] = []
+    work = _WorkingGraph(g)
+    candidates = {kind: list(work.vertices) for kind in _MATCHERS}
+    while work.high_degree:
+        cfg = find_configuration(work, candidates)
+        if cfg is None:
+            raise TheoremViolation(
+                "no configuration in a planar girth>=6 graph with max degree >= 4"
+            )
+        plan = plan_reduction(work, cfg, palette_delta=delta)
+        if not plan.removed:
+            raise InternalInconsistency(f"{cfg.kind} reduction removed nothing")
+        plans.append(plan)
+        _push_near(work, plan.removed, candidates)
+        work.remove_edges(plan.removed)
+
+    _greedy_residual(work, col, trace)
+    for plan in reversed(plans):
+        work.add_edges(reversed(plan.removed))
+        extend(col, plan, audit=trace)
+    return col
+
+
+class _WorkingGraph(Graph):
+    """Mutable copy of a graph for the reduction loop.  Edges are removed and
+    put back in place; neighbour tuples stay sorted, ``_edges`` is a set, and
+    ``high_degree`` counts the vertices of degree >= 4."""
+
+    __slots__ = ("high_degree",)
+
+    def __init__(self, g: Graph):
+        self._adj = dict(g._adj)
+        self._edges = set(g.edges)
+        self._girth = None
+        self.high_degree = sum(1 for ns in self._adj.values() if len(ns) >= 4)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(sorted(self._edges))
+
+    def remove_edges(self, edges) -> None:
+        for u, v in edges:
+            self._edges.remove((u, v))
+            for a, b in ((u, v), (v, u)):
+                ns = self._adj[a]
+                self.high_degree -= len(ns) == 4
+                self._adj[a] = tuple(x for x in ns if x != b)
+
+    def add_edges(self, edges) -> None:
+        for u, v in edges:
+            self._edges.add((u, v))
+            for a, b in ((u, v), (v, u)):
+                ns = self._adj[a]
+                self.high_degree += len(ns) == 3
+                self._adj[a] = tuple(sorted(ns + (b,)))
+
+
+def _push_near(g: Graph, edges, candidates: dict[str, list[int]]) -> None:
+    """Before ``edges`` leave ``g``, push onto each kind's heap every vertex
+    within that kind's radius of their endpoints."""
+    ball = {x for e in edges for x in e}
+    ring = ball
+    for radius in (1, 2, 3):
+        ring = {y for x in ring for y in g.neighbours(x)} - ball
+        ball |= ring
+        for kind, heap in candidates.items():
+            if _RADIUS[kind] == radius:
+                for x in ball:
+                    heappush(heap, x)
 
 
 def _greedy_residual(

@@ -136,28 +136,36 @@ class Graph:
     def girth(self) -> float:
         """Length of a shortest cycle, or ACYCLIC for forests.
 
-        BFS from every vertex; a non-tree edge closing two BFS branches at
-        depths d1, d2 witnesses a cycle of length d1 + d2 + 1.
+        Forests are recognised without search: |E| = |V| - #components.
+        Otherwise BFS from every vertex; a non-tree edge closing two BFS
+        branches at depths d1, d2 witnesses a cycle of length d1 + d2 + 1.
+        Edges met from depth d on close nothing shorter than 2d + 1, so each
+        BFS stops at the first depth d with 2d + 1 >= the best cycle so far.
         """
         if self._girth is not None:
             return self._girth
         best = ACYCLIC
+        if len(self._edges) == len(self._adj) - len(self.components()):
+            self._girth = best
+            return best
         for root in self._adj:
             dist = {root: 0}
             parent = {root: -1}
             queue = [root]
-            while queue:
+            depth = 0
+            while queue and 2 * depth + 1 < best:
                 nxt = []
                 for x in queue:
                     for y in self._adj[x]:
                         if y not in dist:
-                            dist[y] = dist[x] + 1
+                            dist[y] = depth + 1
                             parent[y] = x
                             nxt.append(y)
-                        elif parent[x] != y and dist[y] >= dist[x]:
+                        elif parent[x] != y and dist[y] >= depth:
                             # cross or same-level edge: cycle through root
-                            best = min(best, dist[x] + dist[y] + 1)
+                            best = min(best, depth + dist[y] + 1)
                 queue = nxt
+                depth += 1
         self._girth = best
         return best
 
@@ -165,9 +173,6 @@ class Graph:
         """New graph on the same vertex set minus the given edges."""
         gone = {edge_key(*e) for e in removed}
         return Graph(self._adj, [e for e in self._edges if e not in gone])
-
-    def with_edges(self, extra: Iterable[Edge]) -> "Graph":
-        return Graph(self._adj, list(self._edges) + [edge_key(*e) for e in extra])
 
     # -- distance-2 edge neighbourhoods ------------------------------------
 
@@ -225,11 +230,6 @@ def classify_vertex(g: Graph, v: int) -> VertexClass:
     l = sum(1 for w in ns if g.degree(w) == 2)
     bad = g.degree(v) == 2 and any(g.degree(w) == 2 for w in ns)
     return VertexClass(v, len(ns), l, bad)
-
-
-def is_4_sub(g: Graph, v: int, l: int) -> bool:
-    """True when ``v`` is a 4-vertex with exactly ``l`` degree-2 neighbours."""
-    return g.degree(v) == 4 and sum(1 for w in g.neighbours(v) if g.degree(w) == 2) == l
 
 
 # -- edge-list I/O ----------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
 
+import strongedge.girth6 as girth6
 from strongedge.cli import main
+from strongedge.colouring import Violation
 from strongedge.generators import cycle, subdivide, wheel
 from strongedge.graph import parse_graph, to_edge_list
 from conftest import complete_graph
@@ -61,6 +63,15 @@ def test_colour_girth6_verify_roundtrip(tmp_path, capsys):
     assert main(["verify", p, colfile]) == 0
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["valid"] is True
+
+
+def test_colour_verification_failure_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(
+        girth6, "verify_strong", lambda *a, **k: [Violation("uncoloured", ((0, 1),))]
+    )
+    p = write_graph(tmp_path, subdivide(wheel(5), 1))
+    assert main(["colour", "--girth6", p]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_colour_pipeline(tmp_path, capsys):

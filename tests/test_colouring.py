@@ -68,7 +68,8 @@ class TestFreeColours:
     @settings(max_examples=40, deadline=None)
     @given(small_graphs(max_vertices=7), st.randoms(use_true_random=False))
     def test_assign_any_free_colour_keeps_valid(self, g, rnd):
-        c = PartialColouring(g, Palette(16))
+        # one colour per edge: some colour is always free, even on K7
+        c = PartialColouring(g, Palette(max(1, g.num_edges())))
         for e in g.edges:
             choice = rnd.choice(sorted(free_colours(c, e)))
             c.assign(e, choice)

@@ -2,16 +2,23 @@ import pytest
 
 from strongedge.colouring import Palette, PartialColouring, free_colours, verify_strong
 from strongedge.exact import is_strong_k_colourable
-from strongedge.generators import cycle, star, subdivide, wheel
+from strongedge.cli import _bench_corpus
+from strongedge.generators import (
+    cycle,
+    generate,
+    stacked_triangulation,
+    star,
+    subdivide,
+    wheel,
+)
 from strongedge.girth6 import (
     Configuration,
     ExtensionPlan,
     PreconditionError,
     StaleConfiguration,
-    _match_c3,
-    _match_c4,
-    _match_c6,
-    _match_c8_c9,
+    _MATCHERS,
+    _greedy_residual,
+    _push_near,
     colour_girth6,
     configuration_holds,
     extend,
@@ -30,6 +37,62 @@ def colour_within(g, palette_size):
     for e, c in witness.assignment.items():
         col.put(e, c)
     return col
+
+
+def first_match(g, kind):
+    """The occurrence of one kind with the smallest anchor in g, or None."""
+    return next(filter(None, (_MATCHERS[kind](g, u) for u in g.vertices)), None)
+
+
+def rebuild_reference(g):
+    """The reduction loop with a new graph per step: a full
+    find_configuration scan, subgraph_without_edges, the greedy residual,
+    then extension in reverse, each plan against its own graph."""
+    delta = g.max_degree()
+    col = PartialColouring(g, Palette(3 * delta + 1), checked=False)
+    trace, plans, current = [], [], g
+    while current.max_degree() >= 4:
+        plan = plan_reduction(current, find_configuration(current), palette_delta=delta)
+        plans.append(plan)
+        current = current.subgraph_without_edges(plan.removed)
+    _greedy_residual(current, col, trace)
+    for plan in reversed(plans):
+        extend(col, plan, audit=trace)
+    return trace, col
+
+
+def with_leaves(edges, leaves):
+    """Graph on ``edges`` plus ``leaves[v]`` new pendant vertices at each v."""
+    edges = list(edges)
+    nxt = max(max(e) for e in edges) + 1
+    for v, count in leaves.items():
+        edges += [(v, nxt + i) for i in range(count)]
+        nxt += count
+    return Graph(range(nxt), edges)
+
+
+# Hub 0 with 2-vertex spokes; spoke 1 leads to the 4-vertex 6 with one other
+# degree-2 neighbour, and removing (8, 10) makes it saturated (three).
+_HUB = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (6, 7), (6, 8), (6, 9), (8, 10)]
+_HUB_LEAVES = {3: 1, 4: 1, 7: 1, 8: 1, 9: 2}
+
+#: (kind, graph, anchor, edge): removing ``edge`` makes the kind match at the
+#: anchor, and the edge's nearer endpoint lies exactly the kind's radius away.
+RADIUS_CASES = [
+    ("C1", with_leaves([(0, 1), (0, 2)], {0: 3}), 1, (0, 2)),
+    ("C2", with_leaves([(0, 1), (0, 2), (2, 3)], {2: 2}), 0, (2, 3)),
+    ("C3", with_leaves([(0, 1), (0, 2), (2, 3), (2, 4), (2, 5), (3, 6)],
+                       {3: 1, 4: 2, 5: 2}), 0, (3, 6)),
+    ("C4", with_leaves([(0, 1), (0, 2), (1, 3), (1, 5), (1, 8), (2, 11), (2, 13),
+                        (2, 16), (5, 6)], {3: 1, 5: 1, 8: 2, 11: 1, 13: 2, 16: 2}),
+     0, (5, 6)),
+    ("C5", with_leaves([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (2, 6)],
+                       {3: 1, 4: 2, 5: 2}), 0, (2, 6)),
+    ("C6", with_leaves([(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)], {4: 1}), 0, (4, 5)),
+    ("C7", with_leaves(_HUB, {**_HUB_LEAVES, 2: 1, 5: 2}), 0, (8, 10)),
+    ("C8", with_leaves(_HUB + [(2, 11)], {**_HUB_LEAVES, 5: 1, 11: 2}), 0, (8, 10)),
+    ("C9", with_leaves(_HUB + [(2, 11)], {**_HUB_LEAVES, 5: 1, 11: 2, 0: 1}), 0, (8, 10)),
+]
 
 
 class TestFindConfiguration:
@@ -67,6 +130,14 @@ class TestFindConfiguration:
             cfg = find_configuration(g)
             if cfg is not None:
                 assert configuration_holds(g, cfg)
+
+    def test_push_near_reaches_anchors_a_removal_creates(self):
+        for kind, g, u, e in RADIUS_CASES:
+            assert _MATCHERS[kind](g, u) is None, kind
+            assert _MATCHERS[kind](g.subgraph_without_edges([e]), u) is not None, kind
+            candidates = {k: [] for k in _MATCHERS}
+            _push_near(g, [e], candidates)
+            assert u in candidates[kind], kind
 
     def test_c5_exact_pendant_counts(self):
         # degree 5 with exactly k-2 = 3 pendant neighbours; the two support
@@ -175,7 +246,7 @@ class TestC3:
     def test_pattern_matches(self):
         g = c3_instance()
         assert g.girth() == 6
-        cfg = _match_c3(g)
+        cfg = first_match(g, "C3")
         assert cfg is not None
         assert cfg.anchors == {"u": 1, "v": 0, "w": 5}
         assert configuration_holds(g, cfg)
@@ -184,7 +255,7 @@ class TestC3:
         g = c3_instance()
         delta = g.max_degree()
         assert delta == 4
-        cfg = _match_c3(g)
+        cfg = first_match(g, "C3")
         plan = plan_reduction(g, cfg, palette_delta=delta)
         assert plan.removed == (edge_key(1, 0), edge_key(1, 5))
         assert plan.sequence == (edge_key(1, 0), edge_key(1, 5))
@@ -217,7 +288,7 @@ class TestC4:
     def test_pattern_matches(self):
         g = c4_instance()
         assert g.girth() == 6
-        cfg = _match_c4(g)
+        cfg = first_match(g, "C4")
         assert cfg is not None
         a = cfg.anchors
         assert a["u"] == 1 and a["v"] == 0 and a["w"] == 5
@@ -227,7 +298,7 @@ class TestC4:
     def test_plan_uncolours_the_other_two_spokes(self):
         g = c4_instance()
         delta = g.max_degree()
-        cfg = _match_c4(g)
+        cfg = first_match(g, "C4")
         plan = plan_reduction(g, cfg, palette_delta=delta)
         assert plan.removed == (edge_key(1, 0), edge_key(1, 5))
         assert set(plan.uncolour) == {edge_key(0, 2), edge_key(0, 3)}
@@ -237,7 +308,7 @@ class TestC4:
     def test_extension_recolours_and_verifies(self):
         g = c4_instance()
         delta = g.max_degree()
-        cfg = _match_c4(g)
+        cfg = first_match(g, "C4")
         plan = plan_reduction(g, cfg, palette_delta=delta)
         col = colour_within(g.subgraph_without_edges(plan.removed), 3 * delta + 1)
         col.graph = g
@@ -261,7 +332,7 @@ class TestC4:
             (6, 13), (7, 14), (8, 15), (8, 16),
         ]
         g = Graph(range(17), edges)
-        cfg = _match_c4(g)
+        cfg = first_match(g, "C4")
         assert cfg is not None
         assert cfg.anchors["v"] == 0 and cfg.anchors["w"] == 5
 
@@ -285,7 +356,7 @@ class TestC8C9:
     def test_c8_pattern_matches(self):
         g = c8_instance()
         assert g.girth() == 6
-        cfg = _match_c8_c9(g, want_alpha_zero=True)
+        cfg = first_match(g, "C8")
         assert cfg is not None and cfg.kind == "C8"
         assert cfg.k == 5 and cfg.alpha == 0
         assert cfg.anchors["u"] == 0
@@ -295,7 +366,7 @@ class TestC8C9:
         g = c8_instance()
         delta = g.max_degree()
         assert delta == 5
-        cfg = _match_c8_c9(g, want_alpha_zero=True)
+        cfg = first_match(g, "C8")
         plan = plan_reduction(g, cfg, palette_delta=delta)
         us = cfg.anchors["us"]
         vs = cfg.anchors["vs"]
@@ -316,7 +387,7 @@ class TestC8C9:
 
     def test_c9_pendant_variant(self):
         g = c8_instance(pendant=True)
-        cfg = _match_c8_c9(g, want_alpha_zero=False)
+        cfg = first_match(g, "C9")
         assert cfg is not None and cfg.kind == "C9"
         assert cfg.k == 6 and cfg.alpha == 1
         delta = g.max_degree()
@@ -342,7 +413,7 @@ class TestC8C9:
             (3, 14), (14, 15),
         ]
         g = Graph(range(28), edges)
-        cfg = _match_c8_c9(g, want_alpha_zero=True)
+        cfg = first_match(g, "C8")
         assert cfg is not None and cfg.kind == "C8"
         assert cfg.anchors["case"] == 2
         assert cfg.anchors["extra"] == 11
@@ -366,7 +437,7 @@ class TestC6Plan:
         # a degree-4 hub is itself a C1 partner for its leaves, so match the
         # all-low-neighbours pattern directly
         g = star(4)
-        cfg = _match_c6(g)
+        cfg = first_match(g, "C6")
         assert cfg is not None and cfg.k == 4
         plan = plan_reduction(g, cfg, palette_delta=7)
         assert plan.guarantees == (2 * 7 - 2 * 4 + 3,) * 4
@@ -420,7 +491,7 @@ class TestExtendBasics:
 
     def test_uncoloured_plan_edge_rejected(self):
         g = c4_instance()
-        cfg = _match_c4(g)
+        cfg = first_match(g, "C4")
         plan = plan_reduction(g, cfg, palette_delta=4)
         col = PartialColouring(g, Palette(13), checked=False)  # nothing coloured
         with pytest.raises(Exception):
@@ -498,3 +569,14 @@ class TestColourGirth6:
         col = colour_girth6(g)
         assert verify_strong(g, col, require_total=True) == []
         assert col.colours_used() <= 3 * g.max_degree() + 1
+
+    def test_in_place_loop_matches_rebuild_reference(self):
+        graphs = [generate(spec) for _, spec in _bench_corpus(100)]
+        graphs.append(subdivide(stacked_triangulation(200, seed=1), 1))
+        assert graphs[-1].num_edges() == 1212
+        for g in graphs:
+            trace = []
+            col = colour_girth6(g, trace=trace)
+            ref_trace, ref_col = rebuild_reference(g)
+            assert [s.as_dict() for s in trace] == [s.as_dict() for s in ref_trace]
+            assert col.assignment == ref_col.assignment

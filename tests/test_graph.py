@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import brute_girth, brute_n2, small_graphs
 from strongedge.graph import (
@@ -11,7 +11,14 @@ from strongedge.graph import (
     to_dot,
     to_edge_list,
 )
-from strongedge.generators import cycle, path, star
+from strongedge.generators import (
+    cycle,
+    path,
+    stacked_triangulation,
+    star,
+    subdivide,
+    wheel,
+)
 
 
 class TestParse:
@@ -46,12 +53,30 @@ class TestParse:
         assert parse_graph(to_edge_list(g)) == g
 
 
+def _disjoint_union(*graphs):
+    """Relabel each graph past the previous ones and take the union."""
+    vertices, edges, shift = [], [], 0
+    for h in graphs:
+        vertices += [v + shift for v in h.vertices]
+        edges += [(u + shift, v + shift) for u, v in h.edges]
+        shift += max(h.vertices, default=-1) + 1
+    return Graph(vertices, edges)
+
+
 class TestGirth:
     def test_c6(self):
-        assert cycle(6).girth() == 6
+        # every cycle length, odd and even, stops its BFS at the right depth
+        for n in range(3, 31):
+            assert cycle(n).girth() == n
+        # 1-subdivided triangulation, 1,212 edges: girth 6 by construction
+        tri = subdivide(stacked_triangulation(200, seed=1), 1)
+        assert tri.num_edges() == 1212 and tri.girth() == 6
 
     def test_star_acyclic(self):
         assert star(5).girth() == ACYCLIC
+        # forests with isolated vertices, answered from |E| = |V| - #components
+        assert Graph(range(9), [(0, 1), (1, 2), (4, 5)]).girth() == ACYCLIC
+        assert Graph([3, 8]).girth() == ACYCLIC
 
     def test_k4(self):
         g = Graph(range(4), [(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -59,6 +84,11 @@ class TestGirth:
 
     @settings(max_examples=120, deadline=None)
     @given(small_graphs(max_vertices=10))
+    # a forest beside a long cycle is no forest; isolated vertices on both
+    # sides of the count; a subdivided wheel has girth 6 through its hub
+    @example(_disjoint_union(path(7), star(4), Graph([0]), cycle(25)))
+    @example(_disjoint_union(Graph([0, 1]), cycle(9), Graph([0])))
+    @example(subdivide(wheel(6), 1))
     def test_matches_cycle_enumeration(self, g):
         assert g.girth() == brute_girth(g)
 
