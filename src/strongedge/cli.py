@@ -10,10 +10,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .colouring import (
@@ -259,15 +257,8 @@ def _bench_one(name: str, spec: GeneratorSpec, budget: float) -> dict:
 
 def cmd_bench(args) -> int:
     corpus = _bench_corpus(args.count)
-    threads = max(1, int(os.environ.get("STRONGEDGE_THREADS", "1")))
-    _log(f"benching {len(corpus)} instances with {threads} thread(s)")
-    if threads == 1:
-        rows = [_bench_one(n, s, args.budget) for n, s in corpus]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(
-                pool.map(lambda ns: _bench_one(ns[0], ns[1], args.budget), corpus)
-            )
+    _log(f"benching {len(corpus)} instances")
+    rows = [_bench_one(n, s, args.budget) for n, s in corpus]
     bad = [r for r in rows if not (r["girth6_ok"] and r["pipeline_ok"])]
     _emit({"instances": rows, "failures": len(bad)})
     for r in rows:
@@ -302,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="exact strong chromatic index")
     s.add_argument("graph")
-    s.add_argument("--exact", action="store_true", help="(default behaviour)")
     s.add_argument("--k", type=int, default=None, help="decision variant")
     s.add_argument("--timeout", type=float, default=None, metavar="SECS")
     s.set_defaults(fn=cmd_solve)

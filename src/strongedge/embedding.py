@@ -28,9 +28,6 @@ class Face:
     def length(self) -> int:
         return len(self.walk)
 
-    def vertex_visits(self) -> tuple[int, ...]:
-        return self.walk
-
 
 @dataclass(frozen=True)
 class NonPlanar:
@@ -61,21 +58,22 @@ def _trace_faces(rotation: dict[int, tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Partition directed edges into face walks.
 
     Successor rule: after arriving at v along u->v, leave along the neighbour
-    that follows u in the rotation at v.
+    that follows u in the rotation at v.  Each walk starts at the smallest
+    dart not yet walked, found in one pass over the sorted darts.
     """
     index = {
         v: {w: i for i, w in enumerate(ns)} for v, ns in rotation.items()
     }
-    unused: set[tuple[int, int]] = {
-        (u, v) for u, ns in rotation.items() for v in ns
-    }
+    darts = sorted((u, v) for u, ns in rotation.items() for v in ns)
+    used: set[tuple[int, int]] = set()
     walks = []
-    while unused:
-        start = min(unused)
+    for start in darts:
+        if start in used:
+            continue
         walk = []
         cur = start
         while True:
-            unused.discard(cur)
+            used.add(cur)
             u, v = cur
             walk.append(u)
             ns = rotation[v]

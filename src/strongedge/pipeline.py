@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .colouring import Palette, PartialColouring, verify_strong
 from .embedding import NonPlanar, planar_embed
+from .exact import SolverTimeout, _Search
 from .girth6 import InternalInconsistency, PreconditionError
 from .graph import ACYCLIC, Edge, Graph, edge_key
 
@@ -164,63 +165,31 @@ def class1_edge_colour(g: Graph, budget: float | None = None) -> EdgeColouring |
     delta = g.max_degree()
     if g.num_edges() == 0:
         return EdgeColouring(g, {}, 0)
-    deadline = time.monotonic() + budget if budget is not None else None
     edges = list(g.edges)
     incident: dict[int, list[int]] = {v: [] for v in g.vertices}
     for i, (x, y) in enumerate(edges):
         incident[x].append(i)
         incident[y].append(i)
-    adjacency = [
-        sorted(
-            {j for v in e for j in incident[v] if j != i}
-        )
-        for i, e in enumerate(edges)
-    ]
-    colour = [0] * len(edges)
-    state = {"nodes": 0, "max_used": 0}
-
-    def free(i: int) -> list[int]:
-        cap = min(delta, state["max_used"] + 1)
-        used = {colour[j] for j in adjacency[i] if colour[j]}
-        return [c for c in range(1, cap + 1) if c not in used]
-
-    def pick() -> int | None:
-        best, count = None, None
-        for i, c in enumerate(colour):
-            if c:
-                continue
-            n = len(free(i))
-            if count is None or n < count:
-                best, count = i, n
-                if n == 0:
-                    break
-        return best
-
-    def search() -> bool:
-        state["nodes"] += 1
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError
-        i = pick()
-        if i is None:
-            return True
-        prev = state["max_used"]
-        for c in free(i):
-            colour[i] = c
-            state["max_used"] = max(prev, c)
-            if search():
-                return True
-            colour[i] = 0
-            state["max_used"] = prev
-        return False
-
-    try:
-        if not search():
-            return None
-    except TimeoutError:
+    adjacency = [[j for v in e for j in incident[v] if j != i] for i, e in enumerate(edges)]
+    colour = _search_colours(adjacency, delta, budget)
+    if colour is None:
         return None
     ec = EdgeColouring(g, dict(zip(edges, colour)), delta)
     ec.check()
     return ec
+
+
+def _search_colours(
+    conflicts: list[list[int]], k: int, budget: float | None
+) -> list[int] | None:
+    """The search kernel's colours 1..k per item, or None when no colouring
+    exists or the budget runs out first."""
+    deadline = time.monotonic() + budget if budget is not None else None
+    search = _Search(conflicts, k, deadline)
+    try:
+        return search.colour if search.run() else None
+    except SolverTimeout:
+        return None
 
 
 def corollary1_applies(delta: int, girth: float) -> bool:
@@ -284,52 +253,10 @@ def _check_proper(g: Graph, col: dict[int, int]) -> None:
 
 
 def _node_colour_exact(g: Graph, k: int, budget: float | None) -> dict[int, int] | None:
-    deadline = time.monotonic() + budget if budget is not None else None
     verts = list(g.vertices)
     pos = {v: i for i, v in enumerate(verts)}
-    colour = [0] * len(verts)
-    state = {"nodes": 0, "max_used": 0}
-
-    def free(i: int) -> list[int]:
-        cap = min(k, state["max_used"] + 1)
-        used = {colour[pos[w]] for w in g.neighbours(verts[i]) if colour[pos[w]]}
-        return [c for c in range(1, cap + 1) if c not in used]
-
-    def pick() -> int | None:
-        best, count = None, None
-        for i, c in enumerate(colour):
-            if c:
-                continue
-            n = len(free(i))
-            if count is None or n < count:
-                best, count = i, n
-                if n == 0:
-                    break
-        return best
-
-    def search() -> bool:
-        state["nodes"] += 1
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError
-        i = pick()
-        if i is None:
-            return True
-        prev = state["max_used"]
-        for c in free(i):
-            colour[i] = c
-            state["max_used"] = max(prev, c)
-            if search():
-                return True
-            colour[i] = 0
-            state["max_used"] = prev
-        return False
-
-    try:
-        if not search():
-            return None
-    except TimeoutError:
-        return None
-    return {verts[i]: c for i, c in enumerate(colour)}
+    colour = _search_colours([[pos[w] for w in g.neighbours(v)] for v in verts], k, budget)
+    return None if colour is None else dict(zip(verts, colour))
 
 
 def _five_colour_planar(g: Graph) -> dict[int, int]:

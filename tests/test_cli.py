@@ -3,7 +3,7 @@ import json
 import strongedge.girth6 as girth6
 from strongedge.cli import main
 from strongedge.colouring import Violation
-from strongedge.generators import cycle, subdivide, wheel
+from strongedge.generators import cycle, path, subdivide, wheel
 from strongedge.graph import parse_graph, to_edge_list
 from conftest import complete_graph
 
@@ -127,12 +127,25 @@ def test_discharge_disconnected_rejected(tmp_path):
     assert main(["discharge", p]) == 1
 
 
-def test_bench_small(capsys, monkeypatch):
-    monkeypatch.setenv("STRONGEDGE_THREADS", "2")
+def test_bench_small(capsys):
     assert main(["bench", "--count", "4", "--budget", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["instances"]) == 4
     assert doc["failures"] == 0
+
+
+def test_long_path_all_entry_points(tmp_path, capsys):
+    # 5,000 edges: far deeper than Python's recursion limit
+    g = path(5001)
+    p = write_graph(tmp_path, g)
+    for argv in (["solve", p], ["colour", "--girth6", p], ["colour", "--pipeline", p]):
+        assert main(argv) == 0, argv
+        doc = json.loads(capsys.readouterr().out)
+        colouring = doc if argv[0] == "colour" else doc["colouring"]
+        colfile = tmp_path / "col.json"
+        colfile.write_text(json.dumps(colouring))
+        assert main(["verify", p, str(colfile)]) == 0, argv
+        assert json.loads(capsys.readouterr().out)["valid"] is True, argv
 
 
 def test_missing_file():

@@ -2,7 +2,7 @@ from hypothesis import given, settings
 
 from conftest import complete_graph, small_graphs
 from strongedge.embedding import Embedding, NonPlanar, faces, planar_embed
-from strongedge.generators import cycle, path, star, wheel
+from strongedge.generators import cycle, path, stacked_triangulation, star, subdivide, wheel
 from strongedge.graph import Graph
 
 
@@ -21,6 +21,35 @@ def test_k4_four_triangles():
     emb = planar_embed(complete_graph(4))
     assert sorted(length for _, length in faces(emb)) == [3, 3, 3, 3]
     assert sum(length for _, length in faces(emb)) == 2 * 6
+
+
+def reference_trace_faces(rotation):
+    """Face walks started from the smallest unused dart, found by a fresh
+    ``min`` over all unused darts per face (quadratic, but plainly ordered)."""
+    unused = {(u, v) for u, ns in rotation.items() for v in ns}
+    walks = []
+    while unused:
+        start = cur = min(unused)
+        walk = []
+        while True:
+            unused.discard(cur)
+            u, v = cur
+            walk.append(u)
+            ns = rotation[v]
+            cur = (v, ns[(ns.index(u) + 1) % len(ns)])
+            if cur == start:
+                break
+        walks.append(tuple(walk))
+    return walks
+
+
+def test_face_order_matches_reference():
+    graphs = [cycle(6), path(5), star(4), complete_graph(4), wheel(7)]
+    graphs += [subdivide(stacked_triangulation(n, seed=n), 1) for n in (10, 60, 200)]
+    graphs.append(Graph(range(8), [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 7), (7, 4)]))
+    for g in graphs:
+        emb = planar_embed(g)
+        assert [f.walk for f in emb.faces] == reference_trace_faces(emb.rotation)
 
 
 def test_k5_nonplanar_with_witness():

@@ -1,11 +1,74 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import complete_graph, naive_chi_s, small_graphs
-from strongedge.colouring import verify_strong
-from strongedge.exact import is_strong_k_colourable, strong_chromatic_index
-from strongedge.generators import cycle, path, star
+from strongedge.colouring import trivial_lower_bound, verify_strong
+from strongedge.exact import (
+    SolverTimeout,
+    _conflict_lists,
+    _Search,
+    is_strong_k_colourable,
+    strong_chromatic_index,
+)
+from strongedge.generators import cycle, hex_patch, path, star
 from strongedge.graph import Graph
+
+
+class RecursiveSearch:
+    """Reference for ``_Search``: the recursive search it replaced, which
+    rebuilds every item's free colours at every node."""
+
+    def __init__(self, conflicts: list[list[int]], k: int):
+        self.conflicts, self.k = conflicts, k
+        self.colour = [0] * len(conflicts)
+        self.max_used = 0
+        self.nodes = 0
+
+    def free(self, i: int) -> list[int]:
+        used = {self.colour[j] for j in self.conflicts[i]}
+        cap = min(self.k, self.max_used + 1)
+        return [c for c in range(1, cap + 1) if c not in used]
+
+    def run(self) -> bool:
+        self.nodes += 1
+        todo = [i for i, c in enumerate(self.colour) if not c]
+        if not todo:
+            return True
+        i = min(todo, key=lambda j: len(self.free(j)))
+        prev = self.max_used
+        for c in self.free(i):
+            self.colour[i] = c
+            self.max_used = max(prev, c)
+            if self.run():
+                return True
+            self.colour[i] = 0
+            self.max_used = prev
+        return False
+
+
+def hex_with_leaves(rows: int, cols: int, every: int) -> Graph:
+    """Hex patch with a pendant leaf on every ``every``-th degree-2 vertex:
+    girth 6, Delta 3."""
+    g = hex_patch(rows, cols)
+    nxt = max(g.vertices) + 1
+    twos = [v for v in g.vertices if g.degree(v) == 2][::every]
+    leaves = [(v, nxt + i) for i, v in enumerate(twos)]
+    return Graph(list(g.vertices) + [w for _, w in leaves], list(g.edges) + leaves)
+
+
+def assert_matches_reference(g: Graph) -> None:
+    """Same verdict, colours and node count as the reference at every k from
+    the trivial lower bound up to chi_s."""
+    _, conflicts = _conflict_lists(g)
+    for k in range(max(trivial_lower_bound(g), 1), strong_chromatic_index(g).chi_s + 1):
+        ref, search = RecursiveSearch(conflicts, k), _Search(conflicts, k, None)
+        assert (search.run(), search.colour, search.nodes) == (
+            ref.run(),
+            ref.colour,
+            ref.nodes,
+        ), k
 
 
 class TestDecision:
@@ -79,3 +142,31 @@ class TestMonotonicity:
             for e in g.edges:
                 reduced = g.subgraph_without_edges([e])
                 assert strong_chromatic_index(reduced).chi_s <= base
+
+
+class TestKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(max_vertices=7, max_edges=12))
+    def test_matches_reference_on_small_graphs(self, g):
+        assert_matches_reference(g)
+
+    def test_matches_reference_on_named_instances(self):
+        named = [cycle(n) for n in range(3, 13)] + [path(n) for n in range(2, 12)]
+        named += [star(n) for n in range(1, 7)] + [complete_graph(4)]
+        for g in named:
+            assert_matches_reference(g)
+
+    def test_matches_reference_on_hex_patches_with_leaves(self):
+        for g in (hex_with_leaves(8, 8, 2), hex_with_leaves(7, 8, 1)):
+            assert g.num_edges() == 120
+            assert_matches_reference(g)
+
+    def test_huge_k_keeps_state_item_sized(self):
+        g = cycle(9)
+        witness = is_strong_k_colourable(g, 10**9)
+        assert witness is not None
+        assert verify_strong(g, witness, require_total=True) == []
+
+    def test_expired_deadline_raises(self):
+        with pytest.raises(SolverTimeout):
+            is_strong_k_colourable(cycle(6), 3, deadline=time.monotonic() - 1)

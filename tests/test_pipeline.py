@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import complete_graph, edges_within_two, small_graphs
+from test_exact import RecursiveSearch
+from strongedge.cli import _bench_corpus
 from strongedge.colouring import verify_strong
 from strongedge.exact import strong_chromatic_index
-from strongedge.generators import cycle, grid, hex_patch, path, stacked_triangulation, star, subdivide, wheel
+from strongedge.generators import cycle, generate, grid, hex_patch, path, stacked_triangulation, star, subdivide, wheel
 from strongedge.girth6 import InternalInconsistency, PreconditionError
 from strongedge.graph import ACYCLIC, Graph
 from strongedge.pipeline import (
@@ -30,6 +32,27 @@ PLANAR_CORPUS = [
     stacked_triangulation(3, seed=1), stacked_triangulation(6, seed=2),
     stacked_triangulation(9, seed=3),
 ]
+
+
+def reference_class1(g: Graph) -> dict | None:
+    """Class-1 colouring by the recursive search the kernel replaced."""
+    edges = list(g.edges)
+    incident: dict[int, list[int]] = {v: [] for v in g.vertices}
+    for i, (x, y) in enumerate(edges):
+        incident[x].append(i)
+        incident[y].append(i)
+    adjacency = [sorted({j for v in e for j in incident[v] if j != i}) for i, e in enumerate(edges)]
+    ref = RecursiveSearch(adjacency, g.max_degree())
+    return dict(zip(edges, ref.colour)) if ref.run() else None
+
+
+def reference_node_colours(cg: ConflictGraph) -> dict[int, int]:
+    """Node colouring by the recursive 4-colour search the kernel replaced,
+    with the same five-colour fallback."""
+    verts = list(cg.graph.vertices)
+    pos = {v: i for i, v in enumerate(verts)}
+    ref = RecursiveSearch([[pos[w] for w in cg.graph.neighbours(v)] for v in verts], 4)
+    return dict(zip(verts, ref.colour)) if ref.run() else _five_colour_planar(cg.graph)
 
 
 class TestVizing:
@@ -74,6 +97,15 @@ class TestClass1:
     def test_budget_zero_gives_up(self):
         g = stacked_triangulation(8, seed=5)
         assert class1_edge_colour(g, budget=0.0) is None
+
+    def test_class1_and_node_colours_match_reference(self):
+        corpus = PLANAR_CORPUS + [generate(spec) for _, spec in _bench_corpus(100)]
+        for g in corpus:
+            ec = class1_edge_colour(g)
+            assert (ec.assignment if ec else None) == reference_class1(g)
+            for cls in (ec or vizing_edge_colour(g)).classes().values():
+                cg = conflict_graph(g, cls)
+                assert colour_planar_nodes(cg) == reference_node_colours(cg)
 
 
 class TestCorollary1:
