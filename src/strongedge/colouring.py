@@ -4,10 +4,19 @@ A strong edge-colouring is a proper edge-colouring in which every colour
 class is an induced matching: no two edges of the same colour are within
 distance 2 of each other.  ``verify_strong`` is the single authority on
 validity; everything else in the package defers to it.
+
+Two distinct edges e and f are within distance 2 exactly when both lie in
+the star of one edge xy, the set of edges touching x or y: if e and f share
+an end, take xy = e; if an edge h touches both, take xy = h; conversely two
+edges in one star either share an end or both touch xy.  ``verify_strong``
+and the pipeline's conflict checks ask that question through stars and
+vertex neighbourhoods; only single-edge queries such as
+``used_colours_near`` list an edge's distance-2 set (``Graph.n2_edges``).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -130,7 +139,12 @@ def verify_strong(
     means valid.
 
     Checks palette membership, totality when required, and same-colour pairs
-    at distance 1 (shared endpoint) or distance 2.
+    at distance 1 (shared endpoint) or distance 2.  Such a pair lies in the
+    star of some edge xy (module docstring), so one pass over the edges xy
+    of ``g`` finds every pair: a star whose colours are pairwise distinct
+    holds none, and only stars with a repeated colour list their pairs.
+    Violations come in the order off-palette, uncoloured, conflicts, each
+    sorted by edge.  An assigned edge missing from ``g`` raises ``KeyError``.
     """
     out: list[Violation] = []
     assignment = {edge_key(*e): col for e, col in c.assignment.items()}
@@ -141,14 +155,27 @@ def verify_strong(
         for e in g.edges:
             if e not in assignment:
                 out.append(Violation("uncoloured", (e,)))
-    for e, col in sorted(assignment.items()):
-        for f in sorted(g.n2_edges(e)):
-            if f <= e:
-                continue
-            if assignment.get(f) == col:
-                shared = set(e) & set(f)
-                kind = "adjacent-conflict" if shared else "distance2-conflict"
-                out.append(Violation(kind, (e, f)))
+    at: dict[int, list[Edge]] = {}  # vertex -> its coloured edges
+    for e in sorted(assignment):
+        if not g.has_edge(*e):
+            raise KeyError(f"edge {e[0]}-{e[1]} not in graph")
+        for v in e:
+            at.setdefault(v, []).append(e)
+    colours_at = {v: {assignment[f] for f in es} for v, es in at.items()}
+    pairs: set[tuple[Edge, Edge]] = set()
+    for x, y in g.edges:
+        ex, ey = at.get(x, []), at.get(y, [])
+        size = len(ex) + len(ey) - ((x, y) in assignment)  # coloured edges in the star
+        if len(colours_at.get(x, set()) | colours_at.get(y, set())) == size:
+            continue  # the star's colours are pairwise distinct
+        by_colour: dict[int, list[Edge]] = {}
+        for f in ex + [f for f in ey if f != (x, y)]:
+            by_colour.setdefault(assignment[f], []).append(f)
+        for group in by_colour.values():
+            pairs.update(itertools.combinations(sorted(group), 2))
+    for e, f in sorted(pairs):
+        kind = "adjacent-conflict" if set(e) & set(f) else "distance2-conflict"
+        out.append(Violation(kind, (e, f)))
     return out
 
 
@@ -212,8 +239,12 @@ def colouring_to_json(c: PartialColouring) -> str:
 def colouring_from_json(text: str, graph: Graph) -> PartialColouring:
     try:
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise TypeError("the document is not a JSON object")
         size = int(doc["palette"])
         raw = doc["colours"]
+        if not isinstance(raw, dict):
+            raise TypeError("'colours' is not a JSON object")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ColouringError(f"bad colouring document: {exc}") from exc
     c = PartialColouring(graph, Palette(size), checked=False)

@@ -49,10 +49,6 @@ class Embedding:
     def face_lengths(self) -> list[int]:
         return [f.length for f in self.faces]
 
-    def faces_of_component(self, comp: tuple[int, ...]) -> list[Face]:
-        members = set(comp)
-        return [f for f in self.faces if f.walk and f.walk[0] in members]
-
 
 def _trace_faces(rotation: dict[int, tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Partition directed edges into face walks.
@@ -109,18 +105,25 @@ def planar_embed(g: Graph) -> Embedding | NonPlanar:
 
 
 def _check_euler(emb: Embedding) -> None:
+    """V - E + F = 2 on every component with an edge, counted in one pass:
+    an edge belongs to its endpoints' component, a face to its first
+    vertex's."""
     g = emb.graph
-    for comp in g.components():
-        members = set(comp)
-        nv = len(comp)
-        ne = sum(1 for u, v in g.edges if u in members)
-        nf = len(emb.faces_of_component(comp))
-        if ne == 0:
+    comps = g.components()
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    ne = [0] * len(comps)
+    nf = [0] * len(comps)
+    for u, _ in g.edges:
+        ne[comp_of[u]] += 1
+    for f in emb.faces:
+        nf[comp_of[f.walk[0]]] += 1
+    for i, comp in enumerate(comps):
+        if ne[i] == 0:
             continue  # single vertex: one implicit face
-        if nv - ne + nf != 2:
+        if len(comp) - ne[i] + nf[i] != 2:
             raise EmbeddingError(
                 f"face tracing broke Euler's formula on component {comp[:5]}...: "
-                f"V={nv} E={ne} F={nf}"
+                f"V={len(comp)} E={ne[i]} F={nf[i]}"
             )
 
 

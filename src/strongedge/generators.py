@@ -125,7 +125,6 @@ _FAMILIES = {
     "grid": (grid, 2),
     "hex-patch": (hex_patch, 2),
     "triangulation": (stacked_triangulation, None),
-    "random-planar-triangulation": (stacked_triangulation, None),
 }
 
 

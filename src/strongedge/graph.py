@@ -180,7 +180,11 @@ class Graph:
         """Edges at distance at most 2 from ``e``; ``closed`` includes ``e``.
 
         Distance 1 means sharing an endpoint; distance 2 means some edge is
-        adjacent to both.
+        adjacent to both.  Builds a fresh set in O(Delta^2), so it serves
+        per-edge queries only: ``exact._conflict_lists`` and
+        ``colouring.used_colours_near`` (the girth-6 extension, on its
+        mutable working graph).  Whole-colouring checks go through edge
+        stars instead (``colouring`` module docstring).
         """
         u, v = edge_key(*e)
         if v not in self._adj.get(u, ()):

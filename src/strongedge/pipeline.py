@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 from .colouring import Palette, PartialColouring, verify_strong
 from .embedding import NonPlanar, planar_embed
@@ -222,12 +223,25 @@ def conflict_graph(g: Graph, matching: list[Edge]) -> ConflictGraph:
             raise ValueError("edge set is not a matching")
         seen.update((u, v))
     index = {e: i for i, e in enumerate(edges)}
-    links = []
-    for e in edges:
-        for f in g.n2_edges(e):
-            if f in index and index[f] > index[e]:
-                links.append((index[e], index[f]))
+    links = [(index[e], index[f]) for e, f in _matching_links(g, edges)]
     return ConflictGraph(tuple(edges), Graph(range(len(edges)), links))
+
+
+def _matching_links(g: Graph, matching: list[Edge]) -> Iterator[tuple[Edge, Edge]]:
+    """Pairs e < f of matching edges within distance 2 of each other.
+
+    Matching edges are disjoint, so e and f lie in one star exactly when an
+    endpoint of e is adjacent to an endpoint of f; a vertex -> matching edge
+    map finds those in O(sum of the matched vertices' degrees).  A pair
+    joined by several edges is yielded once per joining edge.
+    """
+    owner = {v: e for e in matching for v in e}
+    for e in matching:
+        for a in e:
+            for b in g.neighbours(a):
+                f = owner.get(b, e)
+                if f > e:
+                    yield e, f
 
 
 def colour_planar_nodes(cg: ConflictGraph, budget: float | None = None) -> dict[int, int]:
@@ -327,12 +341,9 @@ def compose(
         node_col = per_class[i - 1]
         if set(node_col) != set(cls):
             raise ValueError(f"class {i} colouring keys do not match its edges")
-        for e in cls:
-            for f in ec.graph.n2_edges(e):
-                if f in node_col and f != e and node_col[f] == node_col[e]:
-                    raise ValueError(
-                        f"class {i} node colouring is improper: {e} vs {f}"
-                    )
+        for e, f in _matching_links(ec.graph, cls):
+            if node_col[e] == node_col[f]:
+                raise ValueError(f"class {i} node colouring is improper: {e} vs {f}")
         if cls:
             max_c = max(max_c, max(node_col.values()))
     palette = Palette(max(ec.class_count, 1) * max_c)

@@ -102,6 +102,17 @@ def test_verify_rejects_broken_colouring(tmp_path, capsys):
     assert any("distance2-conflict" in v for v in verdict["violations"])
 
 
+def test_verify_colours_list_is_bad_document(tmp_path, capsys):
+    p = write_graph(tmp_path, path(3))
+    bad = tmp_path / "list.json"
+    bad.write_text('{"palette": 3, "colours": [1, 2]}')
+    assert main(["verify", p, str(bad)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "bad colouring document" in out.err
+    assert "Traceback" not in out.err
+
+
 def test_solve_exact(tmp_path, capsys):
     p = write_graph(tmp_path, cycle(5))
     assert main(["solve", p]) == 0

@@ -1,12 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_conflicts, small_graphs
+from conftest import brute_conflicts, brute_n2, small_graphs
+from strongedge.cli import _bench_corpus
 from strongedge.colouring import (
     ColouringError,
     Palette,
     PartialColouring,
+    Violation,
     colouring_from_json,
     colouring_to_json,
     free_colours,
@@ -16,8 +20,46 @@ from strongedge.colouring import (
     verify_strong,
 )
 from strongedge.exact import strong_chromatic_index
-from strongedge.generators import cycle, path, star
-from strongedge.graph import ACYCLIC, Graph
+from strongedge.generators import cycle, generate, path, star
+from strongedge.graph import ACYCLIC, Graph, edge_key
+
+
+def reference_verify_strong(g, c, require_total=False):
+    """The per-edge ``n2_edges`` loop that the star pass replaced."""
+    out = []
+    assignment = {edge_key(*e): col for e, col in c.assignment.items()}
+    for e, col in sorted(assignment.items()):
+        if col not in c.palette:
+            out.append(Violation("off-palette", (e,)))
+    if require_total:
+        for e in g.edges:
+            if e not in assignment:
+                out.append(Violation("uncoloured", (e,)))
+    for e, col in sorted(assignment.items()):
+        for f in sorted(g.n2_edges(e)):
+            if f <= e:
+                continue
+            if assignment.get(f) == col:
+                kind = "adjacent-conflict" if set(e) & set(f) else "distance2-conflict"
+                out.append(Violation(kind, (e, f)))
+    return out
+
+
+def planted_colouring(g, rnd, size):
+    """A random partial colouring over Palette(size) with colours 0 and
+    size + 1 off the palette, then a few edges recoloured to match an edge
+    that shares an end with them or one at distance exactly 2."""
+    c = PartialColouring(g, Palette(size), checked=False)
+    for e in g.edges:
+        if rnd.random() < 0.8:
+            c._assignment[e] = rnd.randint(0, size + 1)
+    for e in rnd.sample(g.edges, min(4, g.num_edges())):
+        near = sorted(brute_n2(g, e))
+        adjacent = [f for f in near if set(e) & set(f)]
+        groups = [grp for grp in (adjacent, [f for f in near if f not in adjacent]) if grp]
+        if groups:
+            c._assignment[e] = c._assignment.get(rnd.choice(rnd.choice(groups)), 1)
+    return c
 
 
 class TestFreeColours:
@@ -127,6 +169,38 @@ class TestVerify:
         assert flagged == oracle
 
 
+class TestVerifyMatchesReference:
+    """``verify_strong`` returns the same violations, in the same order, as
+    the per-edge loop it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(max_vertices=9), st.integers(1, 5), st.randoms(use_true_random=False))
+    def test_small_graphs(self, g, size, rnd):
+        c = planted_colouring(g, rnd, size)
+        for total in (False, True):
+            assert verify_strong(g, c, total) == reference_verify_strong(g, c, total)
+
+    def test_corpus(self):
+        rnd = random.Random(4)
+        for _, spec in _bench_corpus(100):
+            g = generate(spec)
+            valid = PartialColouring(g, Palette(2 * g.num_edges()))
+            for e in g.edges:
+                valid.assign(e, min(free_colours(valid, e)))
+            for c in (valid, planted_colouring(g, rnd, g.max_degree() + 2)):
+                for total in (False, True):
+                    got = verify_strong(g, c, total)
+                    assert got == reference_verify_strong(g, c, total)
+            assert verify_strong(g, valid, True) == []
+
+    def test_assigned_edge_missing_from_graph_raises(self):
+        c = PartialColouring(cycle(6), Palette(3), checked=False)
+        c.put((0, 1), 1)
+        c.put((0, 5), 2)
+        with pytest.raises(KeyError, match="edge 0-5 not in graph"):
+            verify_strong(path(6), c)
+
+
 class TestTrivialLowerBound:
     def test_star5(self):
         assert trivial_lower_bound(star(5)) == 5
@@ -199,3 +273,10 @@ class TestJsonDocument:
     def test_garbage_rejected(self):
         with pytest.raises(ColouringError):
             colouring_from_json("[1,2,3]", path(3))
+
+    @pytest.mark.parametrize(
+        "doc", ['{"palette": 3, "colours": [1, 2]}', '{"palette": 3, "colours": "1-2"}', '"colours"', "null"]
+    )
+    def test_non_object_rejected(self, doc):
+        with pytest.raises(ColouringError, match="bad colouring document"):
+            colouring_from_json(doc, path(3))

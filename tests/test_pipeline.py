@@ -8,7 +8,7 @@ from strongedge.colouring import verify_strong
 from strongedge.exact import strong_chromatic_index
 from strongedge.generators import cycle, generate, grid, hex_patch, path, stacked_triangulation, star, subdivide, wheel
 from strongedge.girth6 import InternalInconsistency, PreconditionError
-from strongedge.graph import ACYCLIC, Graph
+from strongedge.graph import ACYCLIC, Graph, edge_key
 from strongedge.pipeline import (
     ConflictGraph,
     EdgeColouring,
@@ -153,7 +153,9 @@ class TestConflictGraph:
             conflict_graph(path(3), [(0, 1), (1, 2)])
 
     def test_links_match_oracle_on_corpus(self):
-        for g in PLANAR_CORPUS[:12]:
+        hub = stacked_triangulation(90, seed=23)
+        assert hub.max_degree() >= 40
+        for g in PLANAR_CORPUS + [hub]:
             ec = vizing_edge_colour(g)
             for cls in ec.classes().values():
                 cg = conflict_graph(g, cls)
@@ -220,6 +222,23 @@ class TestCompose:
         bad = [{(0, 1): 1, (2, 3): 1}, {(1, 2): 1}]  # (0,1),(2,3) conflict
         with pytest.raises(ValueError, match="improper"):
             compose(ec, bad)
+
+    @pytest.mark.parametrize("hub", [0, 100])
+    def test_conflict_through_hub_edge_rejected(self, hub):
+        # class 1 = {hub-3, 2-50}: the two edges meet only through the
+        # hub's edge hub-2, which lies in class 2, among the hub's 40 edges;
+        # hub 0 makes hub-3 the smaller edge of the pair, hub 100 the larger
+        leaves = range(1, 41)
+        g = Graph([], [(hub, x) for x in leaves] + [(2, 50)])
+        assignment = {edge_key(hub, x): x for x in leaves}
+        assignment[edge_key(hub, 1)], assignment[edge_key(hub, 3)] = 3, 1
+        assignment[(2, 50)] = 1
+        ec = EdgeColouring(g, assignment, 40)
+        per_class = [{e: 1 for e in cls} for cls in ec.classes().values()]
+        with pytest.raises(ValueError, match="class 1 node colouring is improper"):
+            compose(ec, per_class)
+        per_class[0][(2, 50)] = 2
+        assert verify_strong(g, compose(ec, per_class), require_total=True) == []
 
     def test_wrong_keys_rejected(self):
         g = path(3)
