@@ -14,7 +14,7 @@ from .colouring import (
     verify_strong,
 )
 from .discharging import ChargeMap, Report, apply_rules, audit, initial_charges
-from .embedding import Embedding, Face, NonPlanar, faces, planar_embed
+from .embedding import Embedding, Face, NonPlanar, embed_rotation, faces, planar_embed
 from .exact import SolveResult, is_strong_k_colourable, strong_chromatic_index
 from .generators import GeneratorSpec, generate, subdivide
 from .girth6 import (
@@ -74,6 +74,7 @@ __all__ = [
     "compose",
     "conflict_graph",
     "corollary1_applies",
+    "embed_rotation",
     "extend",
     "faces",
     "find_configuration",

@@ -3,7 +3,8 @@
 Planarity testing is delegated to networkx's left-right test; the rotation
 system it returns is re-traced here into explicit face walks so that face
 lengths (bridges counted twice) and per-component Euler checks are owned by
-this package.
+this package.  ``embed_rotation`` runs the same checks on a rotation system
+from any source, such as one derived from a host embedding by contraction.
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ def planar_embed(g: Graph) -> Embedding | NonPlanar:
     """Planarity test returning a rotation system plus its face walks, or a
     ``NonPlanar`` witness.
 
-    The traced faces satisfy Euler's formula per connected component; that is
-    asserted here, not left to callers.
+    networkx supplies the rotation and ``embed_rotation`` checks it, so
+    Euler's formula per connected component is asserted here, not left to
+    callers.
     """
     ng = nx.Graph()
     ng.add_nodes_from(g.vertices)
@@ -95,7 +97,25 @@ def planar_embed(g: Graph) -> Embedding | NonPlanar:
     if not ok:
         witness = tuple(sorted(edge_key(u, v) for u, v in cert.edges()))
         return NonPlanar(witness)
-    rotation = {v: tuple(cert.neighbors_cw_order(v)) for v in g.vertices}
+    return embed_rotation(g, {v: tuple(cert.neighbors_cw_order(v)) for v in g.vertices})
+
+
+def embed_rotation(g: Graph, rotation: dict[int, tuple[int, ...]]) -> Embedding:
+    """Check a rotation system of ``g`` and trace its faces.
+
+    Each vertex's rotation must list its neighbours in ``g`` once each, and
+    the faces must satisfy V - E + F = 2 on every component with an edge; a
+    rotation system that does is a planar embedding of ``g``.  Raises
+    ``EmbeddingError`` otherwise.
+    """
+    if rotation.keys() != set(g.vertices):
+        raise EmbeddingError("rotation system does not list the graph's vertices")
+    for v in g.vertices:
+        # neighbour tuples are sorted, so this is a permutation test
+        if tuple(sorted(rotation[v])) != g.neighbours(v):
+            raise EmbeddingError(
+                f"rotation at vertex {v} is not a permutation of its neighbours"
+            )
     faces = tuple(
         Face(i, walk) for i, walk in enumerate(_trace_faces(rotation))
     )

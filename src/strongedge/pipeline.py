@@ -6,6 +6,11 @@ planar, so four node colours always suffice; an exact search tries to
 realise that, and a constructive five-colouring stands in when the search
 runs out of budget.  Stacking the classes multiplies the two counts, which
 keeps 4*Delta within reach whenever a Delta-class edge colouring exists.
+
+Each class's planarity is certified, not assumed: the conflict graph is a
+minor of the host, so contracting the host's embedding (computed once per
+input, by networkx) yields a rotation system of it, which the package's own
+face tracing and Euler check then accept.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .colouring import Palette, PartialColouring, verify_strong
-from .embedding import NonPlanar, planar_embed
+from .embedding import Embedding, EmbeddingError, NonPlanar, embed_rotation, planar_embed
 from .exact import SolverTimeout, _Search
 from .girth6 import InternalInconsistency, PreconditionError
 from .graph import ACYCLIC, Edge, Graph, edge_key
@@ -207,13 +212,27 @@ def corollary1_applies(delta: int, girth: float) -> bool:
 @dataclass(frozen=True)
 class ConflictGraph:
     """Distance-2 conflicts inside one matching: node i stands for edge
-    ``nodes[i]``; linked nodes must receive different colours."""
+    ``nodes[i]``; linked nodes must receive different colours.  ``rotation``
+    is a rotation system of ``graph`` that certifies its planarity."""
 
     nodes: tuple[Edge, ...]
     graph: Graph
+    rotation: dict[int, tuple[int, ...]]
 
 
-def conflict_graph(g: Graph, matching: list[Edge]) -> ConflictGraph:
+def conflict_graph(emb: Embedding, matching: list[Edge]) -> ConflictGraph:
+    """The conflict graph of a matching in the host ``emb.graph``, with a
+    rotation system derived from the host's embedding.
+
+    The conflict graph is a minor of the host: contract each matching edge
+    uv, delete the unmatched vertices, and keep one of any parallel links.
+    Contraction splices the rotations (u's neighbours after v, then v's
+    neighbours after u); deletion drops darts.  Of several host edges that
+    link the same two nodes, the smallest one is kept, on both sides.
+    Neither step takes a rotation system off the sphere, so the result is
+    planar whenever the host's rotation is.
+    """
+    g = emb.graph
     edges = sorted(edge_key(*e) for e in matching)
     seen: set[int] = set()
     for u, v in edges:
@@ -222,9 +241,29 @@ def conflict_graph(g: Graph, matching: list[Edge]) -> ConflictGraph:
         if u in seen or v in seen:
             raise ValueError("edge set is not a matching")
         seen.update((u, v))
-    index = {e: i for i, e in enumerate(edges)}
-    links = [(index[e], index[f]) for e, f in _matching_links(g, edges)]
-    return ConflictGraph(tuple(edges), Graph(range(len(edges)), links))
+    owner = {v: i for i, e in enumerate(edges) for v in e}
+    darts: list[list[tuple[tuple[int, int], Edge, int]]] = []
+    link_edge: dict[tuple[int, int], Edge] = {}
+    for i, (u, v) in enumerate(edges):
+        around = []
+        for a, b in ((u, v), (v, u)):
+            ns = emb.rotation[a]
+            k = ns.index(b)
+            for w in ns[k + 1:] + ns[:k]:
+                j = owner.get(w)
+                if j is None:
+                    continue
+                link = (i, j) if i < j else (j, i)
+                h = edge_key(a, w)
+                if link not in link_edge or h < link_edge[link]:
+                    link_edge[link] = h
+                around.append((link, h, j))
+        darts.append(around)
+    rotation = {
+        i: tuple(j for link, h, j in around if link_edge[link] == h)
+        for i, around in enumerate(darts)
+    }
+    return ConflictGraph(tuple(edges), Graph(range(len(edges)), link_edge), rotation)
 
 
 def _matching_links(g: Graph, matching: list[Edge]) -> Iterator[tuple[Edge, Edge]]:
@@ -246,11 +285,16 @@ def _matching_links(g: Graph, matching: list[Edge]) -> Iterator[tuple[Edge, Edge
 
 def colour_planar_nodes(cg: ConflictGraph, budget: float | None = None) -> dict[int, int]:
     """Proper node colouring of a planar conflict graph with at most 5
-    colours; an exact search reaches 4 unless the budget interferes."""
-    if isinstance(planar_embed(cg.graph), NonPlanar):
+    colours; an exact search reaches 4 unless the budget interferes.
+
+    Planarity is checked first, on ``cg.rotation``: a rotation system that
+    fails the checks means the derivation or the host was wrong."""
+    try:
+        embed_rotation(cg.graph, cg.rotation)
+    except EmbeddingError as exc:
         raise InternalInconsistency(
             "conflict graph of a matching in a planar host must be planar"
-        )
+        ) from exc
     if cg.graph.num_vertices() == 0:
         return {}
     result = _node_colour_exact(cg.graph, 4, budget)
@@ -385,7 +429,8 @@ def colour_pipeline(
     exists, otherwise (or on budget exhaustion) falls back to Delta+1
     classes.  The report records which regime ran and the bound it implies.
     """
-    if isinstance(planar_embed(g), NonPlanar):
+    emb = planar_embed(g)
+    if isinstance(emb, NonPlanar):
         raise PreconditionError("input graph is not planar")
     delta = g.max_degree()
     if g.num_edges() == 0:
@@ -403,7 +448,7 @@ def colour_pipeline(
 
     per_class = []
     for i, cls in ec.classes().items():
-        cg = conflict_graph(g, cls)
+        cg = conflict_graph(emb, cls)
         node_col = colour_planar_nodes(cg, budget)
         per_class.append({cg.nodes[j]: c for j, c in node_col.items()})
 

@@ -1,9 +1,11 @@
 import json
 
+import pytest
+
 import strongedge.girth6 as girth6
-from strongedge.cli import main
+from strongedge.cli import EXIT_BUDGET, main
 from strongedge.colouring import Violation
-from strongedge.generators import cycle, path, subdivide, wheel
+from strongedge.generators import GeneratorSpec, cycle, generate, path, subdivide, wheel
 from strongedge.graph import parse_graph, to_edge_list
 from conftest import complete_graph
 
@@ -122,6 +124,15 @@ def test_solve_exact(tmp_path, capsys):
     assert main(["solve", p, "--k", "4"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["satisfiable"] is False
+
+
+@pytest.mark.parametrize("extra", [[], ["--k", "20"]])
+def test_solve_timeout_zero_is_budget_exhausted(tmp_path, capsys, extra):
+    p = write_graph(tmp_path, generate(GeneratorSpec("triangulation", (12,), seed=3)))
+    assert main(["solve", p, "--timeout", "0", *extra]) == EXIT_BUDGET == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "budget exhausted: solve --timeout 0 s" in out.err
 
 
 def test_discharge(tmp_path, capsys):

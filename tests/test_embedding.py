@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import complete_graph, small_graphs
-from strongedge.embedding import Embedding, EmbeddingError, NonPlanar, _check_euler, faces, planar_embed
+from strongedge.embedding import (
+    Embedding,
+    EmbeddingError,
+    NonPlanar,
+    _check_euler,
+    embed_rotation,
+    faces,
+    planar_embed,
+)
 from strongedge.generators import cycle, path, stacked_triangulation, star, subdivide, wheel
 from strongedge.graph import Graph
 
@@ -135,3 +143,27 @@ def test_euler_on_connected_planar(g):
     if isinstance(res, NonPlanar) or not g.is_connected() or g.num_edges() == 0:
         return
     assert g.num_vertices() - g.num_edges() + len(res.faces) == 2
+
+
+def test_embed_rotation_rejects_non_permutations():
+    g = wheel(5)
+    rotation = planar_embed(g).rotation
+    hub = next(v for v in g.vertices if g.degree(v) == 5)
+    rim = next(v for v in g.vertices if v != hub)
+    stranger = next(v for v in g.vertices if v != rim and not g.has_edge(rim, v))
+    for bad in (
+        rotation[rim][:-1],  # misses a neighbour
+        rotation[rim][:-1] + (stranger,),  # lists a non-neighbour
+        rotation[rim][:-1] + rotation[rim][:1],  # lists a neighbour twice
+    ):
+        with pytest.raises(EmbeddingError, match="permutation"):
+            embed_rotation(g, {**rotation, rim: bad})
+    with pytest.raises(EmbeddingError, match="vertices"):
+        embed_rotation(g, {v: ns for v, ns in rotation.items() if v != hub})
+
+
+def test_embed_rotation_rejects_torus_rotation():
+    # sorted neighbour lists of K4 trace two faces, not four: a torus
+    g = complete_graph(4)
+    with pytest.raises(EmbeddingError, match="Euler"):
+        embed_rotation(g, {v: g.neighbours(v) for v in g.vertices})

@@ -5,6 +5,7 @@ from conftest import complete_graph, edges_within_two, small_graphs
 from test_exact import RecursiveSearch
 from strongedge.cli import _bench_corpus
 from strongedge.colouring import verify_strong
+from strongedge.embedding import EmbeddingError, embed_rotation, planar_embed
 from strongedge.exact import strong_chromatic_index
 from strongedge.generators import cycle, generate, grid, hex_patch, path, stacked_triangulation, star, subdivide, wheel
 from strongedge.girth6 import InternalInconsistency, PreconditionError
@@ -103,8 +104,9 @@ class TestClass1:
         for g in corpus:
             ec = class1_edge_colour(g)
             assert (ec.assignment if ec else None) == reference_class1(g)
+            emb = planar_embed(g)
             for cls in (ec or vizing_edge_colour(g)).classes().values():
-                cg = conflict_graph(g, cls)
+                cg = conflict_graph(emb, cls)
                 assert colour_planar_nodes(cg) == reference_node_colours(cg)
 
 
@@ -130,12 +132,12 @@ class TestCorollary1:
 class TestConflictGraph:
     def test_two_disjoint_edges_with_connector(self):
         g = path(4)  # edges (0,1),(1,2),(2,3); matching {(0,1),(2,3)}
-        cg = conflict_graph(g, [(0, 1), (2, 3)])
+        cg = conflict_graph(planar_embed(g), [(0, 1), (2, 3)])
         assert cg.graph.num_edges() == 1
 
     def test_separate_components_unlinked(self):
         g = Graph(range(4), [(0, 1), (2, 3)])
-        cg = conflict_graph(g, [(0, 1), (2, 3)])
+        cg = conflict_graph(planar_embed(g), [(0, 1), (2, 3)])
         assert cg.graph.num_edges() == 0
 
     def test_perfect_matching_of_c6_gives_triangle(self):
@@ -145,49 +147,75 @@ class TestConflictGraph:
             for f in m:
                 if e < f:
                     assert edges_within_two(g, e, f)  # oracle: all pairs conflict
-        cg = conflict_graph(g, m)
+        cg = conflict_graph(planar_embed(g), m)
         assert cg.graph.num_edges() == 3
 
     def test_non_matching_rejected(self):
         with pytest.raises(ValueError, match="matching"):
-            conflict_graph(path(3), [(0, 1), (1, 2)])
+            conflict_graph(planar_embed(path(3)), [(0, 1), (1, 2)])
 
     def test_links_match_oracle_on_corpus(self):
+        # every class of both edge colourings: the links are exactly the
+        # distance-2 pairs, and the derived rotation certifies planarity
         hub = stacked_triangulation(90, seed=23)
         assert hub.max_degree() >= 40
-        for g in PLANAR_CORPUS + [hub]:
-            ec = vizing_edge_colour(g)
-            for cls in ec.classes().values():
-                cg = conflict_graph(g, cls)
-                for i, e in enumerate(cg.nodes):
-                    for j, f in enumerate(cg.nodes):
-                        if i < j:
-                            assert cg.graph.has_edge(i, j) == edges_within_two(g, e, f)
+        corpus = PLANAR_CORPUS + [hub] + [generate(spec) for _, spec in _bench_corpus(100)]
+        for g in corpus:
+            emb = planar_embed(g)
+            for ec in (class1_edge_colour(g), vizing_edge_colour(g)):
+                for cls in (ec.classes().values() if ec else ()):
+                    cg = conflict_graph(emb, cls)
+                    oracle = [
+                        (i, j)
+                        for i, e in enumerate(cg.nodes)
+                        for j, f in enumerate(cg.nodes)
+                        if i < j and edges_within_two(g, e, f)
+                    ]
+                    assert cg.graph.edges == tuple(oracle)
+                    assert embed_rotation(cg.graph, cg.rotation).rotation == cg.rotation
+
+    def test_scrambled_rotation_fails_euler(self):
+        g = stacked_triangulation(9, seed=3)
+        ec = class1_edge_colour(g)
+        cgs = [conflict_graph(planar_embed(g), cls) for cls in ec.classes().values()]
+        cg = next(c for c in cgs if c.graph.max_degree() >= 3)
+        v = next(v for v in cg.graph.vertices if cg.graph.degree(v) >= 3)
+        a, b, *rest = cg.rotation[v]
+        scrambled = dict(cg.rotation)
+        scrambled[v] = (b, a, *rest)
+        with pytest.raises(EmbeddingError, match="Euler"):
+            embed_rotation(cg.graph, scrambled)
+        with pytest.raises(InternalInconsistency, match="must be planar"):
+            colour_planar_nodes(ConflictGraph(cg.nodes, cg.graph, scrambled))
 
 
 class TestColourPlanarNodes:
     def test_triangle_three_colours(self):
-        cg = ConflictGraph(((0, 1), (2, 3), (4, 5)), complete_graph(3))
+        k3 = complete_graph(3)
+        cg = ConflictGraph(((0, 1), (2, 3), (4, 5)), k3, planar_embed(k3).rotation)
         col = colour_planar_nodes(cg)
         assert sorted(col.values()) == [1, 2, 3]
 
     def test_edgeless_single_colour(self):
-        cg = ConflictGraph(((0, 1), (2, 3)), Graph(range(2), []))
+        cg = ConflictGraph(((0, 1), (2, 3)), Graph(range(2), []), {0: (), 1: ()})
         assert set(colour_planar_nodes(cg).values()) == {1}
 
     def test_k4_four_colours(self):
-        cg = ConflictGraph(tuple((i, i + 10) for i in range(4)), complete_graph(4))
+        k4 = complete_graph(4)
+        cg = ConflictGraph(tuple((i, i + 10) for i in range(4)), k4, planar_embed(k4).rotation)
         col = colour_planar_nodes(cg)
         assert len(set(col.values())) == 4
 
     def test_nonplanar_conflict_graph_rejected(self):
-        cg = ConflictGraph(tuple((i, i + 10) for i in range(5)), complete_graph(5))
+        k5 = complete_graph(5)
+        rotation = {v: k5.neighbours(v) for v in k5.vertices}
+        cg = ConflictGraph(tuple((i, i + 10) for i in range(5)), k5, rotation)
         with pytest.raises(InternalInconsistency):
             colour_planar_nodes(cg)
 
     def test_budget_exhaustion_falls_back_to_five(self):
         g = stacked_triangulation(20, seed=9)
-        col = colour_planar_nodes(ConflictGraph((), g), budget=0.0)
+        col = colour_planar_nodes(ConflictGraph((), g, planar_embed(g).rotation), budget=0.0)
         assert max(col.values()) <= 5
         for u, v in g.edges:
             assert col[u] != col[v]
