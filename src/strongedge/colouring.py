@@ -8,10 +8,11 @@ validity; everything else in the package defers to it.
 Two distinct edges e and f are within distance 2 exactly when both lie in
 the star of one edge xy, the set of edges touching x or y: if e and f share
 an end, take xy = e; if an edge h touches both, take xy = h; conversely two
-edges in one star either share an end or both touch xy.  ``verify_strong``
-and the pipeline's conflict checks ask that question through stars and
-vertex neighbourhoods; only single-edge queries such as
-``used_colours_near`` list an edge's distance-2 set (``Graph.n2_edges``).
+edges in one star either share an end or both touch xy.  ``verify_strong``,
+the pipeline's conflict checks and the exact solver's conflict lists ask
+that question through stars and vertex neighbourhoods; only single-edge
+queries such as ``used_colours_near`` list an edge's distance-2 set
+(``Graph.n2_edges``).
 """
 
 from __future__ import annotations

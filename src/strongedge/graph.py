@@ -181,10 +181,11 @@ class Graph:
 
         Distance 1 means sharing an endpoint; distance 2 means some edge is
         adjacent to both.  Builds a fresh set in O(Delta^2), so it serves
-        per-edge queries only: ``exact._conflict_lists`` and
+        per-edge queries only; its one caller in the package is
         ``colouring.used_colours_near`` (the girth-6 extension, on its
-        mutable working graph).  Whole-colouring checks go through edge
-        stars instead (``colouring`` module docstring).
+        mutable working graph).  Whole-graph passes go through edge stars
+        instead: ``verify_strong`` (``colouring`` module docstring) and the
+        exact solver's conflict lists (``exact._conflict_lists``).
         """
         u, v = edge_key(*e)
         if v not in self._adj.get(u, ()):
