@@ -98,7 +98,11 @@ class _Search:
     def run(self) -> bool:
         conflicts, deadline, colour = self.conflicts, self.deadline, self.colour
         n = len(conflicts)
-        k = min(self.k, n)  # max_used + 1 never exceeds the item count
+        # max_used + 1 never exceeds the item count, and an item always has
+        # a free colour at most its degree + 1, so a cap above the largest
+        # degree + 1 is never reached: capping there keeps every pick and
+        # node while count and queued stay O(n * degree)
+        k = min(self.k, n, max(map(len, conflicts), default=0) + 1)
         count = [[0] * (k + 1) for _ in conflicts]
         sat = [0] * n
         buckets: list[list[int]] = [list(range(n))] + [[] for _ in range(k)]

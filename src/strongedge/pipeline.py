@@ -9,8 +9,8 @@ keeps 4*Delta within reach whenever a Delta-class edge colouring exists.
 
 Each class's planarity is certified, not assumed: the conflict graph is a
 minor of the host, so contracting the host's embedding (computed once per
-input, by networkx) yields a rotation system of it, which the package's own
-face tracing and Euler check then accept.
+input, by the left-right test) yields a rotation system of it, which the
+package's face tracing and Euler check then accept.
 """
 
 from __future__ import annotations

@@ -1,12 +1,21 @@
 import json
+import time
 
 import pytest
 
 import strongedge.girth6 as girth6
 from strongedge.cli import EXIT_BUDGET, main
 from strongedge.colouring import Violation
-from strongedge.generators import GeneratorSpec, cycle, generate, path, subdivide, wheel
-from strongedge.graph import parse_graph, to_edge_list
+from strongedge.generators import (
+    GeneratorSpec,
+    cycle,
+    generate,
+    path,
+    stacked_triangulation,
+    subdivide,
+    wheel,
+)
+from strongedge.graph import Graph, parse_graph, to_edge_list
 from conftest import complete_graph
 
 
@@ -87,6 +96,24 @@ def test_colour_pipeline(tmp_path, capsys):
 def test_colour_nonplanar_is_precondition_error(tmp_path, capsys):
     p = write_graph(tmp_path, complete_graph(5))
     assert main(["colour", "--girth6", p]) == 1
+
+
+def test_large_nonplanar_input_rejected_quickly(tmp_path, capsys):
+    # a subdivided triangulation plus a disjoint K5, 1,222 edges: the verdict
+    # is one planarity test, with no Kuratowski witness search (one test per
+    # edge), which took about 19 s here
+    host = subdivide(stacked_triangulation(200, seed=1), 1)
+    off = max(host.vertices) + 1
+    k5 = [(off + i, off + j) for i in range(5) for j in range(i + 1, 5)]
+    g = Graph(range(off + 5), list(host.edges) + k5)
+    assert g.num_edges() == 1222
+    p = write_graph(tmp_path, g)
+    start = time.monotonic()
+    assert main(["analyze", p]) == 0
+    assert time.monotonic() - start < 2
+    assert json.loads(capsys.readouterr().out)["planar"] is False
+    assert main(["colour", "--girth6", p]) == 1
+    assert main(["discharge", p]) == 1
 
 
 def test_colour_short_girth_is_precondition_error(tmp_path):

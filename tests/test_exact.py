@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -193,6 +194,20 @@ class TestKernel:
         assert witness is not None
         assert verify_strong(g, witness, require_total=True) == []
 
+    def test_huge_k_memory_bounded_by_conflict_degree(self):
+        # colours past the largest conflict degree + 1 are never reached, so
+        # the per-item counters stop there: a 3,000-edge path at k = 10**9
+        # once allocated about 3,000 counters per item (79 MiB traced)
+        g = path(3001)
+        tracemalloc.start()
+        try:
+            huge = is_strong_k_colourable(g, 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert huge.assignment == is_strong_k_colourable(g, 10).assignment
+
     def test_expired_deadline_raises(self):
         with pytest.raises(SolverTimeout):
             is_strong_k_colourable(cycle(6), 3, deadline=time.monotonic() - 1)
@@ -225,7 +240,8 @@ class TestKernel:
 
     def test_small_k_large_k_and_items_without_conflicts(self):
         # k = 1, k at and past the item count (the buckets are sized by
-        # min(k, n) + 1), and isolated items, which wait in bucket 0
+        # min(k, n, largest conflict degree + 1) + 1), and isolated items,
+        # which wait in bucket 0
         for g in (path(2), path(3), star(3), cycle(5), complete_graph(4)):
             _, conflicts = _conflict_lists(g)
             n = len(conflicts)
