@@ -14,7 +14,7 @@ from .colouring import (
     verify_strong,
 )
 from .discharging import ChargeMap, Report, apply_rules, audit, initial_charges
-from .embedding import Embedding, Face, NonPlanar, embed_rotation, faces, planar_embed
+from .embedding import Embedding, Face, NonPlanar, embed_rotation, planar_embed
 from .exact import SolveResult, is_strong_k_colourable, strong_chromatic_index
 from .generators import GeneratorSpec, generate, subdivide
 from .girth6 import (
@@ -28,7 +28,7 @@ from .girth6 import (
     find_configuration,
     plan_reduction,
 )
-from .graph import ACYCLIC, Graph, GraphParseError, classify_vertex, parse_graph
+from .graph import ACYCLIC, Graph, GraphParseError, parse_graph
 from .pipeline import (
     ConflictGraph,
     EdgeColouring,
@@ -65,7 +65,6 @@ __all__ = [
     "apply_rules",
     "audit",
     "class1_edge_colour",
-    "classify_vertex",
     "colour_girth6",
     "colour_pipeline",
     "colour_planar_nodes",
@@ -76,7 +75,6 @@ __all__ = [
     "corollary1_applies",
     "embed_rotation",
     "extend",
-    "faces",
     "find_configuration",
     "free_colours",
     "generate",

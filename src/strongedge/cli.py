@@ -17,6 +17,7 @@ import time
 from . import __version__
 from .colouring import (
     ColouringError,
+    colouring_doc,
     colouring_from_json,
     colouring_to_json,
     known_bound,
@@ -118,14 +119,14 @@ def cmd_solve(args) -> int:
                 "seconds": round(time.monotonic() - start, 6),
             }
             if witness is not None:
-                doc["colouring"] = json.loads(colouring_to_json(witness))
+                doc["colouring"] = colouring_doc(witness)
         else:
             result = strong_chromatic_index(g, timeout=args.timeout)
             doc = {
                 "chi_s": result.chi_s,
                 "nodes": result.stats.nodes,
                 "seconds": round(result.stats.elapsed, 6),
-                "colouring": json.loads(colouring_to_json(result.witness)),
+                "colouring": colouring_doc(result.witness),
             }
     except SolverTimeout:
         _log(f"budget exhausted: solve --timeout {args.timeout:g} s")
@@ -145,7 +146,6 @@ def cmd_colour(args) -> int:
         report = {
             "algorithm": "girth6",
             "palette": col.palette.size,
-            "colours_used": col.colours_used(),
             "steps": len(trace),
         }
     else:
@@ -183,7 +183,7 @@ def cmd_colour(args) -> int:
         sys.stdout.write(to_dot(g, col.assignment))
         _log(json.dumps(report))
     else:
-        doc = json.loads(colouring_to_json(col))
+        doc = colouring_doc(col)
         doc["report"] = report
         _emit(doc)
     if args.output:

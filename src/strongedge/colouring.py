@@ -9,10 +9,9 @@ Two distinct edges e and f are within distance 2 exactly when both lie in
 the star of one edge xy, the set of edges touching x or y: if e and f share
 an end, take xy = e; if an edge h touches both, take xy = h; conversely two
 edges in one star either share an end or both touch xy.  ``verify_strong``,
-the pipeline's conflict checks and the exact solver's conflict lists ask
-that question through stars and vertex neighbourhoods; only single-edge
-queries such as ``used_colours_near`` list an edge's distance-2 set
-(``Graph.n2_edges``).
+``free_colours``, the pipeline's conflict checks and the exact solver's
+conflict lists all ask that question through stars and vertex
+neighbourhoods.
 """
 
 from __future__ import annotations
@@ -64,17 +63,19 @@ class ColouringError(ValueError):
 class PartialColouring:
     """Edge -> colour assignment over a palette, on a fixed host graph.
 
-    In checked mode every ``assign`` must pick a colour that is currently
-    free around the edge, so the colouring stays strong at all times; the
-    unchecked mode is for solver internals that maintain their own state.
-    Snapshots taken with ``copy`` are independent.
+    ``assign`` accepts only a colour that is free around the edge; ``put``
+    writes unchecked, for solvers that keep their own state.  Snapshots
+    taken with ``copy`` are independent.  ``_at`` counts, per vertex, the
+    colours on its coloured edges: the first ``free_colours`` call builds
+    it and ``put`` and ``unassign`` keep it from then on, so a colouring
+    that is only filled and verified never pays for it.
     """
 
-    def __init__(self, graph: Graph, palette: Palette | int, checked: bool = True):
+    def __init__(self, graph: Graph, palette: Palette | int):
         self.graph = graph
         self.palette = palette if isinstance(palette, Palette) else Palette(palette)
-        self.checked = checked
         self._assignment: dict[Edge, int] = {}
+        self._at: dict[int, dict[int, int]] | None = None
 
     @property
     def assignment(self) -> dict[Edge, int]:
@@ -91,7 +92,7 @@ class PartialColouring:
 
     def assign(self, e: Edge, colour: int) -> None:
         e = edge_key(*e)
-        if self.checked and colour in self.palette and colour not in free_colours(self, e):
+        if colour in self.palette and colour not in free_colours(self, e):
             raise ColouringError(f"colour {colour} conflicts near edge {e[0]}-{e[1]}")
         self.put(e, colour)
 
@@ -100,37 +101,59 @@ class PartialColouring:
         e = edge_key(*e)
         if colour not in self.palette:
             raise ColouringError(f"colour {colour} outside palette 1..{self.palette.size}")
+        old = self._assignment.get(e)
         self._assignment[e] = colour
+        if self._at is not None:
+            if old is not None:
+                self._tally(e, old, -1)
+            self._tally(e, colour, 1)
 
     def unassign(self, e: Edge) -> None:
-        self._assignment.pop(edge_key(*e), None)
+        e = edge_key(*e)
+        old = self._assignment.pop(e, None)
+        if old is not None and self._at is not None:
+            self._tally(e, old, -1)
 
     def copy(self) -> "PartialColouring":
-        dup = PartialColouring(self.graph, self.palette, self.checked)
+        dup = PartialColouring(self.graph, self.palette)
         dup._assignment = dict(self._assignment)
         return dup
 
+    def _colours_at(self) -> dict[int, dict[int, int]]:
+        if self._at is None:
+            self._at = {}
+            for e, colour in self._assignment.items():
+                self._tally(e, colour, 1)
+        return self._at
 
-def used_colours_near(c: PartialColouring, e: Edge, graph: Graph | None = None) -> set[int]:
-    """Colours appearing on edges within distance 2 of ``e`` (``e`` excluded).
-
-    ``graph`` overrides the colouring's host for distance computations; the
-    reduction machinery queries against shrinking subgraphs.
-    """
-    g = graph if graph is not None else c.graph
-    return {
-        col
-        for f in g.n2_edges(e)
-        if (col := c.colour_of(f)) is not None
-    }
+    def _tally(self, e: Edge, colour: int, step: int) -> None:
+        for v in e:
+            counts = self._at.setdefault(v, {})
+            counts[colour] = counts.get(colour, 0) + step
+            if not counts[colour]:
+                del counts[colour]
 
 
 def free_colours(c: PartialColouring, e: Edge, graph: Graph | None = None) -> set[int]:
-    """Palette colours not used within distance 2 of the uncoloured edge ``e``."""
-    e = edge_key(*e)
-    if c.colour_of(e) is not None:
-        raise ColouringError(f"edge {e[0]}-{e[1]} already coloured")
-    return set(c.palette.colours()) - used_colours_near(c, e, graph)
+    """Palette colours not used within distance 2 of the uncoloured edge
+    ``e`` in ``graph`` (by default the host): those at the vertices of
+    N(u) ∪ N(v), which contains u and v (module docstring).  The vertices'
+    colours count every coloured edge of ``c``, so the answer is exact when
+    every coloured edge is an edge of ``graph``, as on every girth-6 call:
+    the working graph holds every coloured edge.  Raises ``ColouringError``
+    if ``e`` is coloured and ``KeyError`` if it is not an edge of ``graph``.
+    """
+    g = graph if graph is not None else c.graph
+    u, v = e = edge_key(*e)
+    if e in c._assignment:
+        raise ColouringError(f"edge {u}-{v} already coloured")
+    if not g.has_edge(u, v):
+        raise KeyError(f"edge {u}-{v} not in graph")
+    at = c._colours_at()
+    used: set[int] = set()
+    for w in g.neighbours(u) + g.neighbours(v):
+        used.update(at.get(w, ()))
+    return set(c.palette.colours()) - used
 
 
 def verify_strong(
@@ -229,12 +252,15 @@ def known_bound(delta: int, girth: float) -> int:
 # -- JSON colouring document --------------------------------------------------
 
 
-def colouring_to_json(c: PartialColouring) -> str:
-    doc = {
+def colouring_doc(c: PartialColouring) -> dict:
+    return {
         "palette": c.palette.size,
         "colours": {f"{u}-{v}": col for (u, v), col in sorted(c.assignment.items())},
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def colouring_to_json(c: PartialColouring) -> str:
+    return json.dumps(colouring_doc(c), indent=2, sort_keys=True)
 
 
 def colouring_from_json(text: str, graph: Graph) -> PartialColouring:
@@ -248,7 +274,7 @@ def colouring_from_json(text: str, graph: Graph) -> PartialColouring:
             raise TypeError("'colours' is not a JSON object")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ColouringError(f"bad colouring document: {exc}") from exc
-    c = PartialColouring(graph, Palette(size), checked=False)
+    c = PartialColouring(graph, Palette(size))
     for key, col in raw.items():
         try:
             u, v = (int(x) for x in key.split("-"))

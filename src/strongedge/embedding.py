@@ -60,9 +60,6 @@ class Embedding:
     rotation: dict[int, tuple[int, ...]]
     faces: tuple[Face, ...]
 
-    def face_lengths(self) -> list[int]:
-        return [f.length for f in self.faces]
-
 
 def _trace_faces(rotation: dict[int, tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Partition directed edges into face walks.
@@ -446,7 +443,3 @@ def _check_euler(emb: Embedding) -> None:
                 f"V={len(comp)} E={ne[i]} F={nf[i]}"
             )
 
-
-def faces(emb: Embedding) -> list[tuple[int, int]]:
-    """(face id, face length) pairs; lengths sum to twice the edge count."""
-    return [(f.id, f.length) for f in emb.faces]

@@ -40,17 +40,24 @@ class SolveResult:
     stats: SolveStats
 
 
+def _edge_stars(g: Graph) -> tuple[list[Edge], dict[int, list[int]]]:
+    """Edges in identity order plus, per vertex, the ascending indices of
+    its incident edges."""
+    edges = list(g.edges)
+    star: dict[int, list[int]] = {v: [] for v in g.vertices}
+    for i, (x, y) in enumerate(edges):
+        star[x].append(i)
+        star[y].append(i)
+    return edges, star
+
+
 def _conflict_lists(g: Graph) -> tuple[list[Edge], list[list[int]]]:
     """Edges in identity order plus, per edge, the indices of all edges
     within distance 2 (the clique structure the colouring must respect).
 
     Built from edge stars: the edges within distance 2 of ``uv`` are those
     incident to a vertex of N(u) ∪ N(v), which contains u and v."""
-    edges = list(g.edges)
-    star: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for i, (x, y) in enumerate(edges):
-        star[x].append(i)
-        star[y].append(i)
+    edges, star = _edge_stars(g)
     conflicts = []
     for i, (u, v) in enumerate(edges):
         near = {j for w in (u, v) for x in g.neighbours(w) for j in star[x]}
@@ -171,7 +178,7 @@ def is_strong_k_colourable(
     if k < 0:
         raise ValueError("k must be >= 0")
     if g.num_edges() == 0:
-        return PartialColouring(g, Palette(max(k, 1)), checked=False)
+        return PartialColouring(g, Palette(max(k, 1)))
     if k == 0 or k < trivial_lower_bound(g):
         return None
     edges, conflicts = _conflict_lists(g)
@@ -194,9 +201,9 @@ def _decide(
         stats.nodes += search.nodes
     if not found:
         return None
-    witness = PartialColouring(g, Palette(k), checked=False)
+    witness = PartialColouring(g, Palette(k))
     for e, c in zip(edges, search.colour):
-        witness.assign(e, c)
+        witness.put(e, c)
     assert not verify_strong(g, witness, require_total=True)
     return witness
 
@@ -210,7 +217,7 @@ def strong_chromatic_index(g: Graph, timeout: float | None = None) -> SolveResul
     stats = SolveStats()
     if g.num_edges() == 0:
         stats.elapsed = time.monotonic() - start
-        return SolveResult(0, PartialColouring(g, Palette(1), checked=False), stats)
+        return SolveResult(0, PartialColouring(g, Palette(1)), stats)
     edges, conflicts = _conflict_lists(g)
     k = max(trivial_lower_bound(g), 1)
     while True:

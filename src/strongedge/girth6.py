@@ -38,7 +38,7 @@ from .colouring import (
     ColouringError,
     Palette,
     PartialColouring,
-    used_colours_near,
+    free_colours,
     verify_strong,
 )
 from .embedding import NonPlanar, planar_embed
@@ -491,7 +491,7 @@ def extend(
             )
         c.unassign(e)
     for e, floor in zip(plan.sequence, plan.guarantees):
-        free = set(c.palette.colours()) - used_colours_near(c, e, plan.graph)
+        free = free_colours(c, e, plan.graph)
         if not free:
             raise ExtensionInfeasible(
                 f"no free colour for edge {e[0]}-{e[1]} in a {plan.config.kind} step"
@@ -528,7 +528,7 @@ def colour_girth6(
         raise PreconditionError(f"girth {girth} < 6")
     delta = g.max_degree()
     if g.num_edges() == 0:
-        col = PartialColouring(g, Palette(1), checked=False)
+        col = PartialColouring(g, Palette(1))
     elif delta <= 3:
         col = _colour_small_delta(g)
     else:
@@ -547,7 +547,7 @@ def _reduce_and_extend(
     """The reduction loop on a working copy of ``g``: remove configurations
     until Delta <= 3, colour the rest greedily, then put each plan's edges
     back and extend, last plan first."""
-    col = PartialColouring(g, Palette(3 * delta + 1), checked=False)
+    col = PartialColouring(g, Palette(3 * delta + 1))
     plans: list[ExtensionPlan] = []
     work = _WorkingGraph(g)
     candidates = {kind: list(work.vertices) for kind in _MATCHERS}
@@ -627,7 +627,7 @@ def _greedy_residual(
     colours, so the lowest free colour always exists."""
     floor = max(col.palette.size - 12, 1)
     for e in residual.edges:
-        free = set(col.palette.colours()) - used_colours_near(col, e, residual)
+        free = free_colours(col, e, residual)
         if not free:
             raise ExtensionInfeasible(
                 f"greedy residual step found no colour for {e[0]}-{e[1]}"
@@ -648,7 +648,7 @@ def _colour_small_delta(g: Graph) -> PartialColouring:
         raise InternalInconsistency(
             f"exact solve used {result.chi_s} colours, above the {cap} cap"
         )
-    out = PartialColouring(g, Palette(cap), checked=False)
+    out = PartialColouring(g, Palette(cap))
     for e, c in result.witness.assignment.items():
         out.put(e, c)
     return out

@@ -1,5 +1,5 @@
-"""Undirected simple graphs: parsing, structural queries, distance-2 edge
-neighbourhoods and vertex classification.
+"""Undirected simple graphs: parsing, structural queries and distance-2
+edge neighbourhoods.
 
 Vertices are nonnegative integers.  An edge is always the ordered pair
 ``(min(u, v), max(u, v))``; every map in the package keys on that normal form.
@@ -8,7 +8,6 @@ Vertices are nonnegative integers.  An edge is always the ordered pair
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 Edge = tuple[int, int]
@@ -170,7 +169,8 @@ class Graph:
         return best
 
     def subgraph_without_edges(self, removed: Iterable[Edge]) -> "Graph":
-        """New graph on the same vertex set minus the given edges."""
+        """New graph on the same vertex set minus the given edges.  No
+        package caller; tests use it, and perfbench's tracer names it."""
         gone = {edge_key(*e) for e in removed}
         return Graph(self._adj, [e for e in self._edges if e not in gone])
 
@@ -180,12 +180,10 @@ class Graph:
         """Edges at distance at most 2 from ``e``; ``closed`` includes ``e``.
 
         Distance 1 means sharing an endpoint; distance 2 means some edge is
-        adjacent to both.  Builds a fresh set in O(Delta^2), so it serves
-        per-edge queries only; its one caller in the package is
-        ``colouring.used_colours_near`` (the girth-6 extension, on its
-        mutable working graph).  Whole-graph passes go through edge stars
-        instead: ``verify_strong`` (``colouring`` module docstring) and the
-        exact solver's conflict lists (``exact._conflict_lists``).
+        adjacent to both.  Builds a fresh set in O(Delta^2).  Nothing in the
+        package calls it: every distance-2 question goes through edge stars
+        (``colouring`` module docstring).  It stays as the tests' reference
+        for those star passes, and perfbench's tracer names it.
         """
         u, v = edge_key(*e)
         if v not in self._adj.get(u, ()):
@@ -206,35 +204,6 @@ class Graph:
         if closed:
             out.add((u, v))
         return out
-
-
-@dataclass(frozen=True)
-class VertexClass:
-    """Degree profile of a vertex: its degree ``k``, its number ``l`` of
-    degree-2 neighbours, and whether it is a bad 2-vertex (a 2-vertex with a
-    2-vertex neighbour)."""
-
-    vertex: int
-    degree: int
-    two_neighbours: int
-    bad_two_vertex: bool
-
-    def is_k_l(self, k: int, l: int) -> bool:
-        return self.degree == k and self.two_neighbours == l
-
-    def at_least(self, k: int) -> bool:
-        return self.degree >= k
-
-    def at_most(self, k: int) -> bool:
-        return self.degree <= k
-
-
-def classify_vertex(g: Graph, v: int) -> VertexClass:
-    """Compute the degree / 2-neighbour profile of ``v`` in ``g``."""
-    ns = g.neighbours(v)
-    l = sum(1 for w in ns if g.degree(w) == 2)
-    bad = g.degree(v) == 2 and any(g.degree(w) == 2 for w in ns)
-    return VertexClass(v, len(ns), l, bad)
 
 
 # -- edge-list I/O ----------------------------------------------------------

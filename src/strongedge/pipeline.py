@@ -22,7 +22,7 @@ from typing import Iterator
 
 from .colouring import Palette, PartialColouring, verify_strong
 from .embedding import Embedding, EmbeddingError, NonPlanar, embed_rotation, planar_embed
-from .exact import SolverTimeout, _Search
+from .exact import SolverTimeout, _edge_stars, _Search
 from .girth6 import InternalInconsistency, PreconditionError
 from .graph import ACYCLIC, Edge, Graph, edge_key
 
@@ -171,11 +171,7 @@ def class1_edge_colour(g: Graph, budget: float | None = None) -> EdgeColouring |
     delta = g.max_degree()
     if g.num_edges() == 0:
         return EdgeColouring(g, {}, 0)
-    edges = list(g.edges)
-    incident: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for i, (x, y) in enumerate(edges):
-        incident[x].append(i)
-        incident[y].append(i)
+    edges, incident = _edge_stars(g)
     adjacency = [[j for v in e for j in incident[v] if j != i] for i, e in enumerate(edges)]
     colour = _search_colours(adjacency, delta, budget)
     if colour is None:
@@ -391,7 +387,7 @@ def compose(
         if cls:
             max_c = max(max_c, max(node_col.values()))
     palette = Palette(max(ec.class_count, 1) * max_c)
-    out = PartialColouring(ec.graph, palette, checked=False)
+    out = PartialColouring(ec.graph, palette)
     for i in range(1, ec.class_count + 1):
         for e, c in per_class[i - 1].items():
             out.put(e, (i - 1) * max_c + c)
@@ -434,7 +430,7 @@ def colour_pipeline(
         raise PreconditionError("input graph is not planar")
     delta = g.max_degree()
     if g.num_edges() == 0:
-        empty = PartialColouring(g, Palette(1), checked=False)
+        empty = PartialColouring(g, Palette(1))
         return empty, PipelineReport("empty", 0, 1, 0, 0, 1, False)
 
     wants_class1 = corollary1_applies(delta, g.girth())

@@ -16,7 +16,6 @@ from strongedge.colouring import (
     free_colours,
     known_bound,
     trivial_lower_bound,
-    used_colours_near,
     verify_strong,
 )
 from strongedge.exact import strong_chromatic_index
@@ -49,7 +48,7 @@ def planted_colouring(g, rnd, size):
     """A random partial colouring over Palette(size) with colours 0 and
     size + 1 off the palette, then a few edges recoloured to match an edge
     that shares an end with them or one at distance exactly 2."""
-    c = PartialColouring(g, Palette(size), checked=False)
+    c = PartialColouring(g, Palette(size))
     for e in g.edges:
         if rnd.random() < 0.8:
             c._assignment[e] = rnd.randint(0, size + 1)
@@ -60,6 +59,12 @@ def planted_colouring(g, rnd, size):
         if groups:
             c._assignment[e] = c._assignment.get(rnd.choice(rnd.choice(groups)), 1)
     return c
+
+
+def reference_free_colours(c, e, h):
+    """The palette minus the colours on ``h.n2_edges(e)``, the per-edge set
+    that the per-vertex colour sets replaced."""
+    return set(c.palette.colours()) - {c.colour_of(f) for f in h.n2_edges(e)}
 
 
 class TestFreeColours:
@@ -93,19 +98,68 @@ class TestFreeColours:
         with pytest.raises(ColouringError):
             free_colours(c, (0, 1))
 
+    def test_edge_missing_from_graph_rejected(self):
+        c = PartialColouring(cycle(6), Palette(3))
+        with pytest.raises(KeyError, match="edge 0-3 not in graph"):
+            free_colours(c, (0, 3))
+        with pytest.raises(KeyError, match="edge 0-1 not in graph"):
+            free_colours(c, (0, 1), graph=Graph(range(6), [(1, 2)]))
+
+    def test_assign_rejects_a_colour_in_use_nearby(self):
+        c = PartialColouring(path(4), Palette(3))
+        c.assign((0, 1), 1)
+        with pytest.raises(ColouringError, match="conflicts near edge 2-3"):
+            c.assign((2, 3), 1)
+        c.assign((2, 3), 2)
+        assert c.assignment == {(0, 1): 1, (2, 3): 2}
+
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(max_vertices=7), st.randoms(use_true_random=False))
     def test_partition_of_palette(self, g, rnd):
-        c = PartialColouring(g, Palette(6), checked=False)
+        # free colours and the colours on n2_edges(e) split the palette
+        c = PartialColouring(g, Palette(6))
         for e in g.edges:
             if rnd.random() < 0.5:
                 c.put(e, rnd.randrange(1, 7))
         for e in g.edges:
             if c.colour_of(e) is None:
                 free = free_colours(c, e)
-                near = used_colours_near(c, e)
+                near = {c.colour_of(f) for f in g.n2_edges(e)} - {None}
                 assert free & near == set()
-                assert free | near >= set(c.palette.colours())
+                assert free | near == set(c.palette.colours())
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(max_vertices=8), st.randoms(use_true_random=False))
+    def test_upkeep_matches_n2_reference(self, g, rnd):
+        """Random puts (overwrites included), unassigns, copies and queries
+        on a few colourings; then every uncoloured edge's free colours, in
+        the host and in a graph ``h`` that holds every coloured edge, match
+        the palette minus the colours on ``h.n2_edges(e)``."""
+        if not g.edges:
+            return
+        live = [PartialColouring(g, Palette(4))]
+        for _ in range(40):
+            c = rnd.choice(live)
+            e = rnd.choice(g.edges)
+            op = rnd.random()
+            if op < 0.4:
+                c.put(e, rnd.randint(1, 4))
+            elif op < 0.65:
+                c.unassign(e)
+            elif op < 0.75:
+                live.append(c.copy())
+            elif c.colour_of(e) is None:
+                assert free_colours(c, e) == reference_free_colours(c, e, g)
+        for c in live:
+            coloured = set(c.assignment)
+            others = [f for f in g.edges if f not in coloured]
+            extra = [(v, g.num_vertices()) for v in g.vertices if rnd.random() < 0.3]
+            h = Graph(g.vertices, [*coloured, *rnd.sample(others, len(others) // 2), *extra])
+            for host, graph in ((g, None), (h, h)):
+                for e in host.edges:
+                    if e not in coloured:
+                        got = free_colours(c, e, graph=graph)
+                        assert got == reference_free_colours(c, e, host), (e, host)
 
     @settings(max_examples=40, deadline=None)
     @given(small_graphs(max_vertices=7), st.randoms(use_true_random=False))
@@ -121,7 +175,7 @@ class TestFreeColours:
 class TestVerify:
     def test_c6_three_colours_valid(self):
         g = cycle(6)
-        c = PartialColouring(g, Palette(3), checked=False)
+        c = PartialColouring(g, Palette(3))
         order = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]
         for i, e in enumerate(order):
             c.put(e, i % 3 + 1)
@@ -130,7 +184,7 @@ class TestVerify:
 
     def test_p4_distance2_conflict(self):
         g = path(4)
-        c = PartialColouring(g, Palette(2), checked=False)
+        c = PartialColouring(g, Palette(2))
         c.put((0, 1), 1)
         c.put((1, 2), 2)
         c.put((2, 3), 1)
@@ -140,7 +194,7 @@ class TestVerify:
 
     def test_star_adjacent_conflict(self):
         g = star(3)
-        c = PartialColouring(g, Palette(2), checked=False)
+        c = PartialColouring(g, Palette(2))
         c.put((0, 1), 1)
         c.put((0, 2), 2)
         c.put((0, 3), 2)
@@ -149,7 +203,7 @@ class TestVerify:
 
     def test_off_palette_and_uncoloured(self):
         g = path(3)
-        c = PartialColouring(g, Palette(2), checked=False)
+        c = PartialColouring(g, Palette(2))
         c._assignment[(0, 1)] = 9
         kinds = {v.kind for v in verify_strong(g, c, require_total=True)}
         assert kinds == {"off-palette", "uncoloured"}
@@ -157,7 +211,7 @@ class TestVerify:
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(max_vertices=8), st.randoms(use_true_random=False))
     def test_matches_all_pairs_oracle(self, g, rnd):
-        c = PartialColouring(g, Palette(3), checked=False)
+        c = PartialColouring(g, Palette(3))
         for e in g.edges:
             c.put(e, rnd.randrange(1, 4))
         flagged = {
@@ -194,7 +248,7 @@ class TestVerifyMatchesReference:
             assert verify_strong(g, valid, True) == []
 
     def test_assigned_edge_missing_from_graph_raises(self):
-        c = PartialColouring(cycle(6), Palette(3), checked=False)
+        c = PartialColouring(cycle(6), Palette(3))
         c.put((0, 1), 1)
         c.put((0, 5), 2)
         with pytest.raises(KeyError, match="edge 0-5 not in graph"):
@@ -256,7 +310,7 @@ class TestKnownBound:
 class TestJsonDocument:
     def test_roundtrip(self):
         g = cycle(6)
-        c = PartialColouring(g, Palette(3), checked=False)
+        c = PartialColouring(g, Palette(3))
         for i, e in enumerate(g.edges):
             c.put(e, i % 3 + 1)
         doc = colouring_to_json(c)

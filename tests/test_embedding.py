@@ -15,7 +15,6 @@ from strongedge.embedding import (
     _Constraints,
     _lr_rotation,
     embed_rotation,
-    faces,
     planar_embed,
 )
 from strongedge.generators import (
@@ -34,19 +33,19 @@ from strongedge.graph import Graph
 
 def test_c6_two_hexagonal_faces():
     emb = planar_embed(cycle(6))
-    assert sorted(length for _, length in faces(emb)) == [6, 6]
+    assert sorted(f.length for f in emb.faces) == [6, 6]
 
 
 def test_tree_single_face_double_length():
     for g in (path(5), star(4)):
         emb = planar_embed(g)
-        assert [length for _, length in faces(emb)] == [2 * g.num_edges()]
+        assert [f.length for f in emb.faces] == [2 * g.num_edges()]
 
 
 def test_k4_four_triangles():
     emb = planar_embed(complete_graph(4))
-    assert sorted(length for _, length in faces(emb)) == [3, 3, 3, 3]
-    assert sum(length for _, length in faces(emb)) == 2 * 6
+    assert sorted(f.length for f in emb.faces) == [3, 3, 3, 3]
+    assert sum(f.length for f in emb.faces) == 2 * 6
 
 
 def reference_trace_faces(rotation):
@@ -94,7 +93,7 @@ def test_disconnected_euler_per_component():
     emb = planar_embed(g)
     assert isinstance(emb, Embedding)
     # 2 faces per triangle component
-    assert sorted(length for _, length in faces(emb)) == [3, 3, 3, 3]
+    assert sorted(f.length for f in emb.faces) == [3, 3, 3, 3]
 
 
 def test_euler_check_names_broken_component():
@@ -119,7 +118,7 @@ def test_many_components_embed_quickly():
 
 def test_wheel_faces():
     emb = planar_embed(wheel(5))
-    lengths = sorted(length for _, length in faces(emb))
+    lengths = sorted(f.length for f in emb.faces)
     assert lengths == [3, 3, 3, 3, 3, 5]
 
 
@@ -148,7 +147,7 @@ def test_face_lengths_sum_to_twice_edges(g):
     res = planar_embed(g)
     if isinstance(res, NonPlanar):
         return
-    assert sum(length for _, length in faces(res)) == 2 * g.num_edges()
+    assert sum(f.length for f in res.faces) == 2 * g.num_edges()
 
 
 @settings(max_examples=80, deadline=None)

@@ -33,7 +33,7 @@ def colour_within(g, palette_size):
     """Any valid strong colouring of g inside the palette (oracle-backed)."""
     witness = is_strong_k_colourable(g, palette_size)
     assert witness is not None
-    col = PartialColouring(g, Palette(palette_size), checked=False)
+    col = PartialColouring(g, Palette(palette_size))
     for e, c in witness.assignment.items():
         col.put(e, c)
     return col
@@ -49,7 +49,7 @@ def rebuild_reference(g):
     find_configuration scan, subgraph_without_edges, the greedy residual,
     then extension in reverse, each plan against its own graph."""
     delta = g.max_degree()
-    col = PartialColouring(g, Palette(3 * delta + 1), checked=False)
+    col = PartialColouring(g, Palette(3 * delta + 1))
     trace, plans, current = [], [], g
     while current.max_degree() >= 4:
         plan = plan_reduction(current, find_configuration(current), palette_delta=delta)
@@ -493,7 +493,7 @@ class TestExtendBasics:
         g = c4_instance()
         cfg = first_match(g, "C4")
         plan = plan_reduction(g, cfg, palette_delta=4)
-        col = PartialColouring(g, Palette(13), checked=False)  # nothing coloured
+        col = PartialColouring(g, Palette(13))  # nothing coloured
         with pytest.raises(Exception):
             extend(col, plan)
 

@@ -6,7 +6,6 @@ from strongedge.graph import (
     ACYCLIC,
     Graph,
     GraphParseError,
-    classify_vertex,
     parse_graph,
     to_dot,
     to_edge_list,
@@ -91,33 +90,6 @@ class TestGirth:
     @example(subdivide(wheel(6), 1))
     def test_matches_cycle_enumeration(self, g):
         assert g.girth() == brute_girth(g)
-
-
-class TestClassify:
-    def test_subdivided_star_centre_is_4_4(self):
-        # centre 0 with four degree-2 neighbours
-        g = parse_graph("0 1\n0 2\n0 3\n0 4\n1 5\n2 6\n3 7\n4 8")
-        vc = classify_vertex(g, 0)
-        assert vc.is_k_l(4, 4)
-
-    def test_p5_interior(self):
-        g = path(5)
-        vc = classify_vertex(g, 1)  # neighbours: 0 (degree 1) and 2 (degree 2)
-        assert vc.degree == 2 and vc.two_neighbours == 1
-
-    def test_p3_middle_not_bad(self):
-        g = path(3)
-        vc = classify_vertex(g, 1)
-        assert vc.degree == 2 and not vc.bad_two_vertex
-
-    def test_bad_two_vertex(self):
-        g = path(4)
-        assert classify_vertex(g, 1).bad_two_vertex
-        assert classify_vertex(g, 2).bad_two_vertex
-
-    def test_unknown_vertex(self):
-        with pytest.raises(KeyError):
-            classify_vertex(path(3), 99)
 
 
 class TestN2:

@@ -1,12 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import complete_graph, edges_within_two, small_graphs
 from test_exact import RecursiveSearch
 from strongedge.cli import _bench_corpus
-from strongedge.colouring import verify_strong
+from strongedge.colouring import trivial_lower_bound, verify_strong
 from strongedge.embedding import EmbeddingError, embed_rotation, planar_embed
-from strongedge.exact import strong_chromatic_index
+from strongedge.exact import _conflict_lists, _edge_stars, _Search, strong_chromatic_index
 from strongedge.generators import cycle, generate, grid, hex_patch, path, stacked_triangulation, star, subdivide, wheel
 from strongedge.girth6 import InternalInconsistency, PreconditionError
 from strongedge.graph import ACYCLIC, Graph, edge_key
@@ -98,6 +100,24 @@ class TestClass1:
     def test_budget_zero_gives_up(self):
         g = stacked_triangulation(8, seed=5)
         assert class1_edge_colour(g, budget=0.0) is None
+
+    def test_search_ignores_conflict_list_order(self):
+        """A pick is the least index among the uncoloured items of highest
+        saturation, whatever order the lists hold, so shuffled lists give
+        the same colours and node count: the pipeline's incidence-ordered
+        lists and the solver's sorted ones are interchangeable."""
+        rnd = random.Random(8)
+        for g in PLANAR_CORPUS + [generate(spec) for _, spec in _bench_corpus(100)]:
+            edges, star = _edge_stars(g)
+            adjacency = [[j for v in e for j in star[v] if j != i] for i, e in enumerate(edges)]
+            runs = [(adjacency, g.max_degree()), (_conflict_lists(g)[1], trivial_lower_bound(g))]
+            for lists, k in runs:
+                results = []
+                for order in range(3):
+                    shuffled = [rnd.sample(js, len(js)) if order else js for js in lists]
+                    search = _Search(shuffled, k, None)
+                    results.append((search.run(), search.colour, search.nodes))
+                assert results[0] == results[1] == results[2], g
 
     def test_class1_and_node_colours_match_reference(self):
         corpus = PLANAR_CORPUS + [generate(spec) for _, spec in _bench_corpus(100)]
