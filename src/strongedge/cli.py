@@ -34,6 +34,7 @@ from .girth6 import (
     InternalInconsistency,
     PreconditionError,
     colour_girth6,
+    write_trace,
 )
 from .graph import ACYCLIC, Graph, GraphParseError, parse_graph, to_dot, to_edge_list
 from .pipeline import colour_pipeline
@@ -169,15 +170,7 @@ def cmd_colour(args) -> int:
     report["valid"] = True
     if args.trace:
         with open(args.trace, "w") as fh:
-            json.dump(
-                {
-                    "input": args.graph,
-                    "palette": col.palette.size,
-                    "steps": [s.as_dict() for s in trace],
-                },
-                fh,
-                indent=2,
-            )
+            write_trace(fh, args.graph, col.palette.size, trace)
         _log(f"trace with {len(trace)} steps written to {args.trace}")
     if args.format == "dot":
         sys.stdout.write(to_dot(g, col.assignment))

@@ -61,34 +61,44 @@ class Embedding:
     faces: tuple[Face, ...]
 
 
-def _trace_faces(rotation: dict[int, tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _trace_faces(
+    g: Graph, rotation: dict[int, tuple[int, ...]]
+) -> list[tuple[int, ...]]:
     """Partition directed edges into face walks.
 
     Successor rule: after arriving at v along u->v, leave along the neighbour
     that follows u in the rotation at v.  Each walk starts at the smallest
-    dart not yet walked, found in one pass over the sorted darts.
+    dart not yet walked.  Darts in sorted order are ``(u, v)`` for u in
+    ``g.vertices`` and v in ``g.neighbours(u)``, since both are sorted and
+    ``rotation`` permutes each neighbour tuple; the walked dart ``(u, v)`` is
+    flagged at v's position in ``rotation[u]``.
     """
     index = {
         v: {w: i for i, w in enumerate(ns)} for v, ns in rotation.items()
     }
-    darts = sorted((u, v) for u, ns in rotation.items() for v in ns)
-    used: set[tuple[int, int]] = set()
+    walked = {v: [False] * len(ns) for v, ns in rotation.items()}
     walks = []
-    for start in darts:
-        if start in used:
-            continue
-        walk = []
-        cur = start
-        while True:
-            used.add(cur)
-            u, v = cur
-            walk.append(u)
-            ns = rotation[v]
-            nxt = ns[(index[v][u] + 1) % len(ns)]
-            cur = (v, nxt)
-            if cur == start:
-                break
-        walks.append(tuple(walk))
+    for u0 in g.vertices:
+        flags = walked[u0]
+        at = index[u0]
+        for v0 in g.neighbours(u0):
+            i0 = at[v0]
+            if flags[i0]:
+                continue
+            walk = []
+            u, i = u0, i0
+            while True:
+                walked[u][i] = True
+                walk.append(u)
+                v = rotation[u][i]
+                ns = rotation[v]
+                i = index[v][u] + 1
+                if i == len(ns):
+                    i = 0
+                u = v
+                if i == i0 and u == u0:
+                    break
+            walks.append(tuple(walk))
     return walks
 
 
@@ -414,7 +424,7 @@ def embed_rotation(g: Graph, rotation: dict[int, tuple[int, ...]]) -> Embedding:
                 f"rotation at vertex {v} is not a permutation of its neighbours"
             )
     faces = tuple(
-        Face(i, walk) for i, walk in enumerate(_trace_faces(rotation))
+        Face(i, walk) for i, walk in enumerate(_trace_faces(g, rotation))
     )
     emb = Embedding(g, rotation, faces)
     _check_euler(emb)

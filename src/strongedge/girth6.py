@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from json.encoder import encode_basestring_ascii as _quote
 
 from .colouring import (
     ColouringError,
@@ -143,20 +144,68 @@ class ExtendStep:
     colour: int
     anchors: dict | None = None
 
-    def as_dict(self) -> dict:
-        doc = {
-            "kind": self.kind,
-            "edge": f"{self.edge[0]}-{self.edge[1]}",
-            "guaranteed": self.guaranteed,
-            "actual": self.actual,
-            "colour": self.colour,
-        }
-        if self.anchors is not None:
-            doc["anchors"] = {
-                k: list(v) if isinstance(v, tuple) else v
-                for k, v in self.anchors.items()
-            }
-        return doc
+
+def write_trace(fh, input: str, palette: int, steps: list[ExtendStep]) -> None:
+    """Write the ``--trace`` document for a run to the text file ``fh``.
+
+    The bytes are exactly those of ``json.dump({"input": input, "palette":
+    palette, "steps": [...]}, fh, indent=2)``, where each step is the object
+    ``{"kind", "edge": "u-v", "guaranteed", "actual", "colour"}`` followed,
+    when the step has anchors, by ``"anchors"`` with tuples written as lists.
+    ``json.dump`` with an indent runs the pure-Python encoder; this writer
+    formats each step as one string and writes it at once, and formats an
+    anchors dict once for each run of consecutive steps that share it (the
+    steps of one plan do).  Anchor values must be ints, None, or tuples or
+    lists of ints; any other type, bool included, raises TypeError.
+    """
+    r = int.__repr__
+    fh.write(
+        f'{{\n  "input": {_quote(input)},\n  "palette": {_json_int(palette)},\n'
+        '  "steps": ['
+    )
+    sep = "\n    "
+    anchors, tail = None, ""
+    for s in steps:
+        if s.anchors is not anchors:
+            anchors = s.anchors
+            tail = _anchors_json(anchors)
+        u, v = s.edge
+        fh.write(
+            f'{sep}{{\n      "kind": {_quote(s.kind)},\n      "edge": "{r(u)}-{r(v)}",\n'
+            f'      "guaranteed": {r(s.guaranteed)},\n      "actual": {r(s.actual)},\n'
+            f'      "colour": {r(s.colour)}{tail}\n    }}'
+        )
+        sep = ",\n    "
+    fh.write("\n  ]\n}" if steps else "]\n}")
+
+
+def _json_int(x) -> str:
+    if type(x) is not int:
+        raise TypeError(f"trace value {x!r} is not an int")
+    return int.__repr__(x)
+
+
+def _anchors_json(anchors: dict | None) -> str:
+    """The ``"anchors"`` member of a trace step, with its leading comma, as
+    ``json.dump(indent=2)`` writes it at step depth; empty for None."""
+    if anchors is None:
+        return ""
+    members = []
+    for name, value in anchors.items():
+        if value is None:
+            text = "null"
+        elif type(value) in (tuple, list):
+            text = (
+                "[" + ",".join(f"\n          {_json_int(x)}" for x in value) + "\n        ]"
+                if value
+                else "[]"
+            )
+        else:
+            text = _json_int(value)
+        members.append(f"\n        {_quote(name)}: {text}")
+    if not members:
+        return ',\n      "anchors": {}'
+    return ',\n      "anchors": {' + ",".join(members) + "\n      }"
 
 
 # -- pattern matchers ---------------------------------------------------------

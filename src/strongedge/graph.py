@@ -79,12 +79,16 @@ class Graph:
         return v in self._adj.get(u, ())
 
     def neighbours(self, v: int) -> tuple[int, ...]:
-        if v not in self._adj:
-            raise KeyError(f"unknown vertex {v}")
-        return self._adj[v]
+        try:
+            return self._adj[v]
+        except KeyError:
+            raise KeyError(f"unknown vertex {v}") from None
 
     def degree(self, v: int) -> int:
-        return len(self.neighbours(v))
+        try:
+            return len(self._adj[v])
+        except KeyError:
+            raise KeyError(f"unknown vertex {v}") from None
 
     def max_degree(self) -> int:
         return max((len(ns) for ns in self._adj.values()), default=0)
@@ -136,8 +140,15 @@ class Graph:
         """Length of a shortest cycle, or ACYCLIC for forests.
 
         Forests are recognised without search: |E| = |V| - #components.
-        Otherwise BFS from every vertex; a non-tree edge closing two BFS
-        branches at depths d1, d2 witnesses a cycle of length d1 + d2 + 1.
+        Otherwise the vertices are numbered 0..n-1 in sorted order and a BFS
+        runs from each root r over the vertices numbered r or more only, on
+        neighbour-index lists with ``seen``/``dist``/``parent`` arrays shared
+        by all roots (``seen[y] == r`` marks y as reached from r).  A
+        non-tree edge closing two BFS branches at depths d1, d2 closes a walk
+        of length d1 + d2 + 1 through r that contains a cycle, so no value
+        found is below the girth.  A shortest cycle lies among the vertices
+        numbered at least its smallest vertex r, where it is still a shortest
+        cycle, so the BFS from r finds its length: the result is exact.
         Edges met from depth d on close nothing shorter than 2d + 1, so each
         BFS stops at the first depth d with 2d + 1 >= the best cycle so far.
         """
@@ -147,21 +158,32 @@ class Graph:
         if len(self._edges) == len(self._adj) - len(self.components()):
             self._girth = best
             return best
-        for root in self._adj:
-            dist = {root: 0}
-            parent = {root: -1}
+        index = {v: i for i, v in enumerate(self._adj)}
+        nbrs = [[index[y] for y in ns] for ns in self._adj.values()]
+        n = len(nbrs)
+        seen = [-1] * n
+        dist = [0] * n
+        parent = [-1] * n
+        for root in range(n):
+            seen[root] = root
+            dist[root] = 0
+            parent[root] = -1
             queue = [root]
             depth = 0
             while queue and 2 * depth + 1 < best:
                 nxt = []
                 for x in queue:
-                    for y in self._adj[x]:
-                        if y not in dist:
+                    px = parent[x]
+                    for y in nbrs[x]:
+                        if y < root:
+                            continue
+                        if seen[y] != root:
+                            seen[y] = root
                             dist[y] = depth + 1
                             parent[y] = x
                             nxt.append(y)
-                        elif parent[x] != y and dist[y] >= depth:
-                            # cross or same-level edge: cycle through root
+                        elif y != px and dist[y] >= depth:
+                            # cross or same-level edge: a cycle through root
                             best = min(best, depth + dist[y] + 1)
                 queue = nxt
                 depth += 1

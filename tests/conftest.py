@@ -5,6 +5,7 @@ enumeration) and never call the production code paths they are used to
 check.
 """
 
+import json
 import random
 from itertools import combinations
 
@@ -102,6 +103,30 @@ def naive_chi_s(g: Graph, k_cap: int | None = None) -> int:
         if feasible(k):
             return k
     raise AssertionError("naive solver exceeded its cap")
+
+
+def reference_trace_json(input: str, palette: int, steps) -> str:
+    """The ``--trace`` document as ``json.dump(indent=2)`` writes it: each
+    ``ExtendStep`` becomes a dict of its fields, the edge as ``"u-v"`` and the
+    anchors, when present, with tuples as lists."""
+
+    def as_dict(s) -> dict:
+        doc = {
+            "kind": s.kind,
+            "edge": f"{s.edge[0]}-{s.edge[1]}",
+            "guaranteed": s.guaranteed,
+            "actual": s.actual,
+            "colour": s.colour,
+        }
+        if s.anchors is not None:
+            doc["anchors"] = {
+                k: list(v) if isinstance(v, tuple) else v
+                for k, v in s.anchors.items()
+            }
+        return doc
+
+    doc = {"input": input, "palette": palette, "steps": [as_dict(s) for s in steps]}
+    return json.dumps(doc, indent=2)
 
 
 # -- instance builders ----------------------------------------------------------

@@ -16,7 +16,7 @@ from strongedge.generators import (
     wheel,
 )
 from strongedge.graph import Graph, parse_graph, to_edge_list
-from conftest import complete_graph
+from conftest import complete_graph, reference_trace_json
 
 
 def write_graph(tmp_path, g, name="g.edges"):
@@ -74,6 +74,20 @@ def test_colour_girth6_verify_roundtrip(tmp_path, capsys):
     assert main(["verify", p, colfile]) == 0
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["valid"] is True
+
+
+def test_trace_file_matches_json_dump(tmp_path, capsys):
+    g = subdivide(stacked_triangulation(40, seed=3), 1)
+    p = write_graph(tmp_path, g)
+    trace = str(tmp_path / "trace.json")
+    assert main(["colour", "--girth6", p, "--trace", trace]) == 0
+    steps = []
+    col = girth6.colour_girth6(g, trace=steps)
+    # the steps of one plan share its anchors dict
+    planned = [s.anchors for s in steps if s.anchors is not None]
+    assert len({id(a) for a in planned}) < len(planned)
+    with open(trace) as fh:
+        assert fh.read() == reference_trace_json(p, col.palette.size, steps)
 
 
 def test_colour_verification_failure_exits_2(tmp_path, monkeypatch, capsys):

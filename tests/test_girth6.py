@@ -1,4 +1,8 @@
+import io
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from strongedge.colouring import Palette, PartialColouring, free_colours, verify_strong
 from strongedge.exact import is_strong_k_colourable
@@ -13,6 +17,7 @@ from strongedge.generators import (
 )
 from strongedge.girth6 import (
     Configuration,
+    ExtendStep,
     ExtensionPlan,
     PreconditionError,
     StaleConfiguration,
@@ -24,9 +29,10 @@ from strongedge.girth6 import (
     extend,
     find_configuration,
     plan_reduction,
+    write_trace,
 )
 from strongedge.graph import Graph, edge_key
-from conftest import complete_graph
+from conftest import complete_graph, reference_trace_json
 
 
 def colour_within(g, palette_size):
@@ -578,5 +584,68 @@ class TestColourGirth6:
             trace = []
             col = colour_girth6(g, trace=trace)
             ref_trace, ref_col = rebuild_reference(g)
-            assert [s.as_dict() for s in trace] == [s.as_dict() for s in ref_trace]
+            assert trace == ref_trace
             assert col.assignment == ref_col.assignment
+
+
+_anchor_values = st.one_of(
+    st.none(),
+    st.integers(),
+    st.lists(st.integers(), max_size=4).map(tuple),
+    st.lists(st.integers(), max_size=4),
+)
+
+
+@st.composite
+def trace_steps(draw):
+    """Runs of steps that share one anchors dict, as each plan's steps do;
+    None anchors are greedy steps."""
+    steps = []
+    for _ in range(draw(st.integers(0, 5))):
+        anchors = draw(
+            st.none() | st.dictionaries(st.text(max_size=4), _anchor_values, max_size=5)
+        )
+        for _ in range(draw(st.integers(1, 3))):
+            steps.append(
+                ExtendStep(
+                    draw(st.text(max_size=4)),
+                    (draw(st.integers()), draw(st.integers())),
+                    draw(st.integers()),
+                    draw(st.integers()),
+                    draw(st.integers()),
+                    anchors=anchors,
+                )
+            )
+    return steps
+
+
+class TestWriteTrace:
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(), st.integers(), trace_steps())
+    # the Delta <= 3 path writes no steps; an empty anchors dict; a C4 with an
+    # empty rest; a C7 with v1 None; a path needing escapes
+    @example("in.edges", 13, [])
+    @example("g.edges", 16, [ExtendStep("C1", (0, 1), 4, 9, 2, anchors={})])
+    @example(
+        'a "b"\\c\u00e9\u2603.edges',
+        -5,
+        [
+            ExtendStep("C4", (3, 7), 1, 2, 0, anchors={"u": 3, "rest": ()}),
+            ExtendStep("C7", (-2, 5), 2, 3, -1, anchors={"u": 5, "v1": None, "us": (1, -2)}),
+            ExtendStep("greedy", (1, 2), 1, 13, 4),
+        ],
+    )
+    def test_matches_json_dump(self, path, palette, steps):
+        fh = io.StringIO()
+        write_trace(fh, path, palette, steps)
+        assert fh.getvalue() == reference_trace_json(path, palette, steps)
+
+    @pytest.mark.parametrize("value", [True, False, (1, True), 1.0, "3", {"x": 1}])
+    def test_other_anchor_types_rejected(self, value):
+        step = ExtendStep("C5", (0, 1), 1, 2, 0, anchors={"u": value})
+        with pytest.raises(TypeError):
+            write_trace(io.StringIO(), "g.edges", 13, [step])
+
+    def test_bool_palette_rejected(self):
+        with pytest.raises(TypeError):
+            write_trace(io.StringIO(), "g.edges", True, [])

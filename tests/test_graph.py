@@ -1,5 +1,7 @@
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_girth, brute_n2, small_graphs
 from strongedge.graph import (
@@ -47,6 +49,12 @@ class TestParse:
         with pytest.raises(GraphParseError, match="line 1"):
             parse_graph("0 1 2")
 
+    def test_unknown_vertex_named(self):
+        g = parse_graph("0 1\n")
+        for query in (g.neighbours, g.degree):
+            with pytest.raises(KeyError, match="unknown vertex 9"):
+                query(9)
+
     def test_roundtrip(self):
         g = parse_graph("0 1\n1 2\n9\n")
         assert parse_graph(to_edge_list(g)) == g
@@ -90,6 +98,54 @@ class TestGirth:
     @example(subdivide(wheel(6), 1))
     def test_matches_cycle_enumeration(self, g):
         assert g.girth() == brute_girth(g)
+
+
+@st.composite
+def sparse_labelled_graphs(draw):
+    """30-200 vertices with scattered labels: a random forest, where each
+    vertex joins an earlier one in a random order or starts a new component,
+    plus a few chords, so girths run from 3 to long cycles and acyclic."""
+    n = draw(st.integers(30, 200))
+    labels = draw(st.lists(st.integers(0, 10 * n), min_size=n, max_size=n, unique=True))
+    rnd = draw(st.randoms(use_true_random=False))
+    edges = [
+        (labels[i], labels[rnd.randrange(i)])
+        for i in range(1, n)
+        if rnd.random() > 0.05
+    ]
+    for _ in range(draw(st.integers(0, 4))):
+        edges.append(tuple(rnd.sample(labels, 2)))
+    return Graph(labels, edges)
+
+
+def _path_with_chords(n, chords, shift=0):
+    vs = [shift + 3 * i for i in range(n)]
+    edges = list(zip(vs, vs[1:])) + [(vs[a], vs[b]) for a, b in chords]
+    return Graph(vs, edges)
+
+
+class TestGirthAgainstNetworkx:
+    """The smallest-root BFS skips every vertex below its root; these cases
+    put the only short cycle among the highest labels, so every root below
+    it searches a graph that holds part of the cycle or none of it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_labelled_graphs())
+    # a 5-cycle on the five highest labels beside a 41-cycle on the lowest
+    @example(_path_with_chords(100, [(95, 99), (0, 40)]))
+    # the same 5-cycle in a second component, the first one a 60-cycle
+    @example(
+        _disjoint_union(
+            _path_with_chords(60, [(0, 59)]), _path_with_chords(40, [(35, 39)], shift=1)
+        )
+    )
+    # an even short cycle (C4) through the top labels only, a tree below
+    @example(_path_with_chords(150, [(146, 149), (10, 140)]))
+    def test_matches_networkx(self, g):
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices)
+        h.add_edges_from(g.edges)
+        assert g.girth() == nx.girth(h)
 
 
 class TestN2:
