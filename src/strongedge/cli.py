@@ -192,7 +192,7 @@ def cmd_discharge(args) -> int:
         raise PreconditionError("discharging needs a planar input")
     init = initial_charges(emb)
     final = apply_rules(emb, init)
-    report = audit(emb, final)
+    report = audit(emb, init, final)
     _emit(report.as_dict())
     if report.configuration is not None:
         kind = report.configuration.kind

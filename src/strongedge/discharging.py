@@ -3,14 +3,17 @@
 Every vertex starts with charge 2d(v)-6 and every face with r(f)-6; on a
 connected planar embedding these sum to exactly -12.  Rules R1-R6 move
 charge around without changing the total, and the audit inspects where
-negative charge survives.  All arithmetic is exact rational: thirds appear
-in R3 and R6.2, so floats would make the >= 0 verdicts unreliable.
+negative charge survives.  Every amount the rules move (2, 1, 2/3, 4/3) is
+a whole number of thirds, so charges are kept as ints counted in thirds and
+every identity and >= 0 verdict is exact; ``Fraction`` values are made only
+when a charge is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .embedding import Embedding
 from .girth6 import Configuration, find_configuration
@@ -24,138 +27,140 @@ class DischargingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     source: Element
     target: Element
-    amount: Fraction
+    thirds: int
     rule: str
+
+    @property
+    def amount(self) -> Fraction:
+        return Fraction(self.thirds, 3)
 
 
 @dataclass
 class ChargeMap:
-    vertex_charge: dict[int, Fraction]
-    face_charge: dict[int, Fraction]
+    """Charges in thirds: ``vertex_thirds[v]`` is 3 * charge(v)."""
+
+    vertex_thirds: dict[int, int]
+    face_thirds: dict[int, int]
     ledger: tuple[Transfer, ...] = ()
     rule_gaps: tuple[int, ...] = ()
 
-    def total(self) -> Fraction:
-        return sum(self.vertex_charge.values(), Fraction(0)) + sum(
-            self.face_charge.values(), Fraction(0)
-        )
+    @property
+    def vertex_charge(self) -> dict[int, Fraction]:
+        return {v: Fraction(c, 3) for v, c in self.vertex_thirds.items()}
 
-    def charge(self, el: Element) -> Fraction:
-        kind, ident = el
-        return self.vertex_charge[ident] if kind == "v" else self.face_charge[ident]
+    @property
+    def face_charge(self) -> dict[int, Fraction]:
+        return {f: Fraction(c, 3) for f, c in self.face_thirds.items()}
+
+    def total_thirds(self) -> int:
+        return sum(self.vertex_thirds.values()) + sum(self.face_thirds.values())
+
+    def total(self) -> Fraction:
+        return Fraction(self.total_thirds(), 3)
 
     def negatives(self) -> list[tuple[Element, Fraction]]:
-        out = [
-            (("v", v), c) for v, c in sorted(self.vertex_charge.items()) if c < 0
+        return [
+            ((kind, k), Fraction(c, 3))
+            for kind, book in (("v", self.vertex_thirds), ("f", self.face_thirds))
+            for k, c in sorted(book.items())
+            if c < 0
         ]
-        out.extend(
-            (("f", f), c) for f, c in sorted(self.face_charge.items()) if c < 0
-        )
-        return out
 
 
 def initial_charges(emb: Embedding) -> ChargeMap:
     """2d(v)-6 per vertex and r(f)-6 per face; requires a connected graph so
-    that the total is the Euler constant -12."""
+    that the total is the Euler constant -12.  An edgeless graph (one
+    vertex) has no face walk but one face, of length 0."""
     g = emb.graph
     if not g.is_connected() or g.num_vertices() == 0:
         raise DischargingError("initial charges need a connected non-empty graph")
     cm = ChargeMap(
-        vertex_charge={v: Fraction(2 * g.degree(v) - 6) for v in g.vertices},
-        face_charge={f.id: Fraction(f.length - 6) for f in emb.faces},
+        vertex_thirds={v: 6 * g.degree(v) - 18 for v in g.vertices},
+        face_thirds={f.id: 3 * f.length - 18 for f in emb.faces} or {0: -18},
     )
-    if cm.total() != -12:
+    if cm.total_thirds() != -36:
         raise DischargingError(f"initial charge total {cm.total()} != -12")
     return cm
 
 
+#: Thirds and rule a degree-4 vertex pays each degree-2 neighbour, keyed by
+#: how many it has (R5, R4, R3: 2, 1, 2/3).
+_FOUR_RATES = {1: (6, "R5"), 2: (3, "R4"), 3: (2, "R3")}
+
+
 def _rule_transfers(emb: Embedding) -> tuple[list[Transfer], list[int]]:
-    """All R1-R6 transfers.  They depend only on the embedding's structure,
-    never on intermediate charges, so application order is irrelevant."""
+    """All R1-R6 transfers, in ledger order: by rule (R6.1-R6.3 share a
+    place), then source, then target.  They depend only on the embedding's
+    structure, never on intermediate charges, so application order is
+    irrelevant."""
     g = emb.graph
-    transfers: list[Transfer] = []
+    adj = {v: g.neighbours(v) for v in g.vertices}
+    deg = {v: len(ns) for v, ns in adj.items()}
+    # one list per place in the ledger order
+    places = {rule: [] for rule in ("R1", "R2", "R3", "R4", "R5", "R6")}
     gaps: list[int] = []
 
-    girth = g.girth()
-    check_face_bound = girth != ACYCLIC and girth >= 6
+    def pay(source: Element, w: int, thirds: int, rule: str) -> None:
+        places[rule[:2]].append(Transfer(source, ("v", w), thirds, rule))
 
     # R1: faces pay 2 per incident degree-1 vertex (one visit each).
+    pendants = {v for v, d in deg.items() if d == 1}
+    check_face_bound = 6 <= g.girth() < ACYCLIC
     for face in emb.faces:
-        pendant_visits = [v for v in face.walk if g.degree(v) == 1]
-        if check_face_bound and face.length < 6 + 2 * len(pendant_visits):
+        if pendants.isdisjoint(face.walk):
+            continue  # its bound, length >= 6, holds: the walk holds a cycle
+        visits = sorted(v for v in face.walk if v in pendants)
+        if check_face_bound and face.length < 6 + 2 * len(visits):
             raise DischargingError(
                 f"face {face.id} of length {face.length} carries "
-                f"{len(pendant_visits)} pendant vertices; length must be >= "
-                f"{6 + 2 * len(pendant_visits)} at girth >= 6"
+                f"{len(visits)} pendant vertices; length must be >= "
+                f"{6 + 2 * len(visits)} at girth >= 6"
             )
-        for v in pendant_visits:
-            transfers.append(Transfer(("f", face.id), ("v", v), Fraction(2), "R1"))
+        for v in visits:
+            pay(("f", face.id), v, 6, "R1")
 
-    two_count = {
-        v: sum(1 for w in g.neighbours(v) if g.degree(w) == 2) for v in g.vertices
-    }
-
-    for u in g.vertices:
-        d = g.degree(u)
-        if d == 4:
-            l = two_count[u]
-            rate = {1: Fraction(2), 2: Fraction(1), 3: Fraction(2, 3)}.get(l)
-            if rate is None:
-                continue
-            rule = {1: "R5", 2: "R4", 3: "R3"}[l]
-            for w in g.neighbours(u):
-                if g.degree(w) == 2:
-                    transfers.append(Transfer(("v", u), ("v", w), rate, rule))
-        elif d >= 5:
-            for w in g.neighbours(u):
-                if g.degree(w) == 1:
-                    transfers.append(Transfer(("v", u), ("v", w), Fraction(2), "R2"))
-                elif g.degree(w) == 2:
-                    (other,) = [x for x in g.neighbours(w) if x != u]
-                    od = g.degree(other)
+    for u, ns in adj.items():
+        source = ("v", u)
+        if len(ns) == 4:
+            twos = [w for w in ns if deg[w] == 2]
+            if len(twos) in _FOUR_RATES:
+                thirds, rule = _FOUR_RATES[len(twos)]
+                for w in twos:
+                    pay(source, w, thirds, rule)
+        elif len(ns) >= 5:
+            for w in ns:
+                if deg[w] == 1:
+                    pay(source, w, 6, "R2")
+                elif deg[w] == 2:
+                    a, b = adj[w]
+                    other = b if a == u else a
+                    od = deg[other]
                     if od in (2, 3):
-                        transfers.append(
-                            Transfer(("v", u), ("v", w), Fraction(2), "R6.1")
-                        )
-                    elif od == 4 and two_count[other] == 3:
-                        transfers.append(
-                            Transfer(("v", u), ("v", w), Fraction(4, 3), "R6.2")
-                        )
+                        pay(source, w, 6, "R6.1")
+                    elif od == 4 and sum(deg[x] == 2 for x in adj[other]) == 3:
+                        pay(source, w, 4, "R6.2")
                     elif od >= 4:
-                        transfers.append(
-                            Transfer(("v", u), ("v", w), Fraction(1), "R6.3")
-                        )
+                        pay(source, w, 3, "R6.3")
                     else:
                         # degree-1 second neighbour: no rule names this case.
                         gaps.append(w)
-    return transfers, gaps
-
-
-_RULE_ORDER = {"R1": 0, "R2": 1, "R3": 2, "R4": 3, "R5": 4, "R6.1": 5, "R6.2": 5, "R6.3": 5}
+    return [t for place in places.values() for t in place], gaps
 
 
 def apply_rules(emb: Embedding, init: ChargeMap) -> ChargeMap:
     """Final charges after R1-R6, with the full transfer ledger.  The total
     is conserved exactly."""
     transfers, gaps = _rule_transfers(emb)
-    transfers.sort(key=lambda t: (_RULE_ORDER[t.rule], t.source, t.target))
-    vertex = dict(init.vertex_charge)
-    face = dict(init.face_charge)
-    for t in transfers:
-        if t.source[0] == "v":
-            vertex[t.source[1]] -= t.amount
-        else:
-            face[t.source[1]] -= t.amount
-        if t.target[0] == "v":
-            vertex[t.target[1]] += t.amount
-        else:
-            face[t.target[1]] += t.amount
+    vertex, face = dict(init.vertex_thirds), dict(init.face_thirds)
+    books = {"v": vertex, "f": face}
+    for (sk, s), (tk, t), thirds, _ in transfers:
+        books[sk][s] -= thirds
+        books[tk][t] += thirds
     final = ChargeMap(vertex, face, tuple(transfers), tuple(sorted(set(gaps))))
-    if final.total() != init.total():
+    if final.total_thirds() != init.total_thirds():
         raise DischargingError(
             f"charge total drifted: {init.total()} -> {final.total()}"
         )
@@ -163,7 +168,9 @@ def apply_rules(emb: Embedding, init: ChargeMap) -> ChargeMap:
 
 
 def replay_ledger(init: ChargeMap, final: ChargeMap) -> bool:
-    """Entry-by-entry check that initial + ledger == final, exactly."""
+    """Entry-by-entry check that initial + ledger == final, exactly.  It
+    redoes the arithmetic in ``Fraction``s, independently of the ints that
+    ``apply_rules`` adds up."""
     vertex = dict(init.vertex_charge)
     face = dict(init.face_charge)
     for t in final.ledger:
@@ -201,8 +208,9 @@ class Report:
         }
 
 
-def audit(emb: Embedding, final: ChargeMap) -> Report:
-    """Inspect the post-rules charges.
+def audit(emb: Embedding, init: ChargeMap, final: ChargeMap) -> Report:
+    """Inspect the post-rules charges ``final`` that ``apply_rules`` made
+    from ``init``.
 
     In scope (girth >= 6, max degree >= 4): some configuration must exist;
     negative leftover charge is expected exactly where one sits.  If no
@@ -212,8 +220,6 @@ def audit(emb: Embedding, final: ChargeMap) -> Report:
     message.
     """
     g = emb.graph
-    init = initial_charges(emb)
-    negatives = final.negatives()
     cfg = find_configuration(g)
     in_scope = g.girth() >= 6 and g.max_degree() >= 4
     if in_scope and cfg is None:
@@ -225,7 +231,7 @@ def audit(emb: Embedding, final: ChargeMap) -> Report:
     return Report(
         initial_total=init.total(),
         final_total=final.total(),
-        negatives=negatives,
+        negatives=final.negatives(),
         ledger_size=len(final.ledger),
         rule_gaps=final.rule_gaps,
         verdict=verdict,

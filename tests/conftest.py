@@ -7,6 +7,7 @@ check.
 
 import json
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -127,6 +128,94 @@ def reference_trace_json(input: str, palette: int, steps) -> str:
 
     doc = {"input": input, "palette": palette, "steps": [as_dict(s) for s in steps]}
     return json.dumps(doc, indent=2)
+
+
+def reference_discharge(emb) -> dict:
+    """The discharging audit in ``Fraction`` arithmetic, as first written:
+    initial charges 2d(v)-6 and r(f)-6, every R1-R6 transfer generated
+    separately and sorted into ledger order, applied one by one.  Returns the
+    report document, the ledger as ``(rule, source, target, amount)``, the
+    rule gaps and the initial and final charges per element.  Only the
+    configuration search is shared with the production path."""
+    from strongedge.girth6 import find_configuration
+
+    g = emb.graph
+    assert g.is_connected() and g.num_vertices() > 0
+    vertex = {v: Fraction(2 * g.degree(v) - 6) for v in g.vertices}
+    face = {f.id: Fraction(f.length - 6) for f in emb.faces}
+    init_vertex, init_face = dict(vertex), dict(face)
+    initial_total = sum(vertex.values(), Fraction(0)) + sum(face.values(), Fraction(0))
+    assert initial_total == -12
+
+    ledger, gaps = [], []
+    girth = g.girth()
+    for f in emb.faces:
+        pendant_visits = [v for v in f.walk if g.degree(v) == 1]
+        if girth != ACYCLIC and girth >= 6:
+            assert f.length >= 6 + 2 * len(pendant_visits)
+        for v in pendant_visits:
+            ledger.append(("R1", ("f", f.id), ("v", v), Fraction(2)))
+    two_count = {
+        v: sum(1 for w in g.neighbours(v) if g.degree(w) == 2) for v in g.vertices
+    }
+    for u in g.vertices:
+        d = g.degree(u)
+        if d == 4:
+            rule, rate = {
+                1: ("R5", Fraction(2)), 2: ("R4", Fraction(1)), 3: ("R3", Fraction(2, 3))
+            }.get(two_count[u], (None, None))
+            if rule is not None:
+                for w in g.neighbours(u):
+                    if g.degree(w) == 2:
+                        ledger.append((rule, ("v", u), ("v", w), rate))
+        elif d >= 5:
+            for w in g.neighbours(u):
+                if g.degree(w) == 1:
+                    ledger.append(("R2", ("v", u), ("v", w), Fraction(2)))
+                elif g.degree(w) == 2:
+                    (other,) = [x for x in g.neighbours(w) if x != u]
+                    od = g.degree(other)
+                    if od in (2, 3):
+                        ledger.append(("R6.1", ("v", u), ("v", w), Fraction(2)))
+                    elif od == 4 and two_count[other] == 3:
+                        ledger.append(("R6.2", ("v", u), ("v", w), Fraction(4, 3)))
+                    elif od >= 4:
+                        ledger.append(("R6.3", ("v", u), ("v", w), Fraction(1)))
+                    else:
+                        gaps.append(w)
+    order = {"R1": 0, "R2": 1, "R3": 2, "R4": 3, "R5": 4}
+    ledger.sort(key=lambda t: (order.get(t[0], 5), t[1], t[2]))
+    for _, (sk, s), (tk, t), amount in ledger:
+        (vertex if sk == "v" else face)[s] -= amount
+        (vertex if tk == "v" else face)[t] += amount
+    final_total = sum(vertex.values(), Fraction(0)) + sum(face.values(), Fraction(0))
+    assert final_total == initial_total
+
+    cfg = find_configuration(g)
+    in_scope = g.girth() >= 6 and g.max_degree() >= 4
+    negatives = [(f"v{v}", c) for v, c in sorted(vertex.items()) if c < 0]
+    negatives += [(f"f{f}", c) for f, c in sorted(face.items()) if c < 0]
+    report = {
+        "initial_total": str(initial_total),
+        "final_total": str(final_total),
+        "negatives": [{"element": el, "charge": str(c)} for el, c in negatives],
+        "ledger_size": len(ledger),
+        "rule_gaps": sorted(set(gaps)),
+        "verdict": (
+            "out-of-scope" if not in_scope
+            else "consistent" if cfg is not None
+            else "theorem-violation"
+        ),
+        "configuration": cfg.kind if cfg else None,
+        "in_scope": in_scope,
+    }
+    return {
+        "report": report,
+        "ledger": ledger,
+        "rule_gaps": tuple(sorted(set(gaps))),
+        "initial": (init_vertex, init_face),
+        "final": (vertex, face),
+    }
 
 
 # -- instance builders ----------------------------------------------------------

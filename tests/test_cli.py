@@ -190,6 +190,25 @@ def test_discharge_disconnected_rejected(tmp_path):
     assert main(["discharge", p]) == 1
 
 
+def test_discharge_empty_rejected(tmp_path, capsys):
+    p = tmp_path / "empty.edges"
+    p.write_text("")
+    assert main(["discharge", str(p)]) == 1
+    assert "connected non-empty graph" in capsys.readouterr().err
+
+
+def test_discharge_single_vertex(tmp_path, capsys):
+    p = tmp_path / "one.edges"
+    p.write_text("0\n")
+    assert main(["discharge", str(p)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["initial_total"] == doc["final_total"] == "-12"
+    assert doc["verdict"] == "out-of-scope"
+    assert doc["negatives"] == [
+        {"element": "v0", "charge": "-6"}, {"element": "f0", "charge": "-6"}
+    ]
+
+
 def test_bench_small(capsys):
     assert main(["bench", "--count", "4", "--budget", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -1,6 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strongedge.discharging import (
     DischargingError,
@@ -10,9 +13,11 @@ from strongedge.discharging import (
     replay_ledger,
     _rule_transfers,
 )
+from strongedge.cli import _bench_corpus
 from strongedge.embedding import planar_embed
 from strongedge.generators import (
     cycle,
+    generate,
     grid,
     hex_patch,
     path,
@@ -22,7 +27,8 @@ from strongedge.generators import (
     wheel,
 )
 from strongedge.graph import Graph
-from conftest import complete_graph
+from conftest import complete_graph, reference_discharge
+from test_acceptance import _discharge_corpus
 
 
 def embed(g):
@@ -74,6 +80,20 @@ class TestInitialCharges:
     def test_total_is_euler_constant_on_corpus(self):
         for g in DISCHARGE_CORPUS:
             assert initial_charges(embed(g)).total() == -12
+
+    def test_single_vertex_has_one_implicit_face(self):
+        # one vertex, no face walk: Euler still counts one face, of length 0
+        cm = initial_charges(embed(Graph([0])))
+        assert cm.vertex_charge == {0: -6}
+        assert cm.face_charge == {0: -6}
+        assert cm.total() == -12
+
+    def test_euler_identity_checked(self):
+        # a face walk left out: the total is no longer -12
+        emb = embed(cycle(7))
+        broken = replace(emb, faces=emb.faces[:1])
+        with pytest.raises(DischargingError, match="initial charge total -13 != -12"):
+            initial_charges(broken)
 
     def test_disconnected_rejected(self):
         g = Graph(range(6), [(0, 1), (1, 2), (3, 4), (4, 5)])
@@ -182,15 +202,15 @@ class TestRules:
 
 class TestAudit:
     def test_c6_out_of_scope(self):
-        emb, _, final = charges_after_rules(cycle(6))
-        rep = audit(emb, final)
+        emb, init, final = charges_after_rules(cycle(6))
+        rep = audit(emb, init, final)
         assert rep.verdict == "out-of-scope"
         assert rep.initial_total == -12 and rep.final_total == -12
         assert rep.negatives  # six vertices at -2
 
     def test_subdivided_wheel_consistent(self):
-        emb, _, final = charges_after_rules(subdivide(wheel(5), 1))
-        rep = audit(emb, final)
+        emb, init, final = charges_after_rules(subdivide(wheel(5), 1))
+        rep = audit(emb, init, final)
         assert rep.verdict == "consistent"
         assert rep.configuration is not None
         assert rep.negatives
@@ -200,17 +220,120 @@ class TestAudit:
         from strongedge.girth6 import find_configuration
 
         for g in DISCHARGE_CORPUS:
-            emb, _, final = charges_after_rules(g)
-            rep = audit(emb, final)
+            emb, init, final = charges_after_rules(g)
+            rep = audit(emb, init, final)
             all_nonneg = not rep.negatives
             assert not (all_nonneg and rep.configuration is None)
             if rep.in_scope:
                 assert rep.verdict != "theorem-violation"
                 assert find_configuration(g) is not None
 
+    def test_report_shows_a_drifted_final(self):
+        emb, init, final = charges_after_rules(subdivide(wheel(4), 1))
+        final.vertex_thirds[0] -= 1
+        rep = audit(emb, init, final)
+        assert rep.initial_total == -12
+        assert rep.final_total == Fraction(-37, 3)
+        assert rep.as_dict()["final_total"] == "-37/3"
+
     def test_report_serialises(self):
-        emb, _, final = charges_after_rules(subdivide(wheel(4), 1))
-        doc = audit(emb, final).as_dict()
+        emb, init, final = charges_after_rules(subdivide(wheel(4), 1))
+        doc = audit(emb, init, final).as_dict()
         assert doc["initial_total"] == "-12"
         assert doc["final_total"] == "-12"
         assert isinstance(doc["negatives"], list)
+
+
+ALL_RULES = {"R1", "R2", "R3", "R4", "R5", "R6.1", "R6.2", "R6.3"}
+
+
+def assert_matches_reference(g):
+    """The integer-thirds audit gives the report, ledger, rule gaps and
+    charges of the Fraction reference, charges and amounts as Fractions."""
+    emb = embed(g)
+    ref = reference_discharge(emb)
+    init = initial_charges(emb)
+    final = apply_rules(emb, init)
+    assert audit(emb, init, final).as_dict() == ref["report"]
+    ledger = [(t.rule, t.source, t.target, t.amount) for t in final.ledger]
+    assert ledger == ref["ledger"]
+    assert all(type(t.amount) is Fraction for t in final.ledger)
+    assert final.rule_gaps == ref["rule_gaps"]
+    assert (init.vertex_charge, init.face_charge) == ref["initial"]
+    assert (final.vertex_charge, final.face_charge) == ref["final"]
+    assert all(type(c) is Fraction for c in final.vertex_charge.values())
+    return {t.rule for t in final.ledger}, bool(final.rule_gaps)
+
+
+@st.composite
+def planar_with_hubs(draw):
+    """A connected planar graph grown from a small planar base by steps that
+    keep it planar: a pendant leaf, a subdivided edge, or a hub of degree 4
+    or 5 hung from a vertex by a path of one or two edges, with arms that
+    are paths of one to three edges."""
+    base = draw(st.sampled_from(HUB_BASES))
+    edges = list(base.edges)
+    n = base.num_vertices()
+    for _ in range(draw(st.integers(1, 12))):
+        step = draw(st.sampled_from(("leaf", "subdivide", "hub")))
+        if step == "leaf":
+            edges.append((draw(st.integers(0, n - 1)), n))
+            n += 1
+        elif step == "subdivide":
+            i = draw(st.integers(0, len(edges) - 1))
+            a, b = edges[i]
+            edges[i] = (a, n)
+            edges.append((n, b))
+            n += 1
+        else:
+            at = draw(st.integers(0, n - 1))
+            if draw(st.booleans()):
+                edges.append((at, n))
+                at, n = n, n + 1
+            hub = n
+            edges.append((at, hub))
+            n += 1
+            for _ in range(draw(st.integers(3, 4))):
+                prev = hub
+                for _ in range(draw(st.integers(1, 3))):
+                    edges.append((prev, n))
+                    prev, n = n, n + 1
+    return Graph(range(n), edges)
+
+
+HUB_BASES = [
+    path(2), cycle(6), hex_patch(2, 2), grid(3, 3), star(5),
+    subdivide(wheel(5), 1), stacked_triangulation(6, seed=1),
+    subdivide(stacked_triangulation(6, seed=2), 1),
+]
+
+
+class TestReference:
+    def test_discharge_corpora(self):
+        for g in DISCHARGE_CORPUS + _discharge_corpus():
+            assert_matches_reference(g)
+
+    def test_hundred_instance_corpus(self):
+        for _, spec in _bench_corpus(100):
+            assert_matches_reference(generate(spec))
+
+    @pytest.mark.parametrize(
+        "n, seeds", [(200, (0, 1, 2, 3, 5, 6)), (400, (0, 7, 8))], ids=["tri200", "tri400"]
+    )
+    def test_audit_sizes(self, n, seeds):
+        for s in seeds:
+            assert_matches_reference(subdivide(stacked_triangulation(n, seed=s), 1))
+
+    def test_planar_graphs_with_hubs(self):
+        fired, gaps = set(), []
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(planar_with_hubs())
+        def check(g):
+            rules, gap = assert_matches_reference(g)
+            fired.update(rules)
+            gaps.append(gap)
+
+        check()
+        assert fired == ALL_RULES
+        assert any(gaps)
