@@ -17,6 +17,8 @@ import time
 from . import __version__
 from .colouring import (
     ColouringError,
+    InternalInconsistency,
+    PreconditionError,
     colouring_doc,
     colouring_from_json,
     colouring_to_json,
@@ -28,14 +30,7 @@ from .discharging import DischargingError, apply_rules, audit, initial_charges
 from .embedding import NonPlanar, planar_embed
 from .exact import SolverTimeout, is_strong_k_colourable, strong_chromatic_index
 from .generators import GeneratorSpec, generate
-from .girth6 import (
-    KIND_SUMMARY,
-    ExtendStep,
-    InternalInconsistency,
-    PreconditionError,
-    colour_girth6,
-    write_trace,
-)
+from .girth6 import KIND_SUMMARY, ExtendStep, colour_girth6, write_trace
 from .graph import ACYCLIC, Graph, GraphParseError, parse_graph, to_dot, to_edge_list
 from .pipeline import colour_pipeline
 
@@ -144,30 +139,26 @@ def cmd_colour(args) -> int:
     start = time.monotonic()
     if args.girth6:
         col = colour_girth6(g, trace=trace)
-        report = {
-            "algorithm": "girth6",
-            "palette": col.palette.size,
-            "steps": len(trace),
-        }
+        facts = {"steps": len(trace)}
     else:
         col, pipe = colour_pipeline(g, budget=args.budget)
-        report = {"algorithm": "pipeline"}
-        report.update(pipe.as_dict())
-    report.update(
-        {
-            "command": "colour --girth6" if args.girth6 else "colour --pipeline",
-            "input_hash": _input_hash(args.graph),
-            "delta": delta,
-            "girth": _girth_json(girth),
-            "planar": True,
-            "colours_used": col.colours_used(),
-            "known_bound": known_bound(delta, girth) if delta >= 3 else None,
-            "seconds": round(time.monotonic() - start, 6),
-        }
-    )
-    # colour_girth6 and colour_pipeline verify their result and raise
-    # InternalInconsistency (exit 2) on any violation
-    report["valid"] = True
+        facts = pipe.as_dict()
+    report = {
+        "algorithm": "girth6" if args.girth6 else "pipeline",
+        "palette": col.palette.size,
+        **facts,
+        "command": "colour --girth6" if args.girth6 else "colour --pipeline",
+        "input_hash": _input_hash(args.graph),
+        "delta": delta,
+        "girth": _girth_json(girth),
+        "planar": True,
+        "colours_used": col.colours_used(),
+        "known_bound": known_bound(delta, girth) if delta >= 3 else None,
+        "seconds": round(time.monotonic() - start, 6),
+        # each colourer checks its colouring once, with verify_strong, and
+        # raises InternalInconsistency (exit 2) on a violation
+        "valid": True,
+    }
     if args.trace:
         with open(args.trace, "w") as fh:
             write_trace(fh, args.graph, col.palette.size, trace)
@@ -240,8 +231,9 @@ def _bench_one(name: str, spec: GeneratorSpec, budget: float) -> dict:
         "girth": _girth_json(girth),
         "known_bound": known_bound(delta, girth) if delta >= 3 else None,
     }
-    # both colourers verify their result and raise InternalInconsistency
-    # (exit 2) on any violation, so a row that completes is valid
+    # each colourer checks its colouring once, with verify_strong, and
+    # raises InternalInconsistency (exit 2) on a violation, so a row that
+    # completes is valid
     start = time.monotonic()
     col = colour_girth6(g)
     row["girth6_colours"] = col.colours_used()

@@ -3,15 +3,15 @@
 A strong edge-colouring is a proper edge-colouring in which every colour
 class is an induced matching: no two edges of the same colour are within
 distance 2 of each other.  ``verify_strong`` is the single authority on
-validity; everything else in the package defers to it.
+validity: each colourer runs it once, on the colouring it builds, and
+raises ``InternalInconsistency`` on a violation.
 
 Two distinct edges e and f are within distance 2 exactly when both lie in
 the star of one edge xy, the set of edges touching x or y: if e and f share
 an end, take xy = e; if an edge h touches both, take xy = h; conversely two
 edges in one star either share an end or both touch xy.  ``verify_strong``,
-``free_colours``, the pipeline's conflict checks and the exact solver's
-conflict lists all ask that question through stars and vertex
-neighbourhoods.
+``free_colours`` and the exact solver's conflict lists all ask that
+question through stars and vertex neighbourhoods.
 """
 
 from __future__ import annotations
@@ -57,6 +57,14 @@ class Violation:
 
 
 class ColouringError(ValueError):
+    pass
+
+
+class InternalInconsistency(RuntimeError):
+    """A state the underlying theory rules out on valid inputs."""
+
+
+class PreconditionError(ValueError):
     pass
 
 

@@ -19,7 +19,13 @@ import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .colouring import Palette, PartialColouring, trivial_lower_bound, verify_strong
+from .colouring import (
+    InternalInconsistency,
+    Palette,
+    PartialColouring,
+    trivial_lower_bound,
+    verify_strong,
+)
 from .graph import Edge, Graph
 
 
@@ -194,7 +200,8 @@ def _decide(
     stats: SolveStats | None,
 ) -> PartialColouring | None:
     """``is_strong_k_colourable`` on conflict lists already built, so that
-    ``strong_chromatic_index`` builds them once for every k it tries."""
+    ``strong_chromatic_index`` builds them once for every k it tries.  A
+    witness is checked once, with ``verify_strong``."""
     search = _Search(conflicts, k, deadline)
     found = search.run()
     if stats is not None:
@@ -204,7 +211,9 @@ def _decide(
     witness = PartialColouring(g, Palette(k))
     for e, c in zip(edges, search.colour):
         witness.put(e, c)
-    assert not verify_strong(g, witness, require_total=True)
+    violations = verify_strong(g, witness, require_total=True)
+    if violations:
+        raise InternalInconsistency(f"solver witness invalid: {violations[0]}")
     return witness
 
 
@@ -228,4 +237,4 @@ def strong_chromatic_index(g: Graph, timeout: float | None = None) -> SolveResul
         k += 1
         if k > g.num_edges():
             # |E| pairwise-distinct colours always work, so this is a bug.
-            raise RuntimeError("exact search failed to terminate")
+            raise InternalInconsistency("exact search failed to terminate")

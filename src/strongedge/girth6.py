@@ -37,17 +37,15 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .colouring import (
     ColouringError,
+    InternalInconsistency,
     Palette,
     PartialColouring,
+    PreconditionError,
     free_colours,
     verify_strong,
 )
 from .embedding import NonPlanar, planar_embed
 from .graph import Edge, Graph, edge_key
-
-
-class InternalInconsistency(RuntimeError):
-    """A state the underlying theory rules out on valid inputs."""
 
 
 class TheoremViolation(InternalInconsistency):
@@ -61,10 +59,6 @@ class ExtensionInfeasible(InternalInconsistency):
 
 class StaleConfiguration(ValueError):
     """The configuration's pattern no longer holds in the given graph."""
-
-
-class PreconditionError(ValueError):
-    pass
 
 
 #: What each pattern kind looks like, by behaviour.
@@ -567,8 +561,9 @@ def colour_girth6(
     allowed) using at most 3*Delta+1 colours when Delta >= 4.
 
     Inputs with Delta <= 3 are solved exactly instead (the reduction floors
-    need a palette of at least 13).  The result always passes verify_strong;
-    anything else raises InternalInconsistency.
+    need a palette of at least 13).  Either way the colouring is checked
+    once, with verify_strong, where it is built: by the reduction loop or by
+    the exact solver.  A violation raises InternalInconsistency.
     """
     if isinstance(planar_embed(g), NonPlanar):
         raise PreconditionError("input graph is not planar")
@@ -577,17 +572,10 @@ def colour_girth6(
         raise PreconditionError(f"girth {girth} < 6")
     delta = g.max_degree()
     if g.num_edges() == 0:
-        col = PartialColouring(g, Palette(1))
-    elif delta <= 3:
-        col = _colour_small_delta(g)
-    else:
-        col = _reduce_and_extend(g, delta, trace)
-    violations = verify_strong(g, col, require_total=True)
-    if violations:
-        raise InternalInconsistency(
-            f"final colouring failed verification: {violations[0]}"
-        )
-    return col
+        return PartialColouring(g, Palette(1))
+    if delta <= 3:
+        return _colour_small_delta(g)
+    return _reduce_and_extend(g, delta, trace)
 
 
 def _reduce_and_extend(
@@ -595,7 +583,8 @@ def _reduce_and_extend(
 ) -> PartialColouring:
     """The reduction loop on a working copy of ``g``: remove configurations
     until Delta <= 3, colour the rest greedily, then put each plan's edges
-    back and extend, last plan first."""
+    back and extend, last plan first.  The result is checked once, with
+    verify_strong."""
     col = PartialColouring(g, Palette(3 * delta + 1))
     plans: list[ExtensionPlan] = []
     work = _WorkingGraph(g)
@@ -617,20 +606,26 @@ def _reduce_and_extend(
     for plan in reversed(plans):
         work.add_edges(reversed(plan.removed))
         extend(col, plan, audit=trace)
+    violations = verify_strong(g, col, require_total=True)
+    if violations:
+        raise InternalInconsistency(
+            f"final colouring failed verification: {violations[0]}"
+        )
     return col
 
 
 class _WorkingGraph(Graph):
     """Mutable copy of a graph for the reduction loop.  Edges are removed and
     put back in place; neighbour tuples stay sorted, ``_edges`` is a set, and
-    ``high_degree`` counts the vertices of degree >= 4."""
+    ``high_degree`` counts the vertices of degree >= 4.  Each change drops
+    the girth and components that ``Graph`` keeps."""
 
     __slots__ = ("high_degree",)
 
     def __init__(self, g: Graph):
         self._adj = dict(g._adj)
         self._edges = set(g.edges)
-        self._girth = None
+        self._girth = self._components = None
         self.high_degree = sum(1 for ns in self._adj.values() if len(ns) >= 4)
 
     @property
@@ -638,6 +633,7 @@ class _WorkingGraph(Graph):
         return tuple(sorted(self._edges))
 
     def remove_edges(self, edges) -> None:
+        self._girth = self._components = None
         for u, v in edges:
             self._edges.remove((u, v))
             for a, b in ((u, v), (v, u)):
@@ -646,6 +642,7 @@ class _WorkingGraph(Graph):
                 self._adj[a] = tuple(x for x in ns if x != b)
 
     def add_edges(self, edges) -> None:
+        self._girth = self._components = None
         for u, v in edges:
             self._edges.add((u, v))
             for a, b in ((u, v), (v, u)):
@@ -688,6 +685,8 @@ def _greedy_residual(
 
 
 def _colour_small_delta(g: Graph) -> PartialColouring:
+    """The solver's witness, which it has checked, copied onto the
+    min(3*Delta+1, 10) palette."""
     from .exact import strong_chromatic_index
 
     delta = g.max_degree()

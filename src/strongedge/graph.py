@@ -39,7 +39,7 @@ class Graph:
     count.
     """
 
-    __slots__ = ("_adj", "_edges", "_girth")
+    __slots__ = ("_adj", "_edges", "_girth", "_components")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[Edge] = ()):
         adj: dict[int, set[int]] = {int(v): set() for v in vertices}
@@ -61,6 +61,7 @@ class Graph:
         }
         self._edges: tuple[Edge, ...] = tuple(sorted(edge_set))
         self._girth: float | None = None
+        self._components: tuple[tuple[int, ...], ...] | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -115,7 +116,10 @@ class Graph:
     # -- derived structure -------------------------------------------------
 
     def components(self) -> list[tuple[int, ...]]:
-        """Connected components as sorted vertex tuples, in sorted order."""
+        """Connected components as sorted vertex tuples, in sorted order.
+        The walk runs once per graph; later calls read the kept result."""
+        if self._components is not None:
+            return list(self._components)
         seen: set[int] = set()
         comps = []
         for start in self._adj:
@@ -131,6 +135,7 @@ class Graph:
                         seen.add(y)
                         stack.append(y)
             comps.append(tuple(sorted(comp)))
+        self._components = tuple(comps)
         return comps
 
     def is_connected(self) -> bool:

@@ -11,6 +11,10 @@ Each class's planarity is certified, not assumed: the conflict graph is a
 minor of the host, so contracting the host's embedding (computed once per
 input, by the left-right test) yields a rotation system of it, which the
 package's face tracing and Euler check then accept.
+
+The composite colouring is checked once, by ``verify_strong``, in
+``colour_pipeline``; the steps before it do not re-check their classes or
+node colourings.
 """
 
 from __future__ import annotations
@@ -18,12 +22,16 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterator
 
-from .colouring import Palette, PartialColouring, verify_strong
+from .colouring import (
+    InternalInconsistency,
+    Palette,
+    PartialColouring,
+    PreconditionError,
+    verify_strong,
+)
 from .embedding import Embedding, EmbeddingError, NonPlanar, embed_rotation, planar_embed
 from .exact import SolverTimeout, _edge_stars, _Search
-from .girth6 import InternalInconsistency, PreconditionError
 from .graph import ACYCLIC, Edge, Graph, edge_key
 
 
@@ -40,16 +48,6 @@ class EdgeColouring:
         for e, i in sorted(self.assignment.items()):
             out[i].append(e)
         return out
-
-    def check(self) -> None:
-        if set(self.assignment) != set(self.graph.edges):
-            raise ValueError("edge colouring is not total")
-        for i, cls in self.classes().items():
-            seen: set[int] = set()
-            for u, v in cls:
-                if u in seen or v in seen:
-                    raise ValueError(f"class {i} is not a matching")
-                seen.update((u, v))
 
 
 # -- proper edge colouring with Delta+1 colours --------------------------------
@@ -115,9 +113,7 @@ def vizing_edge_colour(g: Graph) -> EdgeColouring:
             st.set((u, v), min(common))
             continue
         _fan_colour(st, u, v)
-    ec = EdgeColouring(g, dict(st.colour), max(st.colour.values()))
-    ec.check()
-    return ec
+    return EdgeColouring(g, dict(st.colour), max(st.colour.values()))
 
 
 def _fan_colour(st: _EdgeColourState, u: int, v: int) -> None:
@@ -176,9 +172,7 @@ def class1_edge_colour(g: Graph, budget: float | None = None) -> EdgeColouring |
     colour = _search_colours(adjacency, delta, budget)
     if colour is None:
         return None
-    ec = EdgeColouring(g, dict(zip(edges, colour)), delta)
-    ec.check()
-    return ec
+    return EdgeColouring(g, dict(zip(edges, colour)), delta)
 
 
 def _search_colours(
@@ -262,23 +256,6 @@ def conflict_graph(emb: Embedding, matching: list[Edge]) -> ConflictGraph:
     return ConflictGraph(tuple(edges), Graph(range(len(edges)), link_edge), rotation)
 
 
-def _matching_links(g: Graph, matching: list[Edge]) -> Iterator[tuple[Edge, Edge]]:
-    """Pairs e < f of matching edges within distance 2 of each other.
-
-    Matching edges are disjoint, so e and f lie in one star exactly when an
-    endpoint of e is adjacent to an endpoint of f; a vertex -> matching edge
-    map finds those in O(sum of the matched vertices' degrees).  A pair
-    joined by several edges is yielded once per joining edge.
-    """
-    owner = {v: e for e in matching for v in e}
-    for e in matching:
-        for a in e:
-            for b in g.neighbours(a):
-                f = owner.get(b, e)
-                if f > e:
-                    yield e, f
-
-
 def colour_planar_nodes(cg: ConflictGraph, budget: float | None = None) -> dict[int, int]:
     """Proper node colouring of a planar conflict graph with at most 5
     colours; an exact search reaches 4 unless the budget interferes.
@@ -294,16 +271,7 @@ def colour_planar_nodes(cg: ConflictGraph, budget: float | None = None) -> dict[
     if cg.graph.num_vertices() == 0:
         return {}
     result = _node_colour_exact(cg.graph, 4, budget)
-    if result is None:
-        result = _five_colour_planar(cg.graph)
-    _check_proper(cg.graph, result)
-    return result
-
-
-def _check_proper(g: Graph, col: dict[int, int]) -> None:
-    for u, v in g.edges:
-        if col[u] == col[v]:
-            raise ValueError(f"nodes {u},{v} share colour {col[u]}")
+    return result if result is not None else _five_colour_planar(cg.graph)
 
 
 def _node_colour_exact(g: Graph, k: int, budget: float | None) -> dict[int, int] | None:
@@ -371,19 +339,15 @@ def compose(
 ) -> PartialColouring:
     """Stack per-class node colourings into one strong colouring: an edge in
     class i with node colour c receives (i-1)*maxC + c, where maxC is the
-    largest node colour any class uses."""
-    ec.check()
-    classes = ec.classes()
+    largest node colour any class uses.  Only the shape is checked here;
+    ``colour_pipeline`` checks the result with ``verify_strong``."""
     if len(per_class) != ec.class_count:
         raise ValueError("one node colouring per class required")
     max_c = 1
-    for i, cls in classes.items():
+    for i, cls in ec.classes().items():
         node_col = per_class[i - 1]
         if set(node_col) != set(cls):
             raise ValueError(f"class {i} colouring keys do not match its edges")
-        for e, f in _matching_links(ec.graph, cls):
-            if node_col[e] == node_col[f]:
-                raise ValueError(f"class {i} node colouring is improper: {e} vs {f}")
         if cls:
             max_c = max(max_c, max(node_col.values()))
     palette = Palette(max(ec.class_count, 1) * max_c)
@@ -399,9 +363,7 @@ class PipelineReport:
     regime: str
     class_count: int
     max_c: int
-    colours_used: int
     bound_claimed: int
-    palette_size: int
     corollary1: bool
 
     def as_dict(self) -> dict:
@@ -409,9 +371,7 @@ class PipelineReport:
             "regime": self.regime,
             "classCount": self.class_count,
             "maxC": self.max_c,
-            "colours_used": self.colours_used,
             "bound_claimed": self.bound_claimed,
-            "palette": self.palette_size,
             "corollary1": self.corollary1,
         }
 
@@ -431,7 +391,7 @@ def colour_pipeline(
     delta = g.max_degree()
     if g.num_edges() == 0:
         empty = PartialColouring(g, Palette(1))
-        return empty, PipelineReport("empty", 0, 1, 0, 0, 1, False)
+        return empty, PipelineReport("empty", 0, 1, 0, False)
 
     wants_class1 = corollary1_applies(delta, g.girth())
     ec = None
@@ -443,7 +403,7 @@ def colour_pipeline(
         ec = vizing_edge_colour(g)
 
     per_class = []
-    for i, cls in ec.classes().items():
+    for cls in ec.classes().values():
         cg = conflict_graph(emb, cls)
         node_col = colour_planar_nodes(cg, budget)
         per_class.append({cg.nodes[j]: c for j, c in node_col.items()})
@@ -453,7 +413,7 @@ def colour_pipeline(
     if violations:
         raise InternalInconsistency(f"pipeline output invalid: {violations[0]}")
 
-    max_c = max((max(d.values()) for d in per_class if d), default=1)
+    max_c = col.palette.size // ec.class_count  # compose's palette is classes * maxC
     if max_c <= 4 and ec.class_count <= delta:
         bound = 4 * delta
     elif max_c <= 4:
@@ -464,9 +424,7 @@ def colour_pipeline(
         regime=regime,
         class_count=ec.class_count,
         max_c=max_c,
-        colours_used=col.colours_used(),
         bound_claimed=bound,
-        palette_size=col.palette.size,
         corollary1=wants_class1,
     )
     return col, report

@@ -65,6 +65,16 @@ def brute_girth(g: Graph) -> float:
     return lengths[0] if lengths else ACYCLIC
 
 
+def is_proper_edge_colouring(g: Graph, assignment: dict[Edge, int]) -> bool:
+    """Every edge coloured, and no two edges with a shared endpoint share a
+    colour: each colour class is a matching."""
+    return set(assignment) == set(g.edges) and not any(
+        assignment[e] == assignment[f]
+        for e, f in combinations(g.edges, 2)
+        if edges_adjacent(e, f)
+    )
+
+
 def brute_conflicts(g: Graph, assignment: dict[Edge, int]) -> list[tuple[Edge, Edge]]:
     """All same-coloured pairs at distance <= 2, by the all-pairs oracle."""
     out = []

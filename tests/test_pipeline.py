@@ -3,14 +3,19 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import complete_graph, edges_within_two, small_graphs
+from conftest import complete_graph, edges_within_two, is_proper_edge_colouring, small_graphs
 from test_exact import RecursiveSearch
 from strongedge.cli import _bench_corpus
-from strongedge.colouring import trivial_lower_bound, verify_strong
+from strongedge.colouring import (
+    InternalInconsistency,
+    PreconditionError,
+    Violation,
+    trivial_lower_bound,
+    verify_strong,
+)
 from strongedge.embedding import EmbeddingError, embed_rotation, planar_embed
 from strongedge.exact import _conflict_lists, _edge_stars, _Search, strong_chromatic_index
 from strongedge.generators import cycle, generate, grid, hex_patch, path, stacked_triangulation, star, subdivide, wheel
-from strongedge.girth6 import InternalInconsistency, PreconditionError
 from strongedge.graph import ACYCLIC, Graph, edge_key
 from strongedge.pipeline import (
     ConflictGraph,
@@ -71,16 +76,15 @@ class TestVizing:
     def test_at_most_delta_plus_one_on_corpus(self):
         for g in PLANAR_CORPUS:
             ec = vizing_edge_colour(g)
-            ec.check()
+            assert is_proper_edge_colouring(g, ec.assignment)
             assert ec.class_count <= g.max_degree() + 1
 
     @settings(max_examples=80, deadline=None)
     @given(small_graphs(max_vertices=10))
     def test_classes_are_matchings(self, g):
         ec = vizing_edge_colour(g)
-        ec.check()
+        assert is_proper_edge_colouring(g, ec.assignment)
         assert ec.class_count <= g.max_degree() + 1
-        assert set(ec.assignment) == set(g.edges)
 
 
 class TestClass1:
@@ -92,7 +96,7 @@ class TestClass1:
         g = hex_patch(2, 2)
         ec = class1_edge_colour(g)
         assert ec is not None and ec.class_count == 3
-        ec.check()
+        assert is_proper_edge_colouring(g, ec.assignment)
 
     def test_odd_cycle_exhausts(self):
         assert class1_edge_colour(cycle(5)) is None
@@ -268,8 +272,9 @@ class TestCompose:
         g = path(4)
         ec = EdgeColouring(g, {(0, 1): 1, (1, 2): 2, (2, 3): 1}, 2)
         bad = [{(0, 1): 1, (2, 3): 1}, {(1, 2): 1}]  # (0,1),(2,3) conflict
-        with pytest.raises(ValueError, match="improper"):
-            compose(ec, bad)
+        assert verify_strong(g, compose(ec, bad), require_total=True) == [
+            Violation("distance2-conflict", ((0, 1), (2, 3)))
+        ]
 
     @pytest.mark.parametrize("hub", [0, 100])
     def test_conflict_through_hub_edge_rejected(self, hub):
@@ -283,8 +288,10 @@ class TestCompose:
         assignment[(2, 50)] = 1
         ec = EdgeColouring(g, assignment, 40)
         per_class = [{e: 1 for e in cls} for cls in ec.classes().values()]
-        with pytest.raises(ValueError, match="class 1 node colouring is improper"):
-            compose(ec, per_class)
+        pair = tuple(sorted([edge_key(hub, 3), (2, 50)]))
+        assert verify_strong(g, compose(ec, per_class), require_total=True) == [
+            Violation("distance2-conflict", pair)
+        ]
         per_class[0][(2, 50)] = 2
         assert verify_strong(g, compose(ec, per_class), require_total=True) == []
 
