@@ -9,6 +9,7 @@ inconsistency (a state the underlying theory forbids), 3 budget exhausted
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -317,8 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: building it costs about a millisecond, and
+    ``parse_args`` keeps no state between calls (each returns a new
+    namespace filled from the defaults)."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (

@@ -10,8 +10,15 @@ Two distinct edges e and f are within distance 2 exactly when both lie in
 the star of one edge xy, the set of edges touching x or y: if e and f share
 an end, take xy = e; if an edge h touches both, take xy = h; conversely two
 edges in one star either share an end or both touch xy.  ``verify_strong``,
-``free_colours`` and the exact solver's conflict lists all ask that
+the free-colour readers and the exact solver's conflict lists all ask that
 question through stars and vertex neighbourhoods.
+
+The free colours around an uncoloured edge are the palette minus the colours
+used near it, and one helper, ``_used_near``, collects that used set.  Two
+readers sit on it: ``free_colours`` returns the free set itself (``assign``
+and callers that want the set), and ``lowest_free_colour`` returns only the
+lowest free colour and the free count, which is all a greedy step needs; it
+never builds the 3*Delta+1 palette.
 """
 
 from __future__ import annotations
@@ -142,15 +149,14 @@ class PartialColouring:
                 del counts[colour]
 
 
-def free_colours(c: PartialColouring, e: Edge, graph: Graph | None = None) -> set[int]:
-    """Palette colours not used within distance 2 of the uncoloured edge
-    ``e`` in ``graph`` (by default the host): those at the vertices of
-    N(u) ∪ N(v), which contains u and v (module docstring).  The vertices'
-    colours count every coloured edge of ``c``, so the answer is exact when
-    every coloured edge is an edge of ``graph``, as on every girth-6 call:
-    the working graph holds every coloured edge.  Raises ``ColouringError``
-    if ``e`` is coloured and ``KeyError`` if it is not an edge of ``graph``.
-    """
+def _used_near(c: PartialColouring, e: Edge, graph: Graph | None) -> set[int]:
+    """Colours used within distance 2 of the uncoloured edge ``e`` in
+    ``graph`` (by default the host): those at the vertices of N(u) ∪ N(v),
+    which contains u and v (module docstring).  The vertices' colours count
+    every coloured edge of ``c``, so the answer is exact when every coloured
+    edge is an edge of ``graph``, as on every girth-6 call: the working
+    graph holds every coloured edge.  Raises ``ColouringError`` if ``e`` is
+    coloured and ``KeyError`` if it is not an edge of ``graph``."""
     g = graph if graph is not None else c.graph
     u, v = e = edge_key(*e)
     if e in c._assignment:
@@ -161,7 +167,32 @@ def free_colours(c: PartialColouring, e: Edge, graph: Graph | None = None) -> se
     used: set[int] = set()
     for w in g.neighbours(u) + g.neighbours(v):
         used.update(at.get(w, ()))
-    return set(c.palette.colours()) - used
+    return used
+
+
+def free_colours(c: PartialColouring, e: Edge, graph: Graph | None = None) -> set[int]:
+    """Palette colours not used within distance 2 of the uncoloured edge
+    ``e`` in ``graph`` (see ``_used_near`` for the rule and the errors)."""
+    return set(c.palette.colours()) - _used_near(c, e, graph)
+
+
+def lowest_free_colour(
+    c: PartialColouring, e: Edge, graph: Graph | None = None
+) -> tuple[int | None, int]:
+    """``(min(free), len(free))`` for ``free = free_colours(c, e, graph)``,
+    with None for the minimum of an empty set, read off the used set
+    without building the palette: the count is the palette size minus the
+    used colours inside the palette, and the lowest free colour is the first
+    colour from 1 up that is not used."""
+    used = _used_near(c, e, graph)
+    size = c.palette.size
+    count = size - sum(1 for x in used if 1 <= x <= size)
+    if not count:
+        return None, 0
+    lowest = 1
+    while lowest in used:
+        lowest += 1
+    return lowest, count
 
 
 def verify_strong(

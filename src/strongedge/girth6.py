@@ -16,10 +16,13 @@ vertex, so runs are reproducible.
 The reduction runs in place on one mutable copy of the input: each step
 removes its plan's edges from the copy, and the extension puts them back,
 last plan first, so every plan is extended against the graph it was built
-on.  Each kind keeps a min-heap of candidate anchors, and after a step only
-vertices near the removed edges are examined again.  A matcher's answer at
-u can change only if an endpoint of a removed edge lies within the distance
-the matcher reads degrees at, measured before the removal:
+on.
+
+Each kind keeps a min-heap of candidate anchors that holds every vertex at
+which the kind matches, so the search pops non-matching vertices off the
+top and stops at the first match, the smallest anchor.  A matcher's answer
+at u can change only if an endpoint of a removed edge lies within the
+distance the matcher reads degrees at, measured before the removal:
 
 - radius 1 for C1, C2, C5, C6: they read the degrees of u's neighbours;
 - radius 2 for C3, C4: they also count the degree-2 neighbours of a
@@ -27,10 +30,33 @@ the matcher reads degrees at, measured before the removal:
 - radius 3 for C7-C9: whether the partner at the far end of a 2-vertex
   spoke is constraining depends on the partner's neighbours, and C8's
   ``extra`` is one of them.
+
+The heaps are topped up lazily.  Each step appends the endpoints of its
+removed edges to one ``touched`` list, and a kind's heap is brought up to
+date only when the search reaches that kind: the vertices within the kind's
+radius r of the endpoints touched since its last visit, measured in the
+*current* graph, are pushed then.  That reaches every vertex u whose answer
+one of those removals may have changed.  Take a path of length at most r
+from an endpoint of that removal to u in the graph just before it, and the
+path's suffix after the last vertex on it touched since the visit.  The
+suffix's edges were there before that removal, and none has been removed
+since, because every edge removed since the visit has both ends touched:
+the suffix is in the current graph, so u lies within r of a touched
+vertex there.  Kinds that the search does not reach (C7-C9 on most inputs)
+never pay for a ball.
+
+A vertex is pushed only if its degree passes its kind's test: 1 for C1, 2
+for C2-C4, at least 4 for C5-C6 and at least 5 for C7-C9 (``_ANCHOR_DEGREE``);
+the initial heaps are filtered the same way.  Degrees only fall in the
+loop, and a vertex's degree changes only when it is an endpoint of a
+removed edge, which puts it in ``touched``, so a vertex left out for its
+degree is looked at again whenever that degree changes.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from json.encoder import encode_basestring_ascii as _quote
@@ -41,7 +67,7 @@ from .colouring import (
     Palette,
     PartialColouring,
     PreconditionError,
-    free_colours,
+    lowest_free_colour,
     verify_strong,
 )
 from .embedding import NonPlanar, planar_embed
@@ -400,19 +426,72 @@ _MATCHERS = {
 #: How far from ``u`` each matcher reads degrees (see the module docstring).
 _RADIUS = {"C1": 1, "C2": 1, "C3": 2, "C4": 2, "C5": 1, "C6": 1, "C7": 3, "C8": 3, "C9": 3}
 
+#: The degrees an anchor of each kind can have, as (least, most); each
+#: matcher returns None outside this range (the degree gate, module docstring).
+_ANCHOR_DEGREE = {
+    "C1": (1, 1),
+    "C2": (2, 2),
+    "C3": (2, 2),
+    "C4": (2, 2),
+    "C5": (4, math.inf),
+    "C6": (4, math.inf),
+    "C7": (5, math.inf),
+    "C8": (5, math.inf),
+    "C9": (5, math.inf),
+}
+
+
+class _Candidates:
+    """Per kind, a min-heap of candidate anchors in a graph that only loses
+    edges, topped up from ``touched`` when the kind is asked for (module
+    docstring)."""
+
+    __slots__ = ("graph", "touched", "_heaps", "_cursor")
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self.touched: list[int] = []
+        # the vertices come in sorted order, so each list is a heap
+        self._heaps = {
+            kind: [v for v in g.vertices if lo <= g.degree(v) <= hi]
+            for kind, (lo, hi) in _ANCHOR_DEGREE.items()
+        }
+        self._cursor = dict.fromkeys(_MATCHERS, 0)
+
+    def heap(self, kind: str) -> list[int]:
+        """``kind``'s heap, after pushing every vertex of the kind's degree
+        within its radius of the vertices touched since the last call."""
+        heap = self._heaps[kind]
+        start, end = self._cursor[kind], len(self.touched)
+        if start == end:
+            return heap
+        self._cursor[kind] = end
+        adj = self.graph._adj
+        ring = set(self.touched[start:])
+        ball = set(ring)
+        for _ in range(_RADIUS[kind]):
+            ring = {y for x in ring for y in adj[x]} - ball
+            ball |= ring
+        lo, hi = _ANCHOR_DEGREE[kind]
+        for x in ball:
+            if lo <= len(adj[x]) <= hi:
+                heappush(heap, x)
+        return heap
+
 
 def find_configuration(
-    g: Graph, candidates: dict[str, list[int]] | None = None
+    g: Graph, candidates: _Candidates | None = None
 ) -> Configuration | None:
     """First configuration present in ``g`` in kind order C1..C9, smallest
     anchor first, or None when no pattern occurs.
 
-    ``candidates`` maps each kind to a min-heap of vertices that must hold
-    every anchor of that kind present in ``g``; vertices that no longer
+    ``candidates``, built on ``g`` by the reduction loop, gives each kind a
+    min-heap that holds every anchor of that kind present in ``g``, asked
+    for only when the search reaches the kind; vertices that no longer
     match are popped from it.  Without it every vertex is a candidate.
     """
     for kind, match_at in _MATCHERS.items():
-        heap = candidates[kind] if candidates is not None else list(g.vertices)
+        heap = candidates.heap(kind) if candidates is not None else list(g.vertices)
         while heap:
             u = heap[0]
             cfg = match_at(g, u)
@@ -534,17 +613,16 @@ def extend(
             )
         c.unassign(e)
     for e, floor in zip(plan.sequence, plan.guarantees):
-        free = free_colours(c, e, plan.graph)
-        if not free:
+        chosen, count = lowest_free_colour(c, e, plan.graph)
+        if chosen is None:
             raise ExtensionInfeasible(
                 f"no free colour for edge {e[0]}-{e[1]} in a {plan.config.kind} step"
             )
-        chosen = min(free)
         c.put(e, chosen)
         if audit is not None:
             audit.append(
                 ExtendStep(
-                    plan.config.kind, e, floor, len(free), chosen,
+                    plan.config.kind, e, floor, count, chosen,
                     anchors=plan.config.anchors,
                 )
             )
@@ -588,7 +666,7 @@ def _reduce_and_extend(
     col = PartialColouring(g, Palette(3 * delta + 1))
     plans: list[ExtensionPlan] = []
     work = _WorkingGraph(g)
-    candidates = {kind: list(work.vertices) for kind in _MATCHERS}
+    candidates = _Candidates(work)
     while work.high_degree:
         cfg = find_configuration(work, candidates)
         if cfg is None:
@@ -599,8 +677,8 @@ def _reduce_and_extend(
         if not plan.removed:
             raise InternalInconsistency(f"{cfg.kind} reduction removed nothing")
         plans.append(plan)
-        _push_near(work, plan.removed, candidates)
         work.remove_edges(plan.removed)
+        candidates.touched.extend(x for e in plan.removed for x in e)
 
     _greedy_residual(work, col, trace)
     for plan in reversed(plans):
@@ -634,35 +712,25 @@ class _WorkingGraph(Graph):
 
     def remove_edges(self, edges) -> None:
         self._girth = self._components = None
+        adj = self._adj
         for u, v in edges:
             self._edges.remove((u, v))
             for a, b in ((u, v), (v, u)):
-                ns = self._adj[a]
+                ns = adj[a]
                 self.high_degree -= len(ns) == 4
-                self._adj[a] = tuple(x for x in ns if x != b)
+                i = ns.index(b)
+                adj[a] = ns[:i] + ns[i + 1:]
 
     def add_edges(self, edges) -> None:
         self._girth = self._components = None
+        adj = self._adj
         for u, v in edges:
             self._edges.add((u, v))
             for a, b in ((u, v), (v, u)):
-                ns = self._adj[a]
+                ns = adj[a]
                 self.high_degree += len(ns) == 3
-                self._adj[a] = tuple(sorted(ns + (b,)))
-
-
-def _push_near(g: Graph, edges, candidates: dict[str, list[int]]) -> None:
-    """Before ``edges`` leave ``g``, push onto each kind's heap every vertex
-    within that kind's radius of their endpoints."""
-    ball = {x for e in edges for x in e}
-    ring = ball
-    for radius in (1, 2, 3):
-        ring = {y for x in ring for y in g.neighbours(x)} - ball
-        ball |= ring
-        for kind, heap in candidates.items():
-            if _RADIUS[kind] == radius:
-                for x in ball:
-                    heappush(heap, x)
+                i = bisect_left(ns, b)
+                adj[a] = ns[:i] + (b,) + ns[i:]
 
 
 def _greedy_residual(
@@ -673,15 +741,14 @@ def _greedy_residual(
     colours, so the lowest free colour always exists."""
     floor = max(col.palette.size - 12, 1)
     for e in residual.edges:
-        free = free_colours(col, e, residual)
-        if not free:
+        chosen, count = lowest_free_colour(col, e, residual)
+        if chosen is None:
             raise ExtensionInfeasible(
                 f"greedy residual step found no colour for {e[0]}-{e[1]}"
             )
-        chosen = min(free)
         col.put(e, chosen)
         if trace is not None:
-            trace.append(ExtendStep("greedy", e, floor, len(free), chosen))
+            trace.append(ExtendStep("greedy", e, floor, count, chosen))
 
 
 def _colour_small_delta(g: Graph) -> PartialColouring:

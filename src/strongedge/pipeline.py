@@ -404,7 +404,11 @@ def colour_pipeline(
 
     per_class = []
     for cls in ec.classes().values():
-        cg = conflict_graph(emb, cls)
+        try:
+            cg = conflict_graph(emb, cls)
+        except ValueError as exc:
+            # the class came from the package's edge colourer, not the input
+            raise InternalInconsistency(f"edge colouring class rejected: {exc}") from exc
         node_col = colour_planar_nodes(cg, budget)
         per_class.append({cg.nodes[j]: c for j, c in node_col.items()})
 

@@ -103,6 +103,22 @@ def test_uncoloured_edge_caught(tmp_path, capsys, monkeypatch, graph):
     _assert_exit_2(["colour", "--pipeline", write_graph(tmp_path, graph)], capsys)
 
 
+def test_edge_colouring_class_not_a_matching_caught(tmp_path, capsys, monkeypatch):
+    """A class that is not a matching is the edge colourer's fault, not the
+    input's: exit 2, not exit 1."""
+    real = pipeline.vizing_edge_colour
+
+    def merged(g):
+        ec = real(g)
+        assignment = {e: 1 if c == 2 else c for e, c in ec.assignment.items()}
+        return EdgeColouring(g, assignment, ec.class_count)
+
+    monkeypatch.setattr(pipeline, "vizing_edge_colour", merged)
+    with pytest.raises(InternalInconsistency, match="edge set is not a matching"):
+        colour_pipeline(wheel(5))
+    _assert_exit_2(["colour", "--pipeline", write_graph(tmp_path, wheel(5))], capsys)
+
+
 def test_corrupted_solver_witness_caught(tmp_path, capsys, monkeypatch):
     real = exact._Search.run
 

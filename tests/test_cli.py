@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import strongedge.cli as cli
 import strongedge.girth6 as girth6
 from strongedge.cli import EXIT_BUDGET, main
 from strongedge.colouring import Violation
@@ -165,6 +166,27 @@ def test_solve_exact(tmp_path, capsys):
     assert main(["solve", p, "--k", "4"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["satisfiable"] is False
+
+
+def test_consecutive_calls_share_no_state(tmp_path, capsys, monkeypatch):
+    """``main`` builds its parser once per process, and options given to one
+    call do not reach the next."""
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    p = write_graph(tmp_path, cycle(5))
+    assert main(["solve", p, "--k", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["satisfiable"] is True
+    assert main(["solve", p]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["chi_s"] == 5 and "k" not in doc
+    q = write_graph(tmp_path, subdivide(wheel(4), 1), "w.edges")
+    assert main(["colour", "--girth6", q, "--trace", str(tmp_path / "t.json")]) == 0
+    capsys.readouterr()
+    assert main(["colour", "--girth6", q]) == 0
+    assert "trace" not in capsys.readouterr().err
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("extra", [[], ["--k", "20"]])

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from strongedge.colouring import (
     colouring_to_json,
     free_colours,
     known_bound,
+    lowest_free_colour,
     trivial_lower_bound,
     verify_strong,
 )
@@ -160,6 +162,42 @@ class TestFreeColours:
                     if e not in coloured:
                         got = free_colours(c, e, graph=graph)
                         assert got == reference_free_colours(c, e, host), (e, host)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(max_vertices=8), st.integers(1, 4), st.randoms(use_true_random=False))
+    def test_lowest_free_colour_matches_reference(self, g, size, rnd):
+        """``(lowest, count)`` is ``(min(free), len(free))`` of the reference
+        free set, with None for an empty one, on colourings that hold
+        off-palette colours (as ``colouring_from_json`` loads them) and
+        palettes small enough to leave no colour free."""
+        c = PartialColouring(g, Palette(size))
+        for e in g.edges:
+            if rnd.random() < 0.6:
+                c._assignment[e] = rnd.randint(-1, size + 2)
+        for e in g.edges:
+            if c.colour_of(e) is None:
+                free = reference_free_colours(c, e, g)
+                expected = (min(free) if free else None, len(free))
+                assert lowest_free_colour(c, e) == expected, e
+
+    def test_lowest_free_colour_on_a_loaded_document(self):
+        g = path(4)
+        cases = [
+            ({"0-1": 0, "2-3": 5}, (1, 2)),  # both off the palette
+            ({"0-1": -1, "2-3": 1}, (2, 1)),
+            ({"0-1": 3, "2-3": 1}, (2, 1)),
+            ({"0-1": 2, "2-3": 1}, (None, 0)),  # nothing free
+        ]
+        for colours, expected in cases:
+            c = colouring_from_json(json.dumps({"palette": 2, "colours": colours}), g)
+            assert lowest_free_colour(c, (1, 2)) == expected, colours
+            free = free_colours(c, (1, 2))
+            assert (min(free) if free else None, len(free)) == expected
+        c = colouring_from_json('{"palette": 2, "colours": {"0-1": 1}}', g)
+        with pytest.raises(ColouringError, match="already coloured"):
+            lowest_free_colour(c, (0, 1))
+        with pytest.raises(KeyError, match="edge 0-2 not in graph"):
+            lowest_free_colour(c, (0, 2))
 
     @settings(max_examples=40, deadline=None)
     @given(small_graphs(max_vertices=7), st.randoms(use_true_random=False))

@@ -1,4 +1,5 @@
 import io
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,8 @@ from strongedge.cli import _bench_corpus
 from strongedge.generators import (
     cycle,
     generate,
+    grid,
+    hex_patch,
     stacked_triangulation,
     star,
     subdivide,
@@ -22,8 +25,9 @@ from strongedge.girth6 import (
     PreconditionError,
     StaleConfiguration,
     _MATCHERS,
+    _Candidates,
+    _WorkingGraph,
     _greedy_residual,
-    _push_near,
     colour_girth6,
     configuration_holds,
     extend,
@@ -75,6 +79,32 @@ def with_leaves(edges, leaves):
         edges += [(v, nxt + i) for i in range(count)]
         nxt += count
     return Graph(range(nxt), edges)
+
+
+def with_random_leaves(g, seed, count, cap):
+    """``g`` plus up to ``count`` pendant leaves at seeded random vertices,
+    none raised above degree ``cap``."""
+    rnd = random.Random(seed)
+    edges, nxt = list(g.edges), max(g.vertices) + 1
+    degree = {v: g.degree(v) for v in g.vertices}
+    for _ in range(count):
+        v = rnd.choice(g.vertices)
+        if degree[v] < cap:
+            edges.append((v, nxt))
+            degree[v] += 1
+            nxt += 1
+    return Graph(range(nxt), edges)
+
+
+#: Seeded planar girth>=6 inputs with Delta >= 4 for the reduction loop.
+LOOP_INPUTS = [
+    *(subdivide(stacked_triangulation(n, seed=s), 1)
+      for n, s in [(10, 1), (20, 2), (30, 6), (40, 3), (60, 4), (80, 5)]),
+    *(subdivide(grid(r, c), 1) for r, c in [(3, 4), (5, 5), (6, 8)]),
+    *(with_random_leaves(hex_patch(4 + s % 3, 5), s, 25, 5) for s in range(6)),
+    *(with_random_leaves(subdivide(grid(4, 5), 1), s, 40, 6) for s in range(6)),
+    *(with_random_leaves(subdivide(wheel(6 + s), 1), s, 20, 7) for s in range(3)),
+]
 
 
 # Hub 0 with 2-vertex spokes; spoke 1 leads to the 4-vertex 6 with one other
@@ -137,13 +167,33 @@ class TestFindConfiguration:
             if cfg is not None:
                 assert configuration_holds(g, cfg)
 
-    def test_push_near_reaches_anchors_a_removal_creates(self):
+    def test_candidates_reach_anchors_a_removal_creates(self):
         for kind, g, u, e in RADIUS_CASES:
             assert _MATCHERS[kind](g, u) is None, kind
-            assert _MATCHERS[kind](g.subgraph_without_edges([e]), u) is not None, kind
-            candidates = {k: [] for k in _MATCHERS}
-            _push_near(g, [e], candidates)
-            assert u in candidates[kind], kind
+            work = _WorkingGraph(g)
+            candidates = _Candidates(work)
+            candidates.heap(kind).clear()  # the kind was searched: no anchor
+            work.remove_edges([e])
+            candidates.touched.extend(e)
+            assert _MATCHERS[kind](work, u) is not None, kind
+            assert u in candidates.heap(kind), kind
+
+    def test_candidates_agree_with_a_full_scan(self):
+        """At every step of the reduction loop, the configuration drawn from
+        the lazily filled, degree-gated heaps is the full scan's."""
+        kinds = set()
+        for g in LOOP_INPUTS:
+            assert g.girth() >= 6 and g.max_degree() >= 4
+            work = _WorkingGraph(g)
+            candidates = _Candidates(work)
+            while work.high_degree:
+                cfg = find_configuration(work, candidates)
+                assert cfg == find_configuration(work)
+                kinds.add(cfg.kind)
+                plan = plan_reduction(work, cfg, palette_delta=g.max_degree())
+                work.remove_edges(plan.removed)
+                candidates.touched.extend(x for e in plan.removed for x in e)
+        assert kinds == {"C1", "C2", "C5", "C6", "C7"}
 
     def test_c5_exact_pendant_counts(self):
         # degree 5 with exactly k-2 = 3 pendant neighbours; the two support
@@ -575,6 +625,15 @@ class TestColourGirth6:
         col = colour_girth6(g)
         assert verify_strong(g, col, require_total=True) == []
         assert col.colours_used() <= 3 * g.max_degree() + 1
+
+    def test_working_graph_edits_in_place(self):
+        g = subdivide(stacked_triangulation(30, seed=2), 1)
+        removed = g.edges[::3]
+        work = _WorkingGraph(g)
+        work.remove_edges(removed)
+        assert work._adj == g.subgraph_without_edges(removed)._adj
+        work.add_edges(reversed(removed))
+        assert work._adj == g._adj and work.edges == g.edges
 
     def test_in_place_loop_matches_rebuild_reference(self):
         graphs = [generate(spec) for _, spec in _bench_corpus(100)]
