@@ -7,8 +7,17 @@ is the package's only colouring search: here the items are edges and the
 conflicts are edges within distance 2, and the pipeline runs it on
 incident edges (class-1 edge colouring) and on conflict-graph neighbours
 (node colouring).  It is iterative, so input size is bounded by time, not
-by recursion depth, and a search node costs O(k + deg), not O(n), so an
-easy instance is solved in about linear time.  Refuting a k is
+by recursion depth, and a search node costs O(deg) plus a scan of at most
+k counters in C, not O(n), so an easy instance is solved in about linear
+time.
+
+Dead ends backjump instead of backtracking chronologically: each one
+returns straight to the deepest earlier choice it depends on, so after the
+fail-first pick has moved on to an unrelated part of the graph, a
+refutation no longer retries every choice made there.  The subtrees it
+skips hold no colouring, so every verdict and the first colouring found
+are exactly those of chronological backtracking; only the node count
+falls (``_Search`` has the rule and the argument).  Refuting a k is still
 exponential in the worst case, so proving optimality stays a desk-scale
 task on dense inputs (tens of edges).
 """
@@ -79,13 +88,14 @@ class _Search:
 
     Fail-first (DSATUR) choice: the next item is the uncoloured one with the
     fewest free colours, the smallest index on ties.  Colours are tried in
-    ascending order up to ``min(k, max_used + 1)``, so a branch introduces
-    at most one colour that no earlier item uses and permuting unused
-    colours never re-runs.  ``count[i][c]`` counts the neighbours of ``i``
-    coloured ``c`` and ``sat[i]`` the distinct colours among them, both kept
-    on assign and unassign; a coloured item's ``sat`` is shifted below
-    zero.  Every used colour is within the cap, so the fewest free colours
-    is the largest ``sat``.
+    ascending order up to ``lim = min(k, max_used + 1)``, so a branch
+    introduces at most one colour that no earlier item uses and permuting
+    unused colours never re-runs.  ``count[i][c]`` counts the neighbours of
+    ``i`` coloured ``c`` and ``sat[i]`` the distinct colours among them,
+    both kept on assign and unassign, so the next free colour above ``c`` is
+    the first zero of ``count[i]`` in ``c+1..lim``, found by ``list.index``.
+    A coloured item's ``sat`` is shifted below zero.  Every used colour is
+    within the cap, so the fewest free colours is the largest ``sat``.
 
     The pick reads saturation buckets: ``buckets[s]`` is a min-heap of item
     indices holding every uncoloured item whose ``sat`` is ``s``, plus stale
@@ -94,11 +104,31 @@ class _Search:
     ``sat`` changes or it is uncoloured again, unless ``queued[s]`` says an
     entry for it is already in that heap, so each heap holds at most one
     entry per item.  ``top`` is raised with every rising ``sat`` and lowered
-    past empty buckets at a pick; backtracking starts at an item whose
-    ``sat`` is ``k``, so ``top`` is ``k`` and needs no raise while it lasts.
-    A pick therefore costs O(1) amortised plus heap operations, and a node
-    O(k + deg) instead of O(n).  The search walks an explicit stack, counts
-    one node per visit and checks ``deadline`` at every node.
+    past empty buckets at a pick; a dead end only starts at an item whose
+    ``sat`` is ``k``, so ``top`` is ``k`` and needs no raise while undoing.
+
+    Dead ends backjump (conflict-directed backjumping, Prosser 1993).  The
+    item coloured at stack level ``l`` records ``level[i] = l``, and each
+    level keeps a nogood: a bitmask of lower levels whose colours, taken
+    together, admit no k-colouring of all items.  When item ``i`` has no
+    free colour left, its nogood is the nogoods passed back to it while its
+    earlier colours failed, plus, for each colour in ``1..lim`` that a
+    neighbour holds, the level of the earliest neighbour holding it.  Every
+    level above the deepest level ``d`` in that nogood is undone, the rest of
+    the nogood is added to level ``d``'s, and ``d`` tries its next colour;
+    an empty nogood refutes ``k``, with every item uncoloured again.  Colours
+    above ``lim`` add no level: the levels below ``i`` use no colour above
+    ``max_used``, so swapping such a colour with ``max_used + 1`` turns any
+    colouring that agrees with them into one that still does and gives ``i``
+    a colour in ``1..lim``.
+
+    The levels skipped by a jump hold subtrees that contain no colouring, so
+    chronological backtracking would revisit them and find nothing.  After
+    the jump the assignment is the one it would reach, and picks and colour
+    order depend on the assignment only: every verdict and the first
+    colouring found are those of chronological backtracking, and ``nodes``
+    (one per visit) is at most its count.  The search walks an explicit
+    stack and checks ``deadline`` at every node.
     """
 
     def __init__(self, conflicts: list[list[int]], k: int, deadline: float | None):
@@ -118,10 +148,12 @@ class _Search:
         k = min(self.k, n, max(map(len, conflicts), default=0) + 1)
         count = [[0] * (k + 1) for _ in conflicts]
         sat = [0] * n
+        level = [0] * n
         buckets: list[list[int]] = [list(range(n))] + [[] for _ in range(k)]
         queued = [bytearray(b"\x01" * n)] + [bytearray(n) for _ in range(k)]
         top = 0
-        stack: list[tuple[int, int, int]] = []  # (item, max_used before it, colour)
+        # (item, max_used before it, colour, nogood passed back to its level)
+        stack: list[tuple[int, int, int, int]] = []
         max_used = 0
         while True:
             self.nodes += 1
@@ -136,35 +168,49 @@ class _Search:
                 top -= 1
             if top < 0:
                 return True
-            i, c, prev = buckets[top][0], 0, max_used
-            while True:  # the next free colour of i above c, else backtrack
-                seen = count[i]
-                c = next((d for d in range(c + 1, min(k, prev + 1) + 1) if not seen[d]), 0)
-                if c:
+            i, c, prev, nogood = buckets[top][0], 0, max_used, 0
+            while True:  # the next free colour of i above c, else backjump
+                try:
+                    c = count[i].index(0, c + 1, min(k, prev + 1) + 1)
                     break
-                if not stack:
-                    return False
-                i, prev, c = stack.pop()
-                colour[i] = 0
-                sat[i] += k + 1
+                except ValueError:  # none in c+1..lim
+                    pass
+                earliest: dict[int, int] = {}
                 for j in conflicts[i]:
-                    count[j][c] -= 1
-                    if not count[j][c]:
-                        sat[j] -= 1
-                        s = sat[j]
-                        if s >= 0 and not queued[s][j]:
-                            queued[s][j] = 1
-                            heappush(buckets[s], j)
-                s = sat[i]  # top is k: only an item with sat k has no colour left
-                if not queued[s][i]:
-                    queued[s][i] = 1
-                    heappush(buckets[s], i)
-            stack.append((i, prev, c))
+                    d = colour[j]
+                    if d and level[j] < earliest.get(d, n):
+                        earliest[d] = level[j]
+                for lv in earliest.values():
+                    nogood |= 1 << lv
+                to = nogood.bit_length() - 1  # the deepest level, -1 if none
+                while len(stack) > max(to, 0):
+                    i, prev, c, kept = stack.pop()
+                    colour[i] = 0
+                    sat[i] += k + 1
+                    for j in conflicts[i]:
+                        row = count[j]
+                        row[c] -= 1
+                        if not row[c]:
+                            sat[j] -= 1
+                            s = sat[j]
+                            if s >= 0 and not queued[s][j]:
+                                queued[s][j] = 1
+                                heappush(buckets[s], j)
+                    s = sat[i]  # top is k: only an item with sat k has no colour left
+                    if not queued[s][i]:
+                        queued[s][i] = 1
+                        heappush(buckets[s], i)
+                if to < 0:
+                    return False
+                nogood = kept | (nogood ^ (1 << to))
+            level[i] = len(stack)
+            stack.append((i, prev, c, nogood))
             max_used = max(prev, c)
             colour[i] = c
             sat[i] -= k + 1
             for j in conflicts[i]:
-                if not count[j][c]:
+                row = count[j]
+                if not row[c]:
                     sat[j] += 1
                     s = sat[j]
                     if s >= 0:
@@ -173,7 +219,7 @@ class _Search:
                         if not queued[s][j]:
                             queued[s][j] = 1
                             heappush(buckets[s], j)
-                count[j][c] += 1
+                row[c] += 1
 
 
 def is_strong_k_colourable(

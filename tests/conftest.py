@@ -13,6 +13,7 @@ from itertools import combinations
 import pytest
 from hypothesis import strategies as st
 
+from strongedge.generators import hex_patch
 from strongedge.graph import ACYCLIC, Edge, Graph, edge_key
 
 
@@ -240,6 +241,16 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
     ]
     return Graph(range(n), edges)
+
+
+def hex_with_leaves(rows: int, cols: int, every: int) -> Graph:
+    """Hex patch with a pendant leaf on every ``every``-th degree-2 vertex:
+    girth 6, Delta 3."""
+    g = hex_patch(rows, cols)
+    nxt = max(g.vertices) + 1
+    twos = [v for v in g.vertices if g.degree(v) == 2][::every]
+    leaves = [(v, nxt + i) for i, v in enumerate(twos)]
+    return Graph(list(g.vertices) + [w for _, w in leaves], list(g.edges) + leaves)
 
 
 @pytest.fixture

@@ -1,10 +1,17 @@
-"""Girth-6 colourings and ``--trace`` bytes are pinned: a change to the
-reduction loop that keeps them byte-identical passes, any other fails.
+"""Girth-6 colourings and ``--trace`` bytes, and the exact solver's answers,
+are pinned: a change that keeps them byte-identical passes, any other fails.
 
-Each digest is the sha256 of ``colouring_to_json`` of the colouring, a line
-break, and the ``write_trace`` document for the run.  The values were
+Each girth-6 digest is the sha256 of ``colouring_to_json`` of the colouring,
+a line break, and the ``write_trace`` document for the run.  The values were
 recorded before the loop's candidate heaps became lazily filled and
 degree-gated, and before the free-colour reads stopped building the palette.
+
+The Delta <= 3 path of ``colour_girth6``, which copies the exact solver's
+witness, is pinned by the sha256 of ``colouring_to_json`` of its colouring,
+and ``strong_chromatic_index`` by that of chi_s, a line break and
+``colouring_to_json`` of the witness; the node count is left out.  These
+values were recorded before the search learnt to backjump, which may visit
+fewer nodes but must find the same first colouring at every k.
 """
 
 import hashlib
@@ -12,8 +19,10 @@ import io
 
 import pytest
 
+from conftest import hex_with_leaves
 from strongedge.cli import _bench_corpus
 from strongedge.colouring import colouring_to_json
+from strongedge.exact import strong_chromatic_index
 from strongedge.generators import generate, grid, stacked_triangulation, subdivide
 from strongedge.girth6 import colour_girth6, write_trace
 
@@ -49,3 +58,48 @@ def test_bench_corpus():
     for name, spec in _bench_corpus(100):
         h.update(output_bytes(name, generate(spec)))
     assert h.hexdigest() == "3d3b26f6b7e225b45240fb4423f021e0f2e03899b7df342aa2df21db35f45f0f"
+
+
+SUBCUBIC = {
+    (8, 8, 2): "95233405a903c306aa20e535e482627fd19376cb62e56db39a77fcdf12883d10",
+    (7, 8, 1): "bc4699ec3aa2735f04f6edac7923cb1e2708afb69504a5fb74e66ac5ab2f2b5a",
+    (4, 10, 1): "054ab4d949df9901e746904c2a67b6a5207fbfd47e8838892e11fbe0d038f163",
+    (8, 10, 2): "05ce568388dfa78aba7417637fa53696341f8b26ce384d57dca5c0557525d5ee",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SUBCUBIC))
+def test_subcubic_girth6(shape):
+    g = hex_with_leaves(*shape)
+    assert g.max_degree() == 3
+    col = colour_girth6(g)
+    digest = hashlib.sha256(colouring_to_json(col).encode()).hexdigest()
+    assert digest == SUBCUBIC[shape]
+
+
+SOLVE = {
+    "hex6x6/2": (
+        lambda: hex_with_leaves(6, 6, 2),
+        "c39a662f007ba7403cf83d5902215d919ed96a8590d3b01bbad0b2a1b76e3411",
+    ),
+    "hex4x10/1": (
+        lambda: hex_with_leaves(4, 10, 1),
+        "32f1087bf809ed7898eed0d1173c7ccdf2040b13601c2e10a4f476144500ece9",
+    ),
+    "grid6x7": (
+        lambda: grid(6, 7),
+        "9da7304e9b4d7e905f86c17be55771c8ae265782304c2e33014bc363a039f9aa",
+    ),
+    "tri10s0": (
+        lambda: stacked_triangulation(10, seed=0),
+        "072ed0e3e9a1bae46db4d40b0fad828016b70e92efd3399012592e3004d47ead",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE))
+def test_strong_chromatic_index(name):
+    build, expected = SOLVE[name]
+    result = strong_chromatic_index(build())
+    text = f"{result.chi_s}\n" + colouring_to_json(result.witness)
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
