@@ -17,7 +17,6 @@ import time
 
 from . import __version__
 from .colouring import (
-    ColouringError,
     InternalInconsistency,
     PreconditionError,
     colouring_doc,
@@ -27,12 +26,12 @@ from .colouring import (
     trivial_lower_bound,
     verify_strong,
 )
-from .discharging import DischargingError, apply_rules, audit, initial_charges
+from .discharging import apply_rules, audit, initial_charges
 from .embedding import NonPlanar, planar_embed
 from .exact import SolverTimeout, is_strong_k_colourable, strong_chromatic_index
 from .generators import GeneratorSpec, generate
 from .girth6 import KIND_SUMMARY, ExtendStep, colour_girth6, write_trace
-from .graph import ACYCLIC, Graph, GraphParseError, parse_graph, to_dot, to_edge_list
+from .graph import ACYCLIC, Graph, parse_graph, to_dot, to_edge_list
 from .pipeline import colour_pipeline
 
 EXIT_OK = 0
@@ -330,14 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (
-        GraphParseError,
-        PreconditionError,
-        ColouringError,
-        DischargingError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         _log(f"error: {exc}")
         return EXIT_PRECONDITION
     except InternalInconsistency as exc:

@@ -27,7 +27,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .graph import ACYCLIC, Edge, Graph, edge_key
+from .graph import Edge, Graph, edge_key
 
 
 @dataclass(frozen=True)
@@ -268,9 +268,7 @@ def known_bound(delta: int, girth: float) -> int:
     given maximum degree and girth (ACYCLIC counts as unbounded girth)."""
     if delta < 3:
         raise ValueError("bound table starts at maximum degree 3")
-    if girth is None or girth == ACYCLIC:
-        girth = ACYCLIC
-    elif girth < 3:
+    if girth < 3:
         raise ValueError("girth must be >= 3 or ACYCLIC")
     if delta >= 7:
         col = "7+"

@@ -7,11 +7,14 @@ colours the reduced graph, and re-inserts the deleted edges in a fixed order
 with the lowest free colour.  Each re-insertion step carries a counting
 floor: a lower bound on how many palette colours must be free when the step
 runs, instantiated with the palette's Delta and the pattern's parameters.
-Floors are audited at runtime; an actual count below the floor means the
-input violated the preconditions or the implementation is wrong.
+The one re-insertion loop, ``_reinsert``, checks every step, the greedy
+steps on the residual included, against its floor: a free count below it
+means the input violated the preconditions or the implementation is wrong,
+and raises ``ExtensionInfeasible``.  Every floor is at least 1, so a step
+with no free colour fails the same check.
 
 Pattern search order is C1..C9 and, within a kind, the smallest anchor
-vertex, so runs are reproducible.
+vertex, so runs are reproducible.  Each kind is one row of ``_KINDS``.
 
 The reduction runs in place on one mutable copy of the input: each step
 removes its plan's edges from the copy, and the extension puts them back,
@@ -45,21 +48,24 @@ the suffix is in the current graph, so u lies within r of a touched
 vertex there.  Kinds that the search does not reach (C7-C9 on most inputs)
 never pay for a ball.
 
-A vertex is pushed only if its degree passes its kind's test: 1 for C1, 2
-for C2-C4, at least 4 for C5-C6 and at least 5 for C7-C9 (``_ANCHOR_DEGREE``);
-the initial heaps are filtered the same way.  Degrees only fall in the
-loop, and a vertex's degree changes only when it is an endpoint of a
-removed edge, which puts it in ``touched``, so a vertex left out for its
-degree is looked at again whenever that degree changes.
+A vertex is pushed only if its degree lies in its kind's anchor range,
+outside which the matcher returns None: 1 for C1, 2 for C2-C4, at least 4
+for C5-C6 and at least 5 for C7-C9.  A heap starts as every vertex of that
+degree.  Degrees only fall in the loop, and a vertex's degree changes only
+when it is an endpoint of a removed edge, which puts it in ``touched``, so
+a vertex left out for its degree is looked at again whenever that degree
+changes.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
+from math import inf
 from json.encoder import encode_basestring_ascii as _quote
+from typing import Callable, NamedTuple
 
 from .colouring import (
     ColouringError,
@@ -71,6 +77,7 @@ from .colouring import (
     verify_strong,
 )
 from .embedding import NonPlanar, planar_embed
+from .exact import strong_chromatic_index
 from .graph import Edge, Graph, edge_key
 
 
@@ -80,25 +87,13 @@ class TheoremViolation(InternalInconsistency):
 
 
 class ExtensionInfeasible(InternalInconsistency):
-    """A re-insertion step found zero free colours."""
+    """A re-insertion step found fewer free colours than its counting floor
+    (every floor is at least 1, so this includes finding none).  The CLI
+    exits 2 on it."""
 
 
 class StaleConfiguration(ValueError):
     """The configuration's pattern no longer holds in the given graph."""
-
-
-#: What each pattern kind looks like, by behaviour.
-KIND_SUMMARY = {
-    "C1": "pendant vertex whose support has degree at most 4",
-    "C2": "degree-2 vertex between two vertices of degree at most 3",
-    "C3": "degree-2 vertex joining a low vertex and a 4-vertex with 2 or 3 degree-2 neighbours",
-    "C4": "degree-2 vertex between two 4-vertices saturated with degree-2 neighbours",
-    "C5": "vertex whose neighbours are almost all pendants",
-    "C6": "vertex all of whose neighbours have degree at most 2",
-    "C7": "high-degree vertex with k-1 low neighbours, one of them constrained",
-    "C8": "high-degree vertex with k-2 degree-2 paths, almost all constrained",
-    "C9": "the C8 pattern with some pendant neighbours",
-}
 
 
 @dataclass(frozen=True)
@@ -111,9 +106,6 @@ class Configuration:
     anchors: dict[str, object]
     k: int | None = None
     alpha: int | None = None
-
-    def anchor(self, name: str):
-        return self.anchors[name]
 
 
 @dataclass(frozen=True)
@@ -409,70 +401,73 @@ def _match_c8_c9(g: Graph, u: int, want_alpha_zero: bool) -> Configuration | Non
     return Configuration(kind, anchors, k=k, alpha=alpha)
 
 
-#: Per-vertex matchers in search order: ``match_at(g, u)`` is the occurrence
-#: anchored at ``u``, or None.
-_MATCHERS = {
-    "C1": _match_c1,
-    "C2": _match_c2,
-    "C3": _match_c3,
-    "C4": _match_c4,
-    "C5": _match_c5,
-    "C6": _match_c6,
-    "C7": _match_c7,
-    "C8": lambda g, u: _match_c8_c9(g, u, want_alpha_zero=True),
-    "C9": lambda g, u: _match_c8_c9(g, u, want_alpha_zero=False),
+class _Kind(NamedTuple):
+    """One configuration kind: ``match(g, u)`` is the occurrence anchored at
+    ``u``, or None; it reads degrees up to ``radius`` from ``u`` and returns
+    None unless ``degrees[0] <= deg(u) <= degrees[1]`` (module docstring)."""
+
+    match: Callable[[Graph, int], Configuration | None]
+    radius: int
+    degrees: tuple[int, float]
+    summary: str
+
+
+#: The nine kinds, in search order.
+_KINDS = {
+    "C1": _Kind(_match_c1, 1, (1, 1), "pendant vertex whose support has degree at most 4"),
+    "C2": _Kind(_match_c2, 1, (2, 2), "degree-2 vertex between two vertices of degree at most 3"),
+    "C3": _Kind(_match_c3, 2, (2, 2), "degree-2 vertex joining a low vertex and a 4-vertex "
+                "with 2 or 3 degree-2 neighbours"),
+    "C4": _Kind(_match_c4, 2, (2, 2), "degree-2 vertex between two 4-vertices saturated "
+                "with degree-2 neighbours"),
+    "C5": _Kind(_match_c5, 1, (4, inf), "vertex whose neighbours are almost all pendants"),
+    "C6": _Kind(_match_c6, 1, (4, inf), "vertex all of whose neighbours have degree at most 2"),
+    "C7": _Kind(_match_c7, 3, (5, inf), "high-degree vertex with k-1 low neighbours, one of "
+                "them constrained"),
+    "C8": _Kind(partial(_match_c8_c9, want_alpha_zero=True), 3, (5, inf),
+                "high-degree vertex with k-2 degree-2 paths, almost all constrained"),
+    "C9": _Kind(partial(_match_c8_c9, want_alpha_zero=False), 3, (5, inf),
+                "the C8 pattern with some pendant neighbours"),
 }
 
-#: How far from ``u`` each matcher reads degrees (see the module docstring).
-_RADIUS = {"C1": 1, "C2": 1, "C3": 2, "C4": 2, "C5": 1, "C6": 1, "C7": 3, "C8": 3, "C9": 3}
-
-#: The degrees an anchor of each kind can have, as (least, most); each
-#: matcher returns None outside this range (the degree gate, module docstring).
-_ANCHOR_DEGREE = {
-    "C1": (1, 1),
-    "C2": (2, 2),
-    "C3": (2, 2),
-    "C4": (2, 2),
-    "C5": (4, math.inf),
-    "C6": (4, math.inf),
-    "C7": (5, math.inf),
-    "C8": (5, math.inf),
-    "C9": (5, math.inf),
-}
+#: What each kind looks like, by behaviour.
+KIND_SUMMARY = {name: kind.summary for name, kind in _KINDS.items()}
 
 
 class _Candidates:
     """Per kind, a min-heap of candidate anchors in a graph that only loses
-    edges, topped up from ``touched`` when the kind is asked for (module
-    docstring)."""
+    edges, built when the kind is first asked for and topped up from
+    ``touched`` at each later ask (module docstring)."""
 
     __slots__ = ("graph", "touched", "_heaps", "_cursor")
 
     def __init__(self, g: Graph):
         self.graph = g
         self.touched: list[int] = []
-        # the vertices come in sorted order, so each list is a heap
-        self._heaps = {
-            kind: [v for v in g.vertices if lo <= g.degree(v) <= hi]
-            for kind, (lo, hi) in _ANCHOR_DEGREE.items()
-        }
-        self._cursor = dict.fromkeys(_MATCHERS, 0)
+        self._heaps: dict[str, list[int]] = {}
+        self._cursor: dict[str, int] = {}
 
-    def heap(self, kind: str) -> list[int]:
-        """``kind``'s heap, after pushing every vertex of the kind's degree
-        within its radius of the vertices touched since the last call."""
-        heap = self._heaps[kind]
-        start, end = self._cursor[kind], len(self.touched)
+    def heap(self, name: str) -> list[int]:
+        """The heap of kind ``name``: on the first call, every vertex of the
+        kind's degree; later, after pushing every vertex of the kind's
+        degree within its radius of the vertices touched since the last
+        call."""
+        _, radius, (lo, hi), _ = _KINDS[name]
+        adj = self.graph._adj
+        start, end = self._cursor.get(name), len(self.touched)
+        self._cursor[name] = end
+        if start is None:
+            # the vertices come in sorted order, so the list is a heap
+            heap = self._heaps[name] = [v for v, ns in adj.items() if lo <= len(ns) <= hi]
+            return heap
+        heap = self._heaps[name]
         if start == end:
             return heap
-        self._cursor[kind] = end
-        adj = self.graph._adj
         ring = set(self.touched[start:])
         ball = set(ring)
-        for _ in range(_RADIUS[kind]):
+        for _ in range(radius):
             ring = {y for x in ring for y in adj[x]} - ball
             ball |= ring
-        lo, hi = _ANCHOR_DEGREE[kind]
         for x in ball:
             if lo <= len(adj[x]) <= hi:
                 heappush(heap, x)
@@ -485,16 +480,18 @@ def find_configuration(
     """First configuration present in ``g`` in kind order C1..C9, smallest
     anchor first, or None when no pattern occurs.
 
-    ``candidates``, built on ``g`` by the reduction loop, gives each kind a
-    min-heap that holds every anchor of that kind present in ``g``, asked
-    for only when the search reaches the kind; vertices that no longer
-    match are popped from it.  Without it every vertex is a candidate.
+    ``candidates`` gives each kind a min-heap that holds every anchor of
+    that kind present in ``g``, asked for only when the search reaches the
+    kind; vertices that no longer match are popped from it.  The reduction
+    loop passes the one it keeps on ``g``; without it a fresh one is built.
     """
-    for kind, match_at in _MATCHERS.items():
-        heap = candidates.heap(kind) if candidates is not None else list(g.vertices)
+    if candidates is None:
+        candidates = _Candidates(g)
+    for name, kind in _KINDS.items():
+        heap = candidates.heap(name)
         while heap:
             u = heap[0]
-            cfg = match_at(g, u)
+            cfg = kind.match(g, u)
             if cfg is not None:
                 return cfg
             while heap and heap[0] == u:
@@ -505,25 +502,25 @@ def find_configuration(
 def configuration_holds(g: Graph, cfg: Configuration) -> bool:
     """Re-check the anchor pattern in the current graph: the kind's matcher
     finds exactly this occurrence at the anchor ``u``."""
-    match_at = _MATCHERS.get(cfg.kind)
+    kind = _KINDS.get(cfg.kind)
     u = cfg.anchors.get("u")
-    return match_at is not None and u in g and match_at(g, u) == cfg
+    return kind is not None and u in g and kind.match(g, u) == cfg
 
 
 # -- reduction plans ----------------------------------------------------------
 
 
-def plan_reduction(g: Graph, cfg: Configuration, palette_delta: int | None = None) -> ExtensionPlan:
+def plan_reduction(g: Graph, cfg: Configuration, palette_delta: int) -> ExtensionPlan:
     """Build the removal set, re-colouring order and per-step free-colour
     floors for a configuration found in ``g``.
 
-    ``palette_delta`` is the Delta the palette 3*Delta+1 was sized with; it
-    defaults to the maximum degree of ``g``.  Floors are instantiated with it
-    and with the configuration's k and alpha.
+    ``palette_delta`` is the Delta the palette 3*Delta+1 was sized with.
+    Floors are instantiated with it and with the configuration's k and
+    alpha.
     """
     if not configuration_holds(g, cfg):
         raise StaleConfiguration(f"{cfg.kind} anchors no longer match the graph")
-    D = palette_delta if palette_delta is not None else g.max_degree()
+    D = palette_delta
     if D < 4 or (cfg.k or 0) > D:
         raise ValueError(
             "re-colouring floors are derived for palettes 3*Delta+1 with "
@@ -604,29 +601,36 @@ def extend(
     audit: list[ExtendStep] | None = None,
 ) -> PartialColouring:
     """Re-insert a plan's edges: drop the to-uncolour edges, then colour the
-    sequence with the lowest free colour, measuring distance in the plan's
-    graph.  Records guaranteed vs actual free counts per step."""
+    sequence under the plan's floors (``_reinsert``), measuring distance in
+    the plan's graph."""
     for e in plan.uncolour:
         if c.colour_of(e) is None:
             raise ColouringError(
                 f"plan expects edge {e[0]}-{e[1]} to be coloured before uncolouring"
             )
         c.unassign(e)
-    for e, floor in zip(plan.sequence, plan.guarantees):
-        chosen, count = lowest_free_colour(c, e, plan.graph)
-        if chosen is None:
+    cfg = plan.config
+    _reinsert(c, plan.graph, plan.sequence, plan.guarantees, cfg.kind, cfg.anchors, audit)
+    return c
+
+
+def _reinsert(
+    c: PartialColouring, graph: Graph, sequence, floors, kind: str, anchors, trace
+) -> None:
+    """Colour each edge of ``sequence`` with its lowest free colour in
+    ``graph``, after checking that the free count is at least the step's
+    floor; a count below it raises ExtensionInfeasible.  Each step is
+    appended to ``trace``, if given, as an ExtendStep of ``kind``."""
+    for e, floor in zip(sequence, floors):
+        chosen, count = lowest_free_colour(c, e, graph)
+        if count < floor:
             raise ExtensionInfeasible(
-                f"no free colour for edge {e[0]}-{e[1]} in a {plan.config.kind} step"
+                f"{kind} step at edge {e[0]}-{e[1]} found {count} free colours, "
+                f"below its floor {floor}"
             )
         c.put(e, chosen)
-        if audit is not None:
-            audit.append(
-                ExtendStep(
-                    plan.config.kind, e, floor, count, chosen,
-                    anchors=plan.config.anchors,
-                )
-            )
-    return c
+        if trace is not None:
+            trace.append(ExtendStep(kind, e, floor, count, chosen, anchors=anchors))
 
 
 # -- the end-to-end algorithm ---------------------------------------------
@@ -737,25 +741,17 @@ def _greedy_residual(
     residual: Graph, col: PartialColouring, trace: list[ExtendStep] | None
 ) -> None:
     """Colour a residual graph of max degree <= 3 greedily.  Every edge there
-    has at most 12 conflicting edges, and the palette holds at least 13
-    colours, so the lowest free colour always exists."""
+    has at most 12 conflicting edges, so each step's floor is the palette
+    size less 12, which is at least 1: the palette holds at least 13
+    colours."""
+    edges = residual.edges
     floor = max(col.palette.size - 12, 1)
-    for e in residual.edges:
-        chosen, count = lowest_free_colour(col, e, residual)
-        if chosen is None:
-            raise ExtensionInfeasible(
-                f"greedy residual step found no colour for {e[0]}-{e[1]}"
-            )
-        col.put(e, chosen)
-        if trace is not None:
-            trace.append(ExtendStep("greedy", e, floor, count, chosen))
+    _reinsert(col, residual, edges, [floor] * len(edges), "greedy", None, trace)
 
 
 def _colour_small_delta(g: Graph) -> PartialColouring:
     """The solver's witness, which it has checked, copied onto the
     min(3*Delta+1, 10) palette."""
-    from .exact import strong_chromatic_index
-
     delta = g.max_degree()
     cap = min(3 * delta + 1, 10)
     result = strong_chromatic_index(g)

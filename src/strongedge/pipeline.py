@@ -31,8 +31,9 @@ from .colouring import (
     verify_strong,
 )
 from .embedding import Embedding, EmbeddingError, NonPlanar, embed_rotation, planar_embed
-from .exact import SolverTimeout, _edge_stars, _Search
-from .graph import ACYCLIC, Edge, Graph, edge_key
+from . import exact
+from .exact import SolverTimeout, _edge_stars
+from .graph import Edge, Graph, edge_key
 
 
 @dataclass(frozen=True)
@@ -179,9 +180,11 @@ def _search_colours(
     conflicts: list[list[int]], k: int, budget: float | None
 ) -> list[int] | None:
     """The search kernel's colours 1..k per item, or None when no colouring
-    exists or the budget runs out first."""
+    exists or the budget runs out first.  The kernel is looked up in
+    ``exact`` at each call, so a class put in its place there (perfbench's
+    tracer counts search nodes that way) runs here too."""
     deadline = time.monotonic() + budget if budget is not None else None
-    search = _Search(conflicts, k, deadline)
+    search = exact._Search(conflicts, k, deadline)
     try:
         return search.colour if search.run() else None
     except SolverTimeout:
@@ -190,9 +193,7 @@ def _search_colours(
 
 def corollary1_applies(delta: int, girth: float) -> bool:
     """Regimes in which a Delta-class proper edge colouring is guaranteed to
-    exist for planar graphs."""
-    if girth is None:
-        girth = ACYCLIC
+    exist for planar graphs (ACYCLIC counts as unbounded girth)."""
     return delta >= 7 or (delta >= 5 and girth >= 4) or girth >= 5
 
 

@@ -3,6 +3,7 @@ the function that builds it, and a failed check ends in
 ``InternalInconsistency`` (exit 2 from the CLI) rather than a traceback."""
 
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -181,3 +182,29 @@ def test_working_graph_drops_kept_facts():
     assert work.components() == [tuple(range(6))] and work.girth() == 6
     assert g.components() == [tuple(range(6))]
 
+
+def test_plan_step_below_its_floor_caught(tmp_path, capsys, monkeypatch):
+    """Every plan floor raised by 1,000: the first plan step fails its
+    floor check, after the greedy steps pass theirs."""
+    real = girth6.plan_reduction
+
+    def raised(*args, **kwargs):
+        plan = real(*args, **kwargs)
+        return replace(plan, guarantees=tuple(f + 1000 for f in plan.guarantees))
+
+    monkeypatch.setattr(girth6, "plan_reduction", raised)
+    g = subdivide(wheel(8), 1)
+    with pytest.raises(girth6.ExtensionInfeasible, match=r"C\d step .* below its floor"):
+        girth6.colour_girth6(g)
+    _assert_exit_2(["colour", "--girth6", write_graph(tmp_path, g)], capsys)
+
+
+def test_residual_step_below_its_floor_caught(tmp_path, capsys, monkeypatch):
+    """Free counts reported as 0: the first greedy step on the residual
+    (11 of the 16 edges here) fails its floor check."""
+    real = girth6.lowest_free_colour
+    monkeypatch.setattr(girth6, "lowest_free_colour", lambda *a: (real(*a)[0], 0))
+    g = subdivide(wheel(4), 1)
+    with pytest.raises(girth6.ExtensionInfeasible, match="greedy step .* below its floor"):
+        girth6.colour_girth6(g)
+    _assert_exit_2(["colour", "--girth6", write_graph(tmp_path, g)], capsys)

@@ -1,11 +1,18 @@
 import io
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from strongedge.colouring import Palette, PartialColouring, free_colours, verify_strong
+from strongedge.colouring import (
+    Palette,
+    PartialColouring,
+    free_colours,
+    lowest_free_colour,
+    verify_strong,
+)
 from strongedge.exact import is_strong_k_colourable
 from strongedge.cli import _bench_corpus
 from strongedge.generators import (
@@ -21,10 +28,11 @@ from strongedge.generators import (
 from strongedge.girth6 import (
     Configuration,
     ExtendStep,
+    ExtensionInfeasible,
     ExtensionPlan,
     PreconditionError,
     StaleConfiguration,
-    _MATCHERS,
+    _KINDS,
     _Candidates,
     _WorkingGraph,
     _greedy_residual,
@@ -36,7 +44,8 @@ from strongedge.girth6 import (
     write_trace,
 )
 from strongedge.graph import Graph, edge_key
-from conftest import complete_graph, reference_trace_json
+from conftest import complete_graph, reference_trace_json, small_graphs
+from test_discharging import planar_with_hubs
 
 
 def colour_within(g, palette_size):
@@ -50,19 +59,26 @@ def colour_within(g, palette_size):
 
 
 def first_match(g, kind):
-    """The occurrence of one kind with the smallest anchor in g, or None."""
-    return next(filter(None, (_MATCHERS[kind](g, u) for u in g.vertices)), None)
+    """The occurrence of one kind with the smallest anchor in g, or None:
+    the kind's matcher at every vertex, with no degree gate."""
+    return next(filter(None, (_KINDS[kind].match(g, u) for u in g.vertices)), None)
+
+
+def full_scan(g):
+    """The configuration find_configuration must return: the first kind in
+    search order with an occurrence, at its smallest anchor (first_match)."""
+    return next(filter(None, (first_match(g, kind) for kind in _KINDS)), None)
 
 
 def rebuild_reference(g):
-    """The reduction loop with a new graph per step: a full
-    find_configuration scan, subgraph_without_edges, the greedy residual,
-    then extension in reverse, each plan against its own graph."""
+    """The reduction loop with a new graph per step: a full scan,
+    subgraph_without_edges, the greedy residual, then extension in reverse,
+    each plan against its own graph."""
     delta = g.max_degree()
     col = PartialColouring(g, Palette(3 * delta + 1))
     trace, plans, current = [], [], g
     while current.max_degree() >= 4:
-        plan = plan_reduction(current, find_configuration(current), palette_delta=delta)
+        plan = plan_reduction(current, full_scan(current), palette_delta=delta)
         plans.append(plan)
         current = current.subgraph_without_edges(plan.removed)
     _greedy_residual(current, col, trace)
@@ -169,13 +185,13 @@ class TestFindConfiguration:
 
     def test_candidates_reach_anchors_a_removal_creates(self):
         for kind, g, u, e in RADIUS_CASES:
-            assert _MATCHERS[kind](g, u) is None, kind
+            assert _KINDS[kind].match(g, u) is None, kind
             work = _WorkingGraph(g)
             candidates = _Candidates(work)
             candidates.heap(kind).clear()  # the kind was searched: no anchor
             work.remove_edges([e])
             candidates.touched.extend(e)
-            assert _MATCHERS[kind](work, u) is not None, kind
+            assert _KINDS[kind].match(work, u) is not None, kind
             assert u in candidates.heap(kind), kind
 
     def test_candidates_agree_with_a_full_scan(self):
@@ -188,12 +204,32 @@ class TestFindConfiguration:
             candidates = _Candidates(work)
             while work.high_degree:
                 cfg = find_configuration(work, candidates)
-                assert cfg == find_configuration(work)
+                assert cfg == full_scan(work)
                 kinds.add(cfg.kind)
                 plan = plan_reduction(work, cfg, palette_delta=g.max_degree())
                 work.remove_edges(plan.removed)
                 candidates.touched.extend(x for e in plan.removed for x in e)
         assert kinds == {"C1", "C2", "C5", "C6", "C7"}
+
+    def test_fresh_search_agrees_with_a_full_scan(self):
+        """Without the loop's heaps, find_configuration builds fresh ones;
+        its answer is the full scan's on the inputs of the 100-instance
+        corpus and of the audit-large benchmark pool."""
+        graphs = [generate(spec) for _, spec in _bench_corpus(100)]
+        graphs += [
+            subdivide(stacked_triangulation(n, seed=s), 1)
+            for n, seeds in ((200, (0, 1, 2, 3, 5, 6)), (400, (0, 7, 8)))
+            for s in seeds
+        ]
+        for g in graphs:
+            assert find_configuration(g) == full_scan(g)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(small_graphs(max_vertices=12) | planar_with_hubs())
+    def test_fresh_search_agrees_with_a_full_scan_anywhere(self, g):
+        """The same on graphs of any girth and maximum degree, as the
+        discharge audit searches out-of-scope inputs too."""
+        assert find_configuration(g) == full_scan(g)
 
     def test_c5_exact_pendant_counts(self):
         # degree 5 with exactly k-2 = 3 pendant neighbours; the two support
@@ -558,7 +594,51 @@ class TestExtendBasics:
         cfg = find_configuration(g)
         assert cfg.kind == "C2"
         with pytest.raises(ValueError):
-            plan_reduction(g, cfg)  # delta of C6 is 2: floors undefined
+            plan_reduction(g, cfg, palette_delta=g.max_degree())  # 2: floors undefined
+
+
+class TestCountingFloors:
+    """Each re-insertion step compares its free count with its floor, and a
+    count below the floor raises ExtensionInfeasible."""
+
+    def test_plan_step_below_its_floor_raises(self):
+        g = c4_instance()
+        delta = g.max_degree()
+        plan = plan_reduction(g, first_match(g, "C4"), palette_delta=delta)
+
+        def reduced():
+            col = colour_within(g.subgraph_without_edges(plan.removed), 3 * delta + 1)
+            col.graph = g
+            return col
+
+        audit = []
+        extend(reduced(), plan, audit=audit)
+        actual = tuple(s.actual for s in audit)
+        # a floor equal to the count observed holds
+        extend(reduced(), replace(plan, guarantees=actual))
+        for i, e in enumerate(plan.sequence):
+            floors = actual[:i] + (actual[i] + 1,) + actual[i + 1:]
+            with pytest.raises(ExtensionInfeasible, match=f"C4 step at edge {e[0]}-{e[1]}"):
+                extend(reduced(), replace(plan, guarantees=floors))
+
+    @pytest.mark.parametrize("used, raises", [(12, False), (13, True)])
+    def test_residual_step_below_its_floor_raises(self, used, raises):
+        # the palette of Delta 5 sets the greedy floor at 16 - 12 = 4; the
+        # host colours ``used`` other edges at vertex 0, all near edge 0-1
+        host = star(used + 1)
+        col = PartialColouring(host, Palette(16))
+        for c, leaf in enumerate(range(2, used + 2), start=1):
+            col.put((0, leaf), c)
+        residual = Graph(host.vertices, [(0, 1)])
+        assert lowest_free_colour(col, (0, 1), residual) == (used + 1, 16 - used)
+        trace = []
+        if raises:
+            with pytest.raises(ExtensionInfeasible, match="greedy step .* below its floor 4"):
+                _greedy_residual(residual, col, trace)
+            assert trace == []
+        else:
+            _greedy_residual(residual, col, trace)
+            assert [(s.guaranteed, s.actual) for s in trace] == [(4, 4)]
 
 
 class TestColourGirth6:
