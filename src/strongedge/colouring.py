@@ -208,31 +208,40 @@ def verify_strong(
     holds none, and only stars with a repeated colour list their pairs.
     Violations come in the order off-palette, uncoloured, conflicts, each
     sorted by edge.  An assigned edge missing from ``g`` raises ``KeyError``.
+
+    It reads ``c._assignment`` as is (its writers store normal-form keys).
+    A star's colours are pairwise distinct iff those at x are, those at y
+    are, and x and y share no colour but that of xy, if xy is coloured.
     """
     out: list[Violation] = []
-    assignment = {edge_key(*e): col for e, col in c.assignment.items()}
-    for e, col in sorted(assignment.items()):
-        if col not in c.palette:
+    assignment, size, adj = c._assignment, c.palette.size, g._adj
+    at: dict[int, list[Edge]] = {v: [] for v in adj}  # vertex -> its coloured edges
+    colours_at: dict[int, set[int]] = {v: set() for v in adj}
+    for e in sorted(assignment):
+        x, y = e
+        if y not in adj.get(x, ()):
+            raise KeyError(f"edge {x}-{y} not in graph")
+        col = assignment[e]
+        if not 1 <= col <= size:
             out.append(Violation("off-palette", (e,)))
+        at[x].append(e)
+        at[y].append(e)
+        colours_at[x].add(col)
+        colours_at[y].add(col)
     if require_total:
         for e in g.edges:
             if e not in assignment:
                 out.append(Violation("uncoloured", (e,)))
-    at: dict[int, list[Edge]] = {}  # vertex -> its coloured edges
-    for e in sorted(assignment):
-        if not g.has_edge(*e):
-            raise KeyError(f"edge {e[0]}-{e[1]} not in graph")
-        for v in e:
-            at.setdefault(v, []).append(e)
-    colours_at = {v: {assignment[f] for f in es} for v, es in at.items()}
     pairs: set[tuple[Edge, Edge]] = set()
-    for x, y in g.edges:
-        ex, ey = at.get(x, []), at.get(y, [])
-        size = len(ex) + len(ey) - ((x, y) in assignment)  # coloured edges in the star
-        if len(colours_at.get(x, set()) | colours_at.get(y, set())) == size:
-            continue  # the star's colours are pairwise distinct
+    for e in g.edges:
+        x, y = e
+        ex, ey, cx, cy = at[x], at[y], colours_at[x], colours_at[y]
+        if len(cx) == len(ex) and len(cy) == len(ey):
+            col = assignment.get(e)
+            if cx.isdisjoint(cy) if col is None else len(cx & cy) == 1:
+                continue  # the star's colours are pairwise distinct
         by_colour: dict[int, list[Edge]] = {}
-        for f in ex + [f for f in ey if f != (x, y)]:
+        for f in ex + [f for f in ey if f != e]:
             by_colour.setdefault(assignment[f], []).append(f)
         for group in by_colour.values():
             pairs.update(itertools.combinations(sorted(group), 2))
@@ -300,27 +309,45 @@ def colouring_to_json(c: PartialColouring) -> str:
     return json.dumps(colouring_doc(c), indent=2, sort_keys=True)
 
 
+def _no_repeats(pairs: list) -> dict:
+    """``object_pairs_hook`` that refuses a key repeated in one JSON object."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        raise ValueError("a JSON object repeats a key")
+    return doc
+
+
 def colouring_from_json(text: str, graph: Graph) -> PartialColouring:
+    """Load a colouring document.  The palette and every colour must be JSON
+    integers (not booleans), and each edge may be named once, in either
+    order; anything else raises ``ColouringError``.  Off-palette integers
+    load, and ``verify_strong`` reports them."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_no_repeats)
         if not isinstance(doc, dict):
             raise TypeError("the document is not a JSON object")
-        size = int(doc["palette"])
+        size = doc["palette"]
+        if type(size) is not int:
+            raise TypeError(f"'palette' is not an integer: {size!r}")
         raw = doc["colours"]
         if not isinstance(raw, dict):
             raise TypeError("'colours' is not a JSON object")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ColouringError(f"bad colouring document: {exc}") from exc
     c = PartialColouring(graph, Palette(size))
+    adj, assignment = graph._adj, c._assignment
     for key, col in raw.items():
         try:
-            u, v = (int(x) for x in key.split("-"))
-            col = int(col)
-        except (TypeError, ValueError):
+            a, b = key.split("-")
+            u, v = int(a), int(b)
+            if type(col) is not int:
+                raise ValueError
+        except ValueError:
             raise ColouringError(f"bad colouring entry {key!r}: {col!r}") from None
-        e = edge_key(u, v)
-        if not graph.has_edge(*e):
+        if v not in adj.get(u, ()):
             raise ColouringError(f"colouring names edge {key} missing from graph")
-        # off-palette values load fine; verify_strong reports them
-        c._assignment[e] = col
+        e = (u, v) if u < v else (v, u)
+        if e in assignment:
+            raise ColouringError(f"colouring names edge {e[0]}-{e[1]} twice")
+        assignment[e] = col
     return c

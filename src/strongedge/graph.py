@@ -3,11 +3,16 @@ edge neighbourhoods.
 
 Vertices are nonnegative integers.  An edge is always the ordered pair
 ``(min(u, v), max(u, v))``; every map in the package keys on that normal form.
+
+``Graph`` checks and normalises each edge once, dedupes through one set, and
+appends over the sorted edges: x's neighbours below x arrive (ascending) from
+the edges before those that start at x, so every neighbour list is sorted.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterable
 
 Edge = tuple[int, int]
@@ -34,32 +39,33 @@ def edge_key(u: int, v: int) -> Edge:
 class Graph:
     """Immutable simple graph with sorted adjacency lists.
 
-    Self-loops and parallel edges are rejected at construction; adjacency is
-    symmetric by construction and the degree sum always equals twice the edge
-    count.
+    Self-loops and negative vertex ids are rejected at construction, and
+    parallel edges collapse to one; adjacency is symmetric by construction
+    and the degree sum always equals twice the edge count.
     """
 
     __slots__ = ("_adj", "_edges", "_girth", "_components")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[Edge] = ()):
-        adj: dict[int, set[int]] = {int(v): set() for v in vertices}
-        edge_set: set[Edge] = set()
+        verts = {int(v) for v in vertices}
+        if verts and min(verts) < 0:
+            raise GraphParseError(f"negative vertex id {min(verts)}")
+        keys: set[Edge] = set()
         for u, v in edges:
             u, v = int(u), int(v)
             if u == v:
                 raise GraphParseError(f"loop edge at vertex {u}")
             if u < 0 or v < 0:
                 raise GraphParseError(f"negative vertex id in edge {u}-{v}")
-            e = edge_key(u, v)
-            if e in edge_set:
-                continue
-            edge_set.add(e)
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        self._adj: dict[int, tuple[int, ...]] = {
-            v: tuple(sorted(ns)) for v, ns in sorted(adj.items())
-        }
-        self._edges: tuple[Edge, ...] = tuple(sorted(edge_set))
+            keys.add((u, v) if u < v else (v, u))
+        ordered = sorted(keys)
+        verts.update(chain.from_iterable(ordered))
+        adj: dict[int, list[int]] = {v: [] for v in sorted(verts)}
+        for u, v in ordered:  # each list fills in sorted order (module docstring)
+            adj[u].append(v)
+            adj[v].append(u)
+        self._adj: dict[int, tuple[int, ...]] = {v: tuple(ns) for v, ns in adj.items()}
+        self._edges: tuple[Edge, ...] = tuple(ordered)
         self._girth: float | None = None
         self._components: tuple[tuple[int, ...], ...] | None = None
 
@@ -242,31 +248,31 @@ def parse_graph(text: str) -> Graph:
     vertex.  Duplicate edges (in either order) collapse to one."""
     vertices: list[int] = []
     edges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         parts = line.split()
-        if len(parts) == 1:
+        if len(parts) == 2:
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphParseError(
+                    f"non-integer endpoint in {line.strip()!r}", lineno
+                ) from None
+            if u == v:
+                raise GraphParseError(f"loop edge at vertex {u}", lineno)
+            if u < 0 or v < 0:
+                raise GraphParseError("negative vertex id", lineno)
+            edges.append((u, v))
+        elif len(parts) == 1:
             try:
                 vertices.append(int(parts[0]))
             except ValueError:
                 raise GraphParseError(f"not an integer: {parts[0]!r}", lineno) from None
             if vertices[-1] < 0:
                 raise GraphParseError("negative vertex id", lineno)
-            continue
-        if len(parts) != 2:
-            raise GraphParseError(f"expected 'u v', got {line!r}", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphParseError(f"non-integer endpoint in {line!r}", lineno) from None
-        if u == v:
-            raise GraphParseError(f"loop edge at vertex {u}", lineno)
-        if u < 0 or v < 0:
-            raise GraphParseError("negative vertex id", lineno)
-        vertices.extend((u, v))
-        edges.append(edge_key(u, v))
+        elif parts:
+            raise GraphParseError(f"expected 'u v', got {line.strip()!r}", lineno)
     return Graph(vertices, edges)
 
 

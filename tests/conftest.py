@@ -13,8 +13,14 @@ from itertools import combinations
 import pytest
 from hypothesis import strategies as st
 
+from strongedge.colouring import (
+    ColouringError,
+    Palette,
+    PartialColouring,
+    Violation,
+)
 from strongedge.generators import hex_patch
-from strongedge.graph import ACYCLIC, Edge, Graph, edge_key
+from strongedge.graph import ACYCLIC, Edge, Graph, GraphParseError, edge_key
 
 
 # -- oracles -------------------------------------------------------------------
@@ -227,6 +233,133 @@ def reference_discharge(emb) -> dict:
         "initial": (init_vertex, init_face),
         "final": (vertex, face),
     }
+
+
+# -- the ingest-and-check path as first written ---------------------------------
+#
+# ``Graph.__init__``, ``parse_graph``, ``colouring_from_json`` and
+# ``verify_strong`` as they were before their one-pass rewrite, kept so that
+# tests can require the same graphs, violations and errors from the rewrite.
+# The loader here still truncates non-integer colours and lets a repeated
+# edge overwrite an earlier entry, and the constructor accepts a negative
+# isolated vertex: the rewrite rejects those inputs on purpose.
+
+
+def reference_graph(vertices=(), edges=()) -> Graph:
+    """``Graph(vertices, edges)`` built the old way: per-vertex neighbour
+    sets, then ``sorted`` over every set and over the vertices."""
+    adj: dict[int, set[int]] = {int(v): set() for v in vertices}
+    edge_set: set[Edge] = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise GraphParseError(f"loop edge at vertex {u}")
+        if u < 0 or v < 0:
+            raise GraphParseError(f"negative vertex id in edge {u}-{v}")
+        e = edge_key(u, v)
+        if e in edge_set:
+            continue
+        edge_set.add(e)
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    g = Graph.__new__(Graph)
+    g._adj = {v: tuple(sorted(ns)) for v, ns in sorted(adj.items())}
+    g._edges = tuple(sorted(edge_set))
+    g._girth = g._components = None
+    return g
+
+
+def reference_parse_graph(text: str) -> Graph:
+    vertices: list[int] = []
+    edges: list[Edge] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) == 1:
+            try:
+                vertices.append(int(parts[0]))
+            except ValueError:
+                raise GraphParseError(f"not an integer: {parts[0]!r}", lineno) from None
+            if vertices[-1] < 0:
+                raise GraphParseError("negative vertex id", lineno)
+            continue
+        if len(parts) != 2:
+            raise GraphParseError(f"expected 'u v', got {line!r}", lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphParseError(f"non-integer endpoint in {line!r}", lineno) from None
+        if u == v:
+            raise GraphParseError(f"loop edge at vertex {u}", lineno)
+        if u < 0 or v < 0:
+            raise GraphParseError("negative vertex id", lineno)
+        vertices.extend((u, v))
+        edges.append(edge_key(u, v))
+    return reference_graph(vertices, edges)
+
+
+def reference_colouring_from_json(text: str, graph: Graph) -> PartialColouring:
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise TypeError("the document is not a JSON object")
+        size = int(doc["palette"])
+        raw = doc["colours"]
+        if not isinstance(raw, dict):
+            raise TypeError("'colours' is not a JSON object")
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise ColouringError(f"bad colouring document: {exc}") from exc
+    c = PartialColouring(graph, Palette(size))
+    for key, col in raw.items():
+        try:
+            u, v = (int(x) for x in key.split("-"))
+            col = int(col)
+        except (TypeError, ValueError):
+            raise ColouringError(f"bad colouring entry {key!r}: {col!r}") from None
+        e = edge_key(u, v)
+        if not graph.has_edge(*e):
+            raise ColouringError(f"colouring names edge {key} missing from graph")
+        c._assignment[e] = col
+    return c
+
+
+def reference_star_verify(
+    g: Graph, c: PartialColouring, require_total: bool = False
+) -> list[Violation]:
+    """The star pass over a normalised copy of the assignment."""
+    out: list[Violation] = []
+    assignment = {edge_key(*e): col for e, col in c.assignment.items()}
+    for e, col in sorted(assignment.items()):
+        if col not in c.palette:
+            out.append(Violation("off-palette", (e,)))
+    if require_total:
+        for e in g.edges:
+            if e not in assignment:
+                out.append(Violation("uncoloured", (e,)))
+    at: dict[int, list[Edge]] = {}
+    for e in sorted(assignment):
+        if not g.has_edge(*e):
+            raise KeyError(f"edge {e[0]}-{e[1]} not in graph")
+        for v in e:
+            at.setdefault(v, []).append(e)
+    colours_at = {v: {assignment[f] for f in es} for v, es in at.items()}
+    pairs: set[tuple[Edge, Edge]] = set()
+    for x, y in g.edges:
+        ex, ey = at.get(x, []), at.get(y, [])
+        size = len(ex) + len(ey) - ((x, y) in assignment)
+        if len(colours_at.get(x, set()) | colours_at.get(y, set())) == size:
+            continue
+        by_colour: dict[int, list[Edge]] = {}
+        for f in ex + [f for f in ey if f != (x, y)]:
+            by_colour.setdefault(assignment[f], []).append(f)
+        for group in by_colour.values():
+            pairs.update(combinations(sorted(group), 2))
+    for e, f in sorted(pairs):
+        kind = "adjacent-conflict" if set(e) & set(f) else "distance2-conflict"
+        out.append(Violation(kind, (e, f)))
+    return out
 
 
 # -- instance builders ----------------------------------------------------------
