@@ -362,6 +362,112 @@ def reference_star_verify(
     return out
 
 
+# -- Vizing's edge colouring as first written -------------------------------------
+#
+# ``pipeline.vizing_edge_colour`` as it was while its state kept a set of used
+# colours per vertex and listed the free ones (1..Delta+1) on every read, kept
+# so that tests can require the same assignment from the bitmask state.
+
+
+class _ReferenceEdgeColourState:
+    def __init__(self, g: Graph, k: int):
+        self.g = g
+        self.k = k
+        self.colour: dict[Edge, int] = {}
+        self.used: dict[int, set[int]] = {v: set() for v in g.vertices}
+
+    def set(self, e: Edge, c: int | None) -> None:
+        e = edge_key(*e)
+        old = self.colour.pop(e, None)
+        if old is not None:
+            self.used[e[0]].discard(old)
+            self.used[e[1]].discard(old)
+        if c is not None:
+            self.colour[e] = c
+            self.used[e[0]].add(c)
+            self.used[e[1]].add(c)
+
+    def free(self, v: int) -> list[int]:
+        return [c for c in range(1, self.k + 1) if c not in self.used[v]]
+
+    def invert_path(self, start: int, c: int, d: int) -> None:
+        path: list[Edge] = []
+        x, want = start, d
+        while True:
+            e = next(
+                (
+                    edge_key(x, y)
+                    for y in self.g.neighbours(x)
+                    if self.colour.get(edge_key(x, y)) == want
+                ),
+                None,
+            )
+            if e is None or e in path:
+                break
+            path.append(e)
+            x = e[0] if e[1] == x else e[1]
+            want = c if want == d else d
+        new = [c if self.colour[e] == d else d for e in path]
+        for e in path:
+            self.set(e, None)
+        for e, nc in zip(path, new):
+            self.set(e, nc)
+
+
+def reference_vizing_edge_colour(g: Graph) -> dict[Edge, int]:
+    """The assignment of the list-reading Vizing colourer."""
+    if g.num_edges() == 0:
+        return {}
+    st = _ReferenceEdgeColourState(g, g.max_degree() + 1)
+    for u, v in g.edges:
+        common = set(st.free(u)) & set(st.free(v))
+        if common:
+            st.set((u, v), min(common))
+            continue
+        _reference_fan_colour(st, u, v)
+    return dict(st.colour)
+
+
+def _reference_fan_colour(st: _ReferenceEdgeColourState, u: int, v: int) -> None:
+    g = st.g
+    fan = [v]
+    in_fan = {v}
+    while True:
+        last_free = set(st.free(fan[-1]))
+        nxt = next(
+            (
+                w
+                for w in g.neighbours(u)
+                if w not in in_fan
+                and st.colour.get(edge_key(u, w)) in last_free
+            ),
+            None,
+        )
+        if nxt is None:
+            break
+        fan.append(nxt)
+        in_fan.add(nxt)
+    c = min(st.free(u))
+    d = min(st.free(fan[-1]))
+    if c != d:
+        st.invert_path(u, c, d)
+    for j, w in enumerate(fan):
+        if j > 0:
+            prev = fan[j - 1]
+            if st.colour.get(edge_key(u, w)) not in st.free(prev):
+                break
+        if d in st.free(w):
+            shifted = [st.colour[edge_key(u, fan[i + 1])] for i in range(j)]
+            for i in range(j):
+                st.set(edge_key(u, fan[i]), None)
+            st.set(edge_key(u, w), None)
+            for i in range(j):
+                st.set(edge_key(u, fan[i]), shifted[i])
+            st.set(edge_key(u, w), d)
+            return
+    raise AssertionError("fan recolouring found no rotation point")
+
+
 # -- instance builders ----------------------------------------------------------
 
 

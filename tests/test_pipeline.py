@@ -1,16 +1,26 @@
+import hashlib
+import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from conftest import complete_graph, edges_within_two, is_proper_edge_colouring, small_graphs
+from conftest import (
+    complete_graph,
+    edges_within_two,
+    is_proper_edge_colouring,
+    reference_vizing_edge_colour,
+    small_graphs,
+)
 from test_exact import RecursiveSearch
 from strongedge.cli import _bench_corpus
+from strongedge import pipeline
 from strongedge.colouring import (
     InternalInconsistency,
     PreconditionError,
     Violation,
     trivial_lower_bound,
+    colouring_to_json,
     verify_strong,
 )
 from strongedge.embedding import EmbeddingError, embed_rotation, planar_embed
@@ -40,6 +50,10 @@ PLANAR_CORPUS = [
     stacked_triangulation(3, seed=1), stacked_triangulation(6, seed=2),
     stacked_triangulation(9, seed=3),
 ]
+
+# planar, Delta 3, girth 3: first fit leaves edge 3-4 with no colour free at
+# both ends, so the Vizing colourer runs a fan step on it
+SEVEN = Graph(range(5), [(0, 1), (0, 2), (0, 4), (1, 3), (2, 3), (2, 4), (3, 4)])
 
 
 def reference_class1(g: Graph) -> dict | None:
@@ -85,6 +99,24 @@ class TestVizing:
         ec = vizing_edge_colour(g)
         assert is_proper_edge_colouring(g, ec.assignment)
         assert ec.class_count <= g.max_degree() + 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(max_vertices=9))
+    @example(SEVEN)
+    def test_matches_reference(self, g):
+        assert vizing_edge_colour(g).assignment == reference_vizing_edge_colour(g)
+
+    def test_seven_edge_graph_runs_a_fan_step(self, monkeypatch):
+        fans = []
+        fan_colour = pipeline._fan_colour
+
+        def counted(st, u, v):
+            fans.append((u, v))
+            fan_colour(st, u, v)
+
+        monkeypatch.setattr(pipeline, "_fan_colour", counted)
+        vizing_edge_colour(SEVEN)
+        assert fans == [(3, 4)]
 
 
 class TestClass1:
@@ -341,3 +373,42 @@ class TestPipeline:
     def test_empty_graph(self):
         col, rep = colour_pipeline(Graph([0, 1], []))
         assert col.is_total() and rep.class_count == 0
+
+
+# sha256 of ``colouring_to_json`` of the colouring, a line break and the report
+# dict with sorted keys, recorded while the Vizing state still listed the free
+# colours of a vertex on every read
+PIPELINE_GOLDEN = {
+    "grid16x16": (
+        lambda: grid(16, 16),
+        "22aee021baf48739601420930ef9d7e6f90e52b88418d4d7850c57991af178d1",
+    ),
+    "grid20x24": (
+        lambda: grid(20, 24),
+        "3c8331dd1276dfccf1478d662076e6b41ef6ecb2483533dd42b174bb91ef3f75",
+    ),
+    "hex14x14": (
+        lambda: hex_patch(14, 14),
+        "71f24560209f1834167b5480dfdcd988c8807e43b32a860cd17c96880d36b7fc",
+    ),
+    "tri320": (
+        lambda: stacked_triangulation(320, seed=1),
+        "c5dc4d68e5baac38ca278cd216e9324efd91f095bab182cd047911fea1e70fd3",
+    ),
+    "c5": (
+        lambda: cycle(5),
+        "45dae10a5bfe52bb7a617f26e65f5b2933e79fade07ecaf3ce20995c2fe88b66",
+    ),
+    "seven": (
+        lambda: SEVEN,
+        "f65b29239f5a5080d54932cfa222a8e9ef16b096cfcf13166c362caac172b98f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_GOLDEN))
+def test_pipeline_golden(name):
+    build, expected = PIPELINE_GOLDEN[name]
+    col, rep = colour_pipeline(build())
+    text = colouring_to_json(col) + "\n" + json.dumps(rep.as_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
