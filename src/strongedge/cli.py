@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Machine-readable JSON goes to stdout, human progress notes to stderr.
-Exit codes: 0 success, 1 bad input or unmet precondition, 2 internal
-inconsistency (a state the underlying theory forbids), 3 budget exhausted
-(``solve --timeout`` ran out before the search finished).
+Exit codes: 0 success, 1 bad input or unmet precondition, or stdout closed
+early by its reader (nothing goes to stderr then), 2 internal inconsistency
+(a state the underlying theory forbids), 3 budget exhausted (``solve
+--timeout`` ran out before the search finished).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -328,7 +330,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed stdout raises here
+        return code
+    except BrokenPipeError:
+        # the ``signal`` docs' recipe: the interpreter flushes stdout again at
+        # exit, so point it at the null device, and exit 1 as Python does
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (FileNotFoundError, ValueError) as exc:
         _log(f"error: {exc}")
         return EXIT_PRECONDITION

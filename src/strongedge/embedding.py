@@ -11,9 +11,8 @@ contraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .graph import Edge, Graph
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -35,19 +34,6 @@ class NonPlanar:
     """Negative planarity verdict for ``graph``."""
 
     graph: Graph
-
-    @cached_property
-    def witness(self) -> tuple[Edge, ...]:
-        """An edge-minimal non-planar subgraph (a Kuratowski subgraph),
-        computed on first read by deleting each edge in turn and keeping it
-        only if the rest becomes planar: one planarity test per edge."""
-        g = self.graph
-        kept = set(g.edges)
-        for e in g.edges:
-            kept.discard(e)
-            if _lr_rotation(Graph(g.vertices, kept)) is not None:
-                kept.add(e)
-        return tuple(sorted(kept))
 
 
 class EmbeddingError(ValueError):
@@ -108,8 +94,7 @@ def planar_embed(g: Graph) -> Embedding | NonPlanar:
 
     The left-right test supplies the rotation and ``embed_rotation`` checks
     it, so Euler's formula per connected component is asserted here, not
-    left to callers.  A negative verdict costs one test; its witness is
-    computed only when read.
+    left to callers.  A negative verdict costs one test.
     """
     rotation = _lr_rotation(g)
     if rotation is None:

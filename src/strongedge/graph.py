@@ -209,8 +209,8 @@ class Graph:
 
     # -- distance-2 edge neighbourhoods ------------------------------------
 
-    def n2_edges(self, e: Edge, closed: bool = False) -> set[Edge]:
-        """Edges at distance at most 2 from ``e``; ``closed`` includes ``e``.
+    def n2_edges(self, e: Edge) -> set[Edge]:
+        """Edges at distance at most 2 from ``e``, ``e`` itself excluded.
 
         Distance 1 means sharing an endpoint; distance 2 means some edge is
         adjacent to both.  Builds a fresh set in O(Delta^2).  Nothing in the
@@ -234,8 +234,6 @@ class Graph:
                     f = edge_key(w, x)
                     if f != (u, v):
                         out.add(f)
-        if closed:
-            out.add((u, v))
         return out
 
 
@@ -245,10 +243,14 @@ class Graph:
 def parse_graph(text: str) -> Graph:
     """Parse an edge-list document: one ``u v`` pair per line, ``#`` comments,
     blank lines ignored.  A line holding a single integer declares an isolated
-    vertex.  Duplicate edges (in either order) collapse to one."""
+    vertex.  Duplicate edges (in either order) collapse to one.
+
+    Only LF, CR LF and a lone CR end a line (and count in error line
+    numbers); ``str.splitlines``'s other breaks, such as form feed, are spaces."""
     vertices: list[int] = []
     edges: list[Edge] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         if "#" in line:
             line = line.split("#", 1)[0]
         parts = line.split()

@@ -55,25 +55,25 @@ class EdgeColouring:
 
 
 class _EdgeColourState:
-    def __init__(self, g: Graph, k: int):
+    """Edge colours, and per vertex v a bitmask with bit c set when an edge at
+    v has colour c.  Bit 0 is always set: an uncoloured edge, read as colour
+    0, is never missing, and the lowest clear bit is v's lowest missing one."""
+
+    def __init__(self, g: Graph):
         self.g = g
-        self.k = k
         self.colour: dict[Edge, int] = {}
-        self.used: dict[int, set[int]] = {v: set() for v in g.vertices}
+        self.used: dict[int, int] = {v: 1 for v in g.vertices}
 
     def set(self, e: Edge, c: int | None) -> None:
         e = edge_key(*e)
         old = self.colour.pop(e, None)
         if old is not None:
-            self.used[e[0]].discard(old)
-            self.used[e[1]].discard(old)
+            self.used[e[0]] &= ~(1 << old)
+            self.used[e[1]] &= ~(1 << old)
         if c is not None:
             self.colour[e] = c
-            self.used[e[0]].add(c)
-            self.used[e[1]].add(c)
-
-    def free(self, v: int) -> list[int]:
-        return [c for c in range(1, self.k + 1) if c not in self.used[v]]
+            self.used[e[0]] |= 1 << c
+            self.used[e[1]] |= 1 << c
 
     def invert_path(self, start: int, c: int, d: int) -> None:
         """Swap colours c and d along the maximal c/d alternating path that
@@ -101,34 +101,38 @@ class _EdgeColourState:
             self.set(e, nc)
 
 
+def _lowest_missing(used: int) -> int:
+    return (~used & (used + 1)).bit_length() - 1
+
+
 def vizing_edge_colour(g: Graph) -> EdgeColouring:
     """Proper edge colouring with at most Delta+1 classes by fan rotation
     and alternating-path recolouring."""
-    delta = g.max_degree()
+    k = g.max_degree() + 1
     if g.num_edges() == 0:
         return EdgeColouring(g, {}, 0)
-    st = _EdgeColourState(g, delta + 1)
+    st = _EdgeColourState(g)
     for u, v in g.edges:
-        common = set(st.free(u)) & set(st.free(v))
-        if common:
-            st.set((u, v), min(common))
-            continue
-        _fan_colour(st, u, v)
+        c = _lowest_missing(st.used[u] | st.used[v])
+        if c <= k:
+            st.set((u, v), c)
+        else:
+            _fan_colour(st, u, v)
     return EdgeColouring(g, dict(st.colour), max(st.colour.values()))
 
 
 def _fan_colour(st: _EdgeColourState, u: int, v: int) -> None:
-    g = st.g
+    g, used = st.g, st.used
     fan = [v]
     in_fan = {v}
     while True:
-        last_free = set(st.free(fan[-1]))
+        last = used[fan[-1]]
         nxt = next(
             (
                 w
                 for w in g.neighbours(u)
                 if w not in in_fan
-                and st.colour.get(edge_key(u, w)) in last_free
+                and not last >> st.colour.get(edge_key(u, w), 0) & 1
             ),
             None,
         )
@@ -136,18 +140,16 @@ def _fan_colour(st: _EdgeColourState, u: int, v: int) -> None:
             break
         fan.append(nxt)
         in_fan.add(nxt)
-    c = min(st.free(u))
-    d = min(st.free(fan[-1]))
+    c = _lowest_missing(used[u])
+    d = _lowest_missing(used[fan[-1]])
     if c != d:
         st.invert_path(u, c, d)
     # after the inversion d is free at u; colour the shortest fan prefix
     # whose tip sees d free, shifting the prefix colours toward u
     for j, w in enumerate(fan):
-        if j > 0:
-            prev = fan[j - 1]
-            if st.colour.get(edge_key(u, w)) not in st.free(prev):
-                break  # prefix stopped being a fan after the inversion
-        if d in st.free(w):
+        if j > 0 and used[fan[j - 1]] >> st.colour.get(edge_key(u, w), 0) & 1:
+            break  # prefix stopped being a fan after the inversion
+        if not used[w] >> d & 1:
             shifted = [st.colour[edge_key(u, fan[i + 1])] for i in range(j)]
             for i in range(j):
                 st.set(edge_key(u, fan[i]), None)

@@ -42,11 +42,8 @@ def edges_within_two(g: Graph, e: Edge, f: Edge) -> bool:
     )
 
 
-def brute_n2(g: Graph, e: Edge, closed: bool = False) -> set[Edge]:
-    out = {f for f in g.edges if edges_within_two(g, e, f)}
-    if closed:
-        out.add(edge_key(*e))
-    return out
+def brute_n2(g: Graph, e: Edge) -> set[Edge]:
+    return {f for f in g.edges if edges_within_two(g, e, f)}
 
 
 def brute_cycle_lengths(g: Graph) -> list[int]:

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -108,6 +112,27 @@ def test_colour_pipeline(tmp_path, capsys):
     assert doc["report"]["colours_used"] <= doc["report"]["bound_claimed"]
 
 
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    p = write_graph(tmp_path, cycle(5))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes a byte
+    package_root = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = [package_root] + [x for x in [os.environ.get("PYTHONPATH")] if x]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "strongedge.cli", "colour", "--pipeline", p],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr == b""
+    assert proc.returncode == 1
+
+
 def test_colour_nonplanar_is_precondition_error(tmp_path, capsys):
     p = write_graph(tmp_path, complete_graph(5))
     assert main(["colour", "--girth6", p]) == 1
@@ -115,8 +140,7 @@ def test_colour_nonplanar_is_precondition_error(tmp_path, capsys):
 
 def test_large_nonplanar_input_rejected_quickly(tmp_path, capsys):
     # a subdivided triangulation plus a disjoint K5, 1,222 edges: the verdict
-    # is one planarity test, with no Kuratowski witness search (one test per
-    # edge), which took about 19 s here
+    # is one planarity test
     host = subdivide(stacked_triangulation(200, seed=1), 1)
     off = max(host.vertices) + 1
     k5 = [(off + i, off + j) for i in range(5) for j in range(i + 1, 5)]

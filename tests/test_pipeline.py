@@ -13,14 +13,14 @@ from conftest import (
     small_graphs,
 )
 from test_exact import RecursiveSearch
-from strongedge.cli import _bench_corpus
 from strongedge import pipeline
+from strongedge.cli import _bench_corpus
 from strongedge.colouring import (
     InternalInconsistency,
     PreconditionError,
     Violation,
-    trivial_lower_bound,
     colouring_to_json,
+    trivial_lower_bound,
     verify_strong,
 )
 from strongedge.embedding import EmbeddingError, embed_rotation, planar_embed
