@@ -37,7 +37,6 @@ from .pipeline import (
     colour_planar_nodes,
     compose,
     conflict_graph,
-    corollary1_applies,
     vizing_edge_colour,
 )
 
@@ -72,7 +71,6 @@ __all__ = [
     "colouring_to_json",
     "compose",
     "conflict_graph",
-    "corollary1_applies",
     "embed_rotation",
     "extend",
     "find_configuration",

@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Machine-readable JSON goes to stdout, human progress notes to stderr.
-Exit codes: 0 success, 1 bad input or unmet precondition, or stdout closed
-early by its reader (nothing goes to stderr then), 2 internal inconsistency
-(a state the underlying theory forbids), 3 budget exhausted (``solve
---timeout`` ran out before the search finished).
+Exit codes: 0 success, 1 bad input, usage error or unmet precondition, or
+stdout closed early by its reader (nothing goes to stderr then), 2 internal
+inconsistency (a state the underlying theory forbids), 3 budget exhausted
+(``solve --timeout`` ran out before the search finished).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -264,8 +265,25 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as bad input does (argparse's 2 is taken); its
+    subparsers are of this class too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PRECONDITION, f"{self.prog}: error: {message}\n")
+
+
+def seconds(text: str) -> float:
+    """A time bound: any float but NaN, which no clock reading exceeds."""
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"invalid seconds value: {text!r} (NaN)")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="strongedge",
         description="strong edge-colouring toolkit for sparse planar graphs",
     )
@@ -288,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="exact strong chromatic index")
     s.add_argument("graph")
     s.add_argument("--k", type=int, default=None, help="decision variant")
-    s.add_argument("--timeout", type=float, default=None, metavar="SECS")
+    s.add_argument("--timeout", type=seconds, default=None, metavar="SECS")
     s.set_defaults(fn=cmd_solve)
 
     c = sub.add_parser("colour", help="constructive strong colouring")
@@ -296,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--girth6", action="store_true")
     mode.add_argument("--pipeline", action="store_true")
     c.add_argument("graph")
-    c.add_argument("--budget", type=float, default=5.0, metavar="SECS")
+    c.add_argument("--budget", type=seconds, default=5.0, metavar="SECS")
     c.add_argument("--trace", metavar="FILE")
     c.add_argument("--format", choices=("json", "dot"), default="json")
     c.add_argument("-o", "--output")
@@ -314,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="corpus sweep")
     b.add_argument("--count", type=int, default=20, help="corpus size")
-    b.add_argument("--budget", type=float, default=2.0)
+    b.add_argument("--budget", type=seconds, default=2.0)
     b.set_defaults(fn=cmd_bench)
     return p
 

@@ -7,6 +7,10 @@ realise that, and a constructive five-colouring stands in when the search
 runs out of budget.  Stacking the classes multiplies the two counts, which
 keeps 4*Delta within reach whenever a Delta-class edge colouring exists.
 
+The classes come from the Vizing colourer (first fit, then fan
+recolouring), kept when it finds Delta of them; only when it needs Delta+1
+does an exact search look for a Delta-class colouring within the budget.
+
 Each class's planarity is certified, not assumed: the conflict graph is a
 minor of the host, so contracting the host's embedding (computed once per
 input, by the left-right test) yields a rotation system of it, which the
@@ -193,12 +197,6 @@ def _search_colours(
         return None
 
 
-def corollary1_applies(delta: int, girth: float) -> bool:
-    """Regimes in which a Delta-class proper edge colouring is guaranteed to
-    exist for planar graphs (ACYCLIC counts as unbounded girth)."""
-    return delta >= 7 or (delta >= 5 and girth >= 4) or girth >= 5
-
-
 # -- conflict graphs and their node colourings ----------------------------------
 
 
@@ -367,7 +365,6 @@ class PipelineReport:
     class_count: int
     max_c: int
     bound_claimed: int
-    corollary1: bool
 
     def as_dict(self) -> dict:
         return {
@@ -375,7 +372,6 @@ class PipelineReport:
             "classCount": self.class_count,
             "maxC": self.max_c,
             "bound_claimed": self.bound_claimed,
-            "corollary1": self.corollary1,
         }
 
 
@@ -384,26 +380,21 @@ def colour_pipeline(
 ) -> tuple[PartialColouring, PipelineReport]:
     """Matching decomposition, per-class conflict colouring, composition.
 
-    Tries a Delta-class edge colouring when the published guarantees say one
-    exists, otherwise (or on budget exhaustion) falls back to Delta+1
-    classes.  The report records which regime ran and the bound it implies.
-    """
+    Vizing's colouring is kept when it has Delta classes; only when it has
+    Delta+1 does the exact search look for Delta within ``budget`` seconds.
+    The regime is ``class1`` (Delta classes), ``vizing`` (Delta+1) or
+    ``empty`` (no edges)."""
     emb = planar_embed(g)
     if isinstance(emb, NonPlanar):
         raise PreconditionError("input graph is not planar")
     delta = g.max_degree()
     if g.num_edges() == 0:
         empty = PartialColouring(g, Palette(1))
-        return empty, PipelineReport("empty", 0, 1, 0, False)
+        return empty, PipelineReport("empty", 0, 1, 0)
 
-    wants_class1 = corollary1_applies(delta, g.girth())
-    ec = None
-    regime = "vizing"
-    if wants_class1:
-        ec = class1_edge_colour(g, budget)
-        regime = "class1" if ec is not None else "vizing-fallback"
-    if ec is None:
-        ec = vizing_edge_colour(g)
+    ec = vizing_edge_colour(g)
+    if ec.class_count > delta:
+        ec = class1_edge_colour(g, budget) or ec
 
     per_class = []
     for cls in ec.classes().values():
@@ -421,17 +412,12 @@ def colour_pipeline(
         raise InternalInconsistency(f"pipeline output invalid: {violations[0]}")
 
     max_c = col.palette.size // ec.class_count  # compose's palette is classes * maxC
-    if max_c <= 4 and ec.class_count <= delta:
-        bound = 4 * delta
-    elif max_c <= 4:
-        bound = 4 * (delta + 1)
-    else:
-        bound = 5 * ec.class_count
+    # Delta or Delta+1 classes, each with 4 node colours (5 where the node
+    # search ran out of budget): 4*Delta is the class-1 regime's bound
     report = PipelineReport(
-        regime=regime,
+        regime="class1" if ec.class_count <= delta else "vizing",
         class_count=ec.class_count,
         max_c=max_c,
-        bound_claimed=bound,
-        corollary1=wants_class1,
+        bound_claimed=(4 if max_c <= 4 else 5) * ec.class_count,
     )
     return col, report

@@ -278,3 +278,41 @@ def test_long_path_all_entry_points(tmp_path, capsys):
 
 def test_missing_file():
     assert main(["analyze", "/nonexistent/graph.edges"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["colour", "g.edges"], ["frobnicate"]], ids=["no-mode", "no-command"]
+)
+def test_usage_error_exits_1(argv, capsys):
+    """Exit 2 is kept for internal inconsistencies, so a usage error exits 1,
+    as bad input does."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "g.edges", "--timeout", "nan"],
+        ["colour", "--pipeline", "g.edges", "--budget", "NaN"],
+        ["bench", "--budget", "nan"],
+    ],
+    ids=["solve", "colour", "bench"],
+)
+def test_nan_seconds_rejected(argv, tmp_path, capsys):
+    """No clock reading exceeds NaN, so a NaN bound would never stop the
+    search: it is a usage error, caught before the input is read."""
+    p = write_graph(tmp_path, cycle(5))
+    with pytest.raises(SystemExit) as exc:
+        main([p if a == "g.edges" else a for a in argv])
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import random
 
 import pytest
@@ -23,10 +22,10 @@ from strongedge.colouring import (
     trivial_lower_bound,
     verify_strong,
 )
-from strongedge.embedding import EmbeddingError, embed_rotation, planar_embed
+from strongedge.embedding import EmbeddingError, NonPlanar, embed_rotation, planar_embed
 from strongedge.exact import _conflict_lists, _edge_stars, _Search, strong_chromatic_index
 from strongedge.generators import cycle, generate, grid, hex_patch, path, stacked_triangulation, star, subdivide, wheel
-from strongedge.graph import ACYCLIC, Graph, edge_key
+from strongedge.graph import Graph, edge_key
 from strongedge.pipeline import (
     ConflictGraph,
     EdgeColouring,
@@ -36,7 +35,6 @@ from strongedge.pipeline import (
     colour_planar_nodes,
     compose,
     conflict_graph,
-    corollary1_applies,
     vizing_edge_colour,
 )
 
@@ -54,6 +52,41 @@ PLANAR_CORPUS = [
 # planar, Delta 3, girth 3: first fit leaves edge 3-4 with no colour free at
 # both ends, so the Vizing colourer runs a fan step on it
 SEVEN = Graph(range(5), [(0, 1), (0, 2), (0, 4), (1, 3), (2, 3), (2, 4), (3, 4)])
+
+
+def subdivided_prism(n: int, offset: int = 0) -> list[tuple[int, int]]:
+    """Edges of the prism C_n x K2 (rims 0..n-1 and n..2n-1, spokes i-(n+i))
+    with spoke 0-n subdivided by vertex 2n, all shifted by ``offset``.  It
+    has 2n+1 vertices and 3n+1 edges, more than 3 matchings of at most n
+    edges can hold, so it is class 2."""
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(n + i, n + (i + 1) % n) for i in range(n)]
+    edges += [(i, n + i) for i in range(1, n)] + [(0, 2 * n), (2 * n, n)]
+    return [(a + offset, b + offset) for a, b in edges]
+
+
+def bridged_prisms(n: int) -> Graph:
+    """Two subdivided prisms joined by a bridge between their subdivision
+    vertices: a cubic planar graph with a bridge, hence class 2."""
+    off = 2 * n + 1
+    bridge = (2 * n, 2 * n + off)
+    return Graph(range(2 * off), subdivided_prism(n) + subdivided_prism(n, off) + [bridge])
+
+
+def is_planar(g: Graph) -> bool:
+    return not isinstance(planar_embed(g), NonPlanar)
+
+
+# planar class-2 inputs, each with the nodes the search needs to refute
+# Delta classes over its incidence lists
+CLASS2 = {
+    "c5": (cycle(5), 5),
+    "c101": (cycle(101), 101),
+    "seven": (SEVEN, 7),
+    **{f"prism{n}": (Graph(range(2 * n + 1), subdivided_prism(n)), nodes)
+       for n, nodes in ((4, 29), (10, 287), (20, 1357), (40, 5897))},
+    **{f"bridged{n}": (bridged_prisms(n), nodes)
+       for n, nodes in ((4, 29), (10, 287), (20, 1357), (40, 5897))},
+}
 
 
 def reference_class1(g: Graph) -> dict | None:
@@ -164,25 +197,6 @@ class TestClass1:
             for cls in (ec or vizing_edge_colour(g)).classes().values():
                 cg = conflict_graph(emb, cls)
                 assert colour_planar_nodes(cg) == reference_node_colours(cg)
-
-
-class TestCorollary1:
-    @pytest.mark.parametrize(
-        "delta,girth,expected",
-        [
-            (8, 3, True),
-            (7, 3, True),
-            (6, 3, False),
-            (6, 4, True),
-            (5, 4, True),
-            (4, 5, True),
-            (4, 4, False),
-            (3, 5, True),
-            (2, ACYCLIC, True),
-        ],
-    )
-    def test_regimes(self, delta, girth, expected):
-        assert corollary1_applies(delta, girth) is expected
 
 
 class TestConflictGraph:
@@ -355,9 +369,48 @@ class TestPipeline:
 
     def test_c5_falls_back_to_vizing(self):
         _, rep = colour_pipeline(cycle(5), budget=1.0)
-        assert rep.corollary1 is True
-        assert rep.regime == "vizing-fallback"
+        assert rep.regime == "vizing"
         assert rep.class_count == 3
+
+    def test_delta_classes_from_vizing_need_no_search(self, monkeypatch):
+        """Wherever first fit with fan recolouring reaches Delta classes, the
+        pipeline reports class 1 without a search, even with no budget."""
+
+        def no_search(g, budget=None):
+            raise AssertionError("class-1 search called")
+
+        corpus = PLANAR_CORPUS + [generate(spec) for _, spec in _bench_corpus(100)]
+        class1 = [g for g in corpus if vizing_edge_colour(g).class_count == g.max_degree()]
+        assert len(class1) == 120
+        monkeypatch.setattr(pipeline, "class1_edge_colour", no_search)
+        for g in class1:
+            _, rep = colour_pipeline(g, budget=0)
+            assert (rep.regime, rep.class_count) == ("class1", g.max_degree()), g
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(max_vertices=8).filter(is_planar))
+    @example(SEVEN)
+    @example(complete_graph(4))
+    def test_regime_names_the_class_count(self, g):
+        col, rep = colour_pipeline(g)
+        delta = g.max_degree()
+        if g.num_edges() == 0:
+            assert rep.regime == "empty"
+            return
+        assert (rep.regime == "class1") == (rep.class_count <= delta)
+        assert delta <= rep.class_count <= delta + 1
+        assert col.colours_used() <= rep.bound_claimed
+
+    @pytest.mark.parametrize("name", sorted(CLASS2))
+    def test_class2_inputs_take_vizing(self, name):
+        g, nodes = CLASS2[name]
+        _, rep = colour_pipeline(g)
+        assert (rep.regime, rep.class_count) == ("vizing", g.max_degree() + 1)
+        edges, incident = _edge_stars(g)
+        adjacency = [[j for v in e for j in incident[v] if j != i] for i, e in enumerate(edges)]
+        search = _Search(adjacency, g.max_degree(), None)
+        assert search.run() is False
+        assert search.nodes <= nodes <= 6000
 
     def test_k4_bounded_but_not_tight(self):
         g = complete_graph(4)
@@ -375,40 +428,44 @@ class TestPipeline:
         assert col.is_total() and rep.class_count == 0
 
 
-# sha256 of ``colouring_to_json`` of the colouring, a line break and the report
-# dict with sorted keys, recorded while the Vizing state still listed the free
-# colours of a vertex on every read
+# sha256 of ``colouring_to_json`` of each colouring, and its report dict
 PIPELINE_GOLDEN = {
     "grid16x16": (
         lambda: grid(16, 16),
-        "22aee021baf48739601420930ef9d7e6f90e52b88418d4d7850c57991af178d1",
+        "d686746a9e11d4f2745cdecdc7c68267fc4f8c8a4181d94963f789b54033314e",
+        {"bound_claimed": 16, "classCount": 4, "maxC": 4, "regime": "class1"},
     ),
     "grid20x24": (
         lambda: grid(20, 24),
-        "3c8331dd1276dfccf1478d662076e6b41ef6ecb2483533dd42b174bb91ef3f75",
+        "2e67dd72db672cba572eeac5d737b20bd3a2091698adc8bb0fb9427a8114893e",
+        {"bound_claimed": 16, "classCount": 4, "maxC": 3, "regime": "class1"},
     ),
     "hex14x14": (
         lambda: hex_patch(14, 14),
-        "71f24560209f1834167b5480dfdcd988c8807e43b32a860cd17c96880d36b7fc",
+        "115dac6a6d6ae437ef590a9f8a68a106706761b449e98394fd14abeac0d44db7",
+        {"bound_claimed": 12, "classCount": 3, "maxC": 3, "regime": "class1"},
     ),
     "tri320": (
         lambda: stacked_triangulation(320, seed=1),
-        "c5dc4d68e5baac38ca278cd216e9324efd91f095bab182cd047911fea1e70fd3",
+        "3954b8e3c02dd6f37792e6c4bbc5be90f69fad67c3f5848cfa55634ae80259a9",
+        {"bound_claimed": 240, "classCount": 60, "maxC": 4, "regime": "class1"},
     ),
     "c5": (
         lambda: cycle(5),
-        "45dae10a5bfe52bb7a617f26e65f5b2933e79fade07ecaf3ce20995c2fe88b66",
+        "595296a7cabfc20e94892135d97f806ff40dd50e3ea00bb73f16a0081e288c28",
+        {"bound_claimed": 12, "classCount": 3, "maxC": 2, "regime": "vizing"},
     ),
     "seven": (
         lambda: SEVEN,
-        "f65b29239f5a5080d54932cfa222a8e9ef16b096cfcf13166c362caac172b98f",
+        "fea8d7a74113fa036b016be4d3b38ec0c81cd44cffb0e72ca5eeff7cf89ce5a2",
+        {"bound_claimed": 16, "classCount": 4, "maxC": 2, "regime": "vizing"},
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINE_GOLDEN))
 def test_pipeline_golden(name):
-    build, expected = PIPELINE_GOLDEN[name]
+    build, digest, report = PIPELINE_GOLDEN[name]
     col, rep = colour_pipeline(build())
-    text = colouring_to_json(col) + "\n" + json.dumps(rep.as_dict(), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == expected
+    assert hashlib.sha256(colouring_to_json(col).encode()).hexdigest() == digest
+    assert rep.as_dict() == report
