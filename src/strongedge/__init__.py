@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .colouring import (
-    Palette,
     PartialColouring,
     Violation,
     colouring_from_json,
@@ -14,7 +13,7 @@ from .colouring import (
     verify_strong,
 )
 from .discharging import ChargeMap, Report, apply_rules, audit, initial_charges
-from .embedding import Embedding, Face, NonPlanar, embed_rotation, planar_embed
+from .embedding import Embedding, embed_rotation, planar_embed
 from .exact import SolveResult, is_strong_k_colourable, strong_chromatic_index
 from .generators import GeneratorSpec, generate, subdivide
 from .girth6 import (
@@ -49,12 +48,9 @@ __all__ = [
     "Embedding",
     "ExtensionInfeasible",
     "ExtensionPlan",
-    "Face",
     "GeneratorSpec",
     "Graph",
     "GraphParseError",
-    "NonPlanar",
-    "Palette",
     "PartialColouring",
     "Report",
     "SolveResult",

@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Machine-readable JSON goes to stdout, human progress notes to stderr.
-Exit codes: 0 success, 1 bad input, usage error or unmet precondition, or
-stdout closed early by its reader (nothing goes to stderr then), 2 internal
-inconsistency (a state the underlying theory forbids), 3 budget exhausted
-(``solve --timeout`` ran out before the search finished).
+Exit codes: 0 success, 1 bad input, usage error, unmet precondition, a path
+that cannot be read or written, or stdout closed early by its reader
+(nothing goes to stderr then), 2 internal inconsistency (a state the
+underlying theory forbids), 3 budget exhausted (``solve --timeout`` ran out
+before the search finished).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .colouring import (
     verify_strong,
 )
 from .discharging import apply_rules, audit, initial_charges
-from .embedding import NonPlanar, planar_embed
+from .embedding import planar_embed
 from .exact import SolverTimeout, is_strong_k_colourable, strong_chromatic_index
 from .generators import GeneratorSpec, generate
 from .girth6 import KIND_SUMMARY, ExtendStep, colour_girth6, write_trace
@@ -68,7 +69,7 @@ def _emit(doc) -> None:
 def cmd_analyze(args) -> int:
     g = _read_graph(args.graph)
     emb = planar_embed(g)
-    planar = not isinstance(emb, NonPlanar)
+    planar = emb is not None
     delta = g.max_degree()
     girth = g.girth()
     doc = {
@@ -135,6 +136,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_colour(args) -> int:
+    if args.trace and not args.girth6:
+        raise PreconditionError("--trace needs --girth6, the only colourer that records steps")
     g = _read_graph(args.graph)
     trace: list[ExtendStep] = []
     delta = g.max_degree()
@@ -148,7 +151,7 @@ def cmd_colour(args) -> int:
         facts = pipe.as_dict()
     report = {
         "algorithm": "girth6" if args.girth6 else "pipeline",
-        "palette": col.palette.size,
+        "palette": col.palette,
         **facts,
         "command": "colour --girth6" if args.girth6 else "colour --pipeline",
         "input_hash": _input_hash(args.graph),
@@ -164,7 +167,7 @@ def cmd_colour(args) -> int:
     }
     if args.trace:
         with open(args.trace, "w") as fh:
-            write_trace(fh, args.graph, col.palette.size, trace)
+            write_trace(fh, args.graph, col.palette, trace)
         _log(f"trace with {len(trace)} steps written to {args.trace}")
     if args.format == "dot":
         sys.stdout.write(to_dot(g, col.assignment))
@@ -182,7 +185,7 @@ def cmd_colour(args) -> int:
 def cmd_discharge(args) -> int:
     g = _read_graph(args.graph)
     emb = planar_embed(g)
-    if isinstance(emb, NonPlanar):
+    if emb is None:
         raise PreconditionError("discharging needs a planar input")
     init = initial_charges(emb)
     final = apply_rules(emb, init)
@@ -205,7 +208,7 @@ def cmd_verify(args) -> int:
         "valid": not violations,
         "violations": [str(v) for v in violations[:50]],
         "colours_used": col.colours_used(),
-        "palette": col.palette.size,
+        "palette": col.palette,
     }
     _emit(doc)
     return EXIT_OK if not violations else EXIT_PRECONDITION
@@ -358,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         _log(f"error: {exc}")
         return EXIT_PRECONDITION
     except InternalInconsistency as exc:

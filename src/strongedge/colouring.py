@@ -13,8 +13,9 @@ edges in one star either share an end or both touch xy.  ``verify_strong``,
 the free-colour readers and the exact solver's conflict lists all ask that
 question through stars and vertex neighbourhoods.
 
-The free colours around an uncoloured edge are the palette minus the colours
-used near it, and one helper, ``_used_near``, collects that used set.  Two
+A palette is the int k and stands for the colours 1, ..., k.  The free
+colours around an uncoloured edge are the palette minus the colours used
+near it, and one helper, ``_used_near``, collects that used set.  Two
 readers sit on it: ``free_colours`` returns the free set itself (``assign``
 and callers that want the set), and ``lowest_free_colour`` returns only the
 lowest free colour and the free count, which is all a greedy step needs; it
@@ -28,23 +29,6 @@ import json
 from dataclasses import dataclass
 
 from .graph import Edge, Graph, edge_key
-
-
-@dataclass(frozen=True)
-class Palette:
-    """Colour set {1, ..., size}."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("palette size must be >= 1")
-
-    def colours(self) -> range:
-        return range(1, self.size + 1)
-
-    def __contains__(self, c: int) -> bool:
-        return 1 <= c <= self.size
 
 
 @dataclass(frozen=True)
@@ -76,7 +60,8 @@ class PreconditionError(ValueError):
 
 
 class PartialColouring:
-    """Edge -> colour assignment over a palette, on a fixed host graph.
+    """Edge -> colour assignment on a fixed host graph, over the palette
+    {1, ..., ``palette``}: ``palette`` is the int k of a k-colouring.
 
     ``assign`` accepts only a colour that is free around the edge; ``put``
     writes unchecked, for solvers that keep their own state.  Snapshots
@@ -86,9 +71,11 @@ class PartialColouring:
     that is only filled and verified never pays for it.
     """
 
-    def __init__(self, graph: Graph, palette: Palette | int):
+    def __init__(self, graph: Graph, palette: int):
+        if palette < 1:
+            raise ValueError("palette size must be >= 1")
         self.graph = graph
-        self.palette = palette if isinstance(palette, Palette) else Palette(palette)
+        self.palette = palette
         self._assignment: dict[Edge, int] = {}
         self._at: dict[int, dict[int, int]] | None = None
 
@@ -107,15 +94,15 @@ class PartialColouring:
 
     def assign(self, e: Edge, colour: int) -> None:
         e = edge_key(*e)
-        if colour in self.palette and colour not in free_colours(self, e):
+        if 1 <= colour <= self.palette and colour not in free_colours(self, e):
             raise ColouringError(f"colour {colour} conflicts near edge {e[0]}-{e[1]}")
         self.put(e, colour)
 
     def put(self, e: Edge, colour: int) -> None:
         """Unchecked write; only palette membership is enforced."""
         e = edge_key(*e)
-        if colour not in self.palette:
-            raise ColouringError(f"colour {colour} outside palette 1..{self.palette.size}")
+        if not 1 <= colour <= self.palette:
+            raise ColouringError(f"colour {colour} outside palette 1..{self.palette}")
         old = self._assignment.get(e)
         self._assignment[e] = colour
         if self._at is not None:
@@ -173,7 +160,7 @@ def _used_near(c: PartialColouring, e: Edge, graph: Graph | None) -> set[int]:
 def free_colours(c: PartialColouring, e: Edge, graph: Graph | None = None) -> set[int]:
     """Palette colours not used within distance 2 of the uncoloured edge
     ``e`` in ``graph`` (see ``_used_near`` for the rule and the errors)."""
-    return set(c.palette.colours()) - _used_near(c, e, graph)
+    return set(range(1, c.palette + 1)) - _used_near(c, e, graph)
 
 
 def lowest_free_colour(
@@ -185,7 +172,7 @@ def lowest_free_colour(
     used colours inside the palette, and the lowest free colour is the first
     colour from 1 up that is not used."""
     used = _used_near(c, e, graph)
-    size = c.palette.size
+    size = c.palette
     count = size - sum(1 for x in used if 1 <= x <= size)
     if not count:
         return None, 0
@@ -214,7 +201,7 @@ def verify_strong(
     are, and x and y share no colour but that of xy, if xy is coloured.
     """
     out: list[Violation] = []
-    assignment, size, adj = c._assignment, c.palette.size, g._adj
+    assignment, size, adj = c._assignment, c.palette, g._adj
     at: dict[int, list[Edge]] = {v: [] for v in adj}  # vertex -> its coloured edges
     colours_at: dict[int, set[int]] = {v: set() for v in adj}
     for e in sorted(assignment):
@@ -300,7 +287,7 @@ def known_bound(delta: int, girth: float) -> int:
 
 def colouring_doc(c: PartialColouring) -> dict:
     return {
-        "palette": c.palette.size,
+        "palette": c.palette,
         "colours": {f"{u}-{v}": col for (u, v), col in sorted(c.assignment.items())},
     }
 
@@ -334,7 +321,7 @@ def colouring_from_json(text: str, graph: Graph) -> PartialColouring:
             raise TypeError("'colours' is not a JSON object")
     except (KeyError, TypeError, ValueError) as exc:
         raise ColouringError(f"bad colouring document: {exc}") from exc
-    c = PartialColouring(graph, Palette(size))
+    c = PartialColouring(graph, size)
     adj, assignment = graph._adj, c._assignment
     for key, col in raw.items():
         try:

@@ -79,7 +79,7 @@ def initial_charges(emb: Embedding) -> ChargeMap:
         raise DischargingError("initial charges need a connected non-empty graph")
     cm = ChargeMap(
         vertex_thirds={v: 6 * g.degree(v) - 18 for v in g.vertices},
-        face_thirds={f.id: 3 * f.length - 18 for f in emb.faces} or {0: -18},
+        face_thirds={i: 3 * len(walk) - 18 for i, walk in enumerate(emb.faces)} or {0: -18},
     )
     if cm.total_thirds() != -36:
         raise DischargingError(f"initial charge total {cm.total()} != -12")
@@ -109,18 +109,18 @@ def _rule_transfers(emb: Embedding) -> tuple[list[Transfer], list[int]]:
     # R1: faces pay 2 per incident degree-1 vertex (one visit each).
     pendants = {v for v, d in deg.items() if d == 1}
     check_face_bound = 6 <= g.girth() < ACYCLIC
-    for face in emb.faces:
-        if pendants.isdisjoint(face.walk):
+    for i, walk in enumerate(emb.faces):
+        if pendants.isdisjoint(walk):
             continue  # its bound, length >= 6, holds: the walk holds a cycle
-        visits = sorted(v for v in face.walk if v in pendants)
-        if check_face_bound and face.length < 6 + 2 * len(visits):
+        visits = sorted(v for v in walk if v in pendants)
+        if check_face_bound and len(walk) < 6 + 2 * len(visits):
             raise DischargingError(
-                f"face {face.id} of length {face.length} carries "
+                f"face {i} of length {len(walk)} carries "
                 f"{len(visits)} pendant vertices; length must be >= "
                 f"{6 + 2 * len(visits)} at girth >= 6"
             )
         for v in visits:
-            pay(("f", face.id), v, 6, "R1")
+            pay(("f", i), v, 6, "R1")
 
     for u, ns in adj.items():
         source = ("v", u)

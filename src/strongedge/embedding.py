@@ -1,11 +1,14 @@
 """Combinatorial planar embeddings: rotation systems and face walks.
 
 Planarity is decided by the left-right test (Brandes 2009), run here over
-integer arrays; the rotation system it returns is traced into explicit face
-walks, and face lengths (bridges counted twice) and the per-component Euler
-check certify it.  ``embed_rotation`` runs the same checks on a rotation
-system from any source, such as one derived from a host embedding by
-contraction.
+integer arrays; ``planar_embed`` returns None for a non-planar graph.  The
+rotation system the test returns is traced into explicit face walks, and the
+per-component Euler check certifies it.  A face is its walk, a tuple of
+vertices: ``walk[i] -> walk[i+1]`` (cyclically) are its directed edges, face
+i is ``Embedding.faces[i]``, and its length r(f) is ``len(walk)``, the
+number of edge visits, so a bridge crossed out and back counts twice.
+``embed_rotation`` runs the same checks on a rotation system from any
+source, such as one derived from a host embedding by contraction.
 """
 
 from __future__ import annotations
@@ -13,27 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph
-
-
-@dataclass(frozen=True)
-class Face:
-    """A face walk: ``walk[i] -> walk[i+1]`` (cyclically) are its directed
-    edges.  The length r(f) is the number of edge visits, so a bridge crossed
-    out and back contributes 2."""
-
-    id: int
-    walk: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.walk)
-
-
-@dataclass(frozen=True)
-class NonPlanar:
-    """Negative planarity verdict for ``graph``."""
-
-    graph: Graph
 
 
 class EmbeddingError(ValueError):
@@ -44,7 +26,7 @@ class EmbeddingError(ValueError):
 class Embedding:
     graph: Graph
     rotation: dict[int, tuple[int, ...]]
-    faces: tuple[Face, ...]
+    faces: tuple[tuple[int, ...], ...]
 
 
 def _trace_faces(
@@ -88,9 +70,9 @@ def _trace_faces(
     return walks
 
 
-def planar_embed(g: Graph) -> Embedding | NonPlanar:
+def planar_embed(g: Graph) -> Embedding | None:
     """Planarity test returning a rotation system plus its face walks, or
-    ``NonPlanar``.
+    None if ``g`` is not planar.
 
     The left-right test supplies the rotation and ``embed_rotation`` checks
     it, so Euler's formula per connected component is asserted here, not
@@ -98,7 +80,7 @@ def planar_embed(g: Graph) -> Embedding | NonPlanar:
     """
     rotation = _lr_rotation(g)
     if rotation is None:
-        return NonPlanar(g)
+        return None
     return embed_rotation(g, rotation)
 
 
@@ -408,10 +390,7 @@ def embed_rotation(g: Graph, rotation: dict[int, tuple[int, ...]]) -> Embedding:
             raise EmbeddingError(
                 f"rotation at vertex {v} is not a permutation of its neighbours"
             )
-    faces = tuple(
-        Face(i, walk) for i, walk in enumerate(_trace_faces(g, rotation))
-    )
-    emb = Embedding(g, rotation, faces)
+    emb = Embedding(g, rotation, tuple(_trace_faces(g, rotation)))
     _check_euler(emb)
     return emb
 
@@ -427,8 +406,8 @@ def _check_euler(emb: Embedding) -> None:
     nf = [0] * len(comps)
     for u, _ in g.edges:
         ne[comp_of[u]] += 1
-    for f in emb.faces:
-        nf[comp_of[f.walk[0]]] += 1
+    for walk in emb.faces:
+        nf[comp_of[walk[0]]] += 1
     for i, comp in enumerate(comps):
         if ne[i] == 0:
             continue  # single vertex: one implicit face

@@ -30,7 +30,6 @@ from heapq import heappop, heappush
 
 from .colouring import (
     InternalInconsistency,
-    Palette,
     PartialColouring,
     trivial_lower_bound,
     verify_strong,
@@ -230,7 +229,7 @@ def is_strong_k_colourable(
     if k < 0:
         raise ValueError("k must be >= 0")
     if g.num_edges() == 0:
-        return PartialColouring(g, Palette(max(k, 1)))
+        return PartialColouring(g, max(k, 1))
     if k == 0 or k < trivial_lower_bound(g):
         return None
     edges, conflicts = _conflict_lists(g)
@@ -254,7 +253,7 @@ def _decide(
         stats.nodes += search.nodes
     if not found:
         return None
-    witness = PartialColouring(g, Palette(k))
+    witness = PartialColouring(g, k)
     for e, c in zip(edges, search.colour):
         witness.put(e, c)
     violations = verify_strong(g, witness, require_total=True)
@@ -272,7 +271,7 @@ def strong_chromatic_index(g: Graph, timeout: float | None = None) -> SolveResul
     stats = SolveStats()
     if g.num_edges() == 0:
         stats.elapsed = time.monotonic() - start
-        return SolveResult(0, PartialColouring(g, Palette(1)), stats)
+        return SolveResult(0, PartialColouring(g, 1), stats)
     edges, conflicts = _conflict_lists(g)
     k = max(trivial_lower_bound(g), 1)
     while True:

@@ -70,13 +70,12 @@ from typing import Callable, NamedTuple
 from .colouring import (
     ColouringError,
     InternalInconsistency,
-    Palette,
     PartialColouring,
     PreconditionError,
     lowest_free_colour,
     verify_strong,
 )
-from .embedding import NonPlanar, planar_embed
+from .embedding import planar_embed
 from .exact import strong_chromatic_index
 from .graph import Edge, Graph, edge_key
 
@@ -647,14 +646,14 @@ def colour_girth6(
     once, with verify_strong, where it is built: by the reduction loop or by
     the exact solver.  A violation raises InternalInconsistency.
     """
-    if isinstance(planar_embed(g), NonPlanar):
+    if planar_embed(g) is None:
         raise PreconditionError("input graph is not planar")
     girth = g.girth()
     if girth < 6:
         raise PreconditionError(f"girth {girth} < 6")
     delta = g.max_degree()
     if g.num_edges() == 0:
-        return PartialColouring(g, Palette(1))
+        return PartialColouring(g, 1)
     if delta <= 3:
         return _colour_small_delta(g)
     return _reduce_and_extend(g, delta, trace)
@@ -667,7 +666,7 @@ def _reduce_and_extend(
     until Delta <= 3, colour the rest greedily, then put each plan's edges
     back and extend, last plan first.  The result is checked once, with
     verify_strong."""
-    col = PartialColouring(g, Palette(3 * delta + 1))
+    col = PartialColouring(g, 3 * delta + 1)
     plans: list[ExtensionPlan] = []
     work = _WorkingGraph(g)
     candidates = _Candidates(work)
@@ -745,7 +744,7 @@ def _greedy_residual(
     size less 12, which is at least 1: the palette holds at least 13
     colours."""
     edges = residual.edges
-    floor = max(col.palette.size - 12, 1)
+    floor = max(col.palette - 12, 1)
     _reinsert(col, residual, edges, [floor] * len(edges), "greedy", None, trace)
 
 
@@ -759,7 +758,7 @@ def _colour_small_delta(g: Graph) -> PartialColouring:
         raise InternalInconsistency(
             f"exact solve used {result.chi_s} colours, above the {cap} cap"
         )
-    out = PartialColouring(g, Palette(cap))
+    out = PartialColouring(g, cap)
     for e, c in result.witness.assignment.items():
         out.put(e, c)
     return out

@@ -29,12 +29,11 @@ from dataclasses import dataclass
 
 from .colouring import (
     InternalInconsistency,
-    Palette,
     PartialColouring,
     PreconditionError,
     verify_strong,
 )
-from .embedding import Embedding, EmbeddingError, NonPlanar, embed_rotation, planar_embed
+from .embedding import Embedding, EmbeddingError, embed_rotation, planar_embed
 from . import exact
 from .exact import SolverTimeout, _edge_stars
 from .graph import Edge, Graph, edge_key
@@ -351,8 +350,7 @@ def compose(
             raise ValueError(f"class {i} colouring keys do not match its edges")
         if cls:
             max_c = max(max_c, max(node_col.values()))
-    palette = Palette(max(ec.class_count, 1) * max_c)
-    out = PartialColouring(ec.graph, palette)
+    out = PartialColouring(ec.graph, max(ec.class_count, 1) * max_c)
     for i in range(1, ec.class_count + 1):
         for e, c in per_class[i - 1].items():
             out.put(e, (i - 1) * max_c + c)
@@ -385,11 +383,11 @@ def colour_pipeline(
     The regime is ``class1`` (Delta classes), ``vizing`` (Delta+1) or
     ``empty`` (no edges)."""
     emb = planar_embed(g)
-    if isinstance(emb, NonPlanar):
+    if emb is None:
         raise PreconditionError("input graph is not planar")
     delta = g.max_degree()
     if g.num_edges() == 0:
-        empty = PartialColouring(g, Palette(1))
+        empty = PartialColouring(g, 1)
         return empty, PipelineReport("empty", 0, 1, 0)
 
     ec = vizing_edge_colour(g)
@@ -411,7 +409,7 @@ def colour_pipeline(
     if violations:
         raise InternalInconsistency(f"pipeline output invalid: {violations[0]}")
 
-    max_c = col.palette.size // ec.class_count  # compose's palette is classes * maxC
+    max_c = col.palette // ec.class_count  # compose's palette is classes * maxC
     # Delta or Delta+1 classes, each with 4 node colours (5 where the node
     # search ran out of budget): 4*Delta is the class-1 regime's bound
     report = PipelineReport(

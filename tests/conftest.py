@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from strongedge.colouring import (
     ColouringError,
-    Palette,
     PartialColouring,
     Violation,
 )
@@ -156,19 +155,19 @@ def reference_discharge(emb) -> dict:
     g = emb.graph
     assert g.is_connected() and g.num_vertices() > 0
     vertex = {v: Fraction(2 * g.degree(v) - 6) for v in g.vertices}
-    face = {f.id: Fraction(f.length - 6) for f in emb.faces}
+    face = {i: Fraction(len(f) - 6) for i, f in enumerate(emb.faces)}
     init_vertex, init_face = dict(vertex), dict(face)
     initial_total = sum(vertex.values(), Fraction(0)) + sum(face.values(), Fraction(0))
     assert initial_total == -12
 
     ledger, gaps = [], []
     girth = g.girth()
-    for f in emb.faces:
-        pendant_visits = [v for v in f.walk if g.degree(v) == 1]
+    for i, f in enumerate(emb.faces):
+        pendant_visits = [v for v in f if g.degree(v) == 1]
         if girth != ACYCLIC and girth >= 6:
-            assert f.length >= 6 + 2 * len(pendant_visits)
+            assert len(f) >= 6 + 2 * len(pendant_visits)
         for v in pendant_visits:
-            ledger.append(("R1", ("f", f.id), ("v", v), Fraction(2)))
+            ledger.append(("R1", ("f", i), ("v", v), Fraction(2)))
     two_count = {
         v: sum(1 for w in g.neighbours(v) if g.degree(w) == 2) for v in g.vertices
     }
@@ -308,7 +307,7 @@ def reference_colouring_from_json(text: str, graph: Graph) -> PartialColouring:
             raise TypeError("'colours' is not a JSON object")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ColouringError(f"bad colouring document: {exc}") from exc
-    c = PartialColouring(graph, Palette(size))
+    c = PartialColouring(graph, size)
     for key, col in raw.items():
         try:
             u, v = (int(x) for x in key.split("-"))
@@ -329,7 +328,7 @@ def reference_star_verify(
     out: list[Violation] = []
     assignment = {edge_key(*e): col for e, col in c.assignment.items()}
     for e, col in sorted(assignment.items()):
-        if col not in c.palette:
+        if not 1 <= col <= c.palette:
             out.append(Violation("off-palette", (e,)))
     if require_total:
         for e in g.edges:

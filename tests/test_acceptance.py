@@ -145,8 +145,8 @@ def test_criterion_5_discharging_identities():
         girth = g.girth()
         if girth != ACYCLIC and girth >= 6:
             for face in emb.faces:
-                pendants = sum(1 for v in face.walk if g.degree(v) == 1)
-                assert face.length >= 6 + 2 * pendants
+                pendants = sum(1 for v in face if g.degree(v) == 1)
+                assert len(face) >= 6 + 2 * pendants
                 face_checks += 1
     print(
         f"criterion 5: PASS ({len(instances)} embeddings conserve -12, "
@@ -240,7 +240,7 @@ def test_criterion_9_mutation_detection(corpus_runs):
         mutated = base.copy()
         edges = list(g.edges)
         e = edges[rng.randrange(len(edges))]
-        new = rng.randrange(1, base.palette.size + 1)
+        new = rng.randrange(1, base.palette + 1)
         mutated.put(e, new)
         assignment = mutated.assignment
         oracle_conflicts = {

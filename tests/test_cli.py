@@ -92,7 +92,7 @@ def test_trace_file_matches_json_dump(tmp_path, capsys):
     planned = [s.anchors for s in steps if s.anchors is not None]
     assert len({id(a) for a in planned}) < len(planned)
     with open(trace) as fh:
-        assert fh.read() == reference_trace_json(p, col.palette.size, steps)
+        assert fh.read() == reference_trace_json(p, col.palette, steps)
 
 
 def test_colour_verification_failure_exits_2(tmp_path, monkeypatch, capsys):
@@ -278,6 +278,46 @@ def test_long_path_all_entry_points(tmp_path, capsys):
 
 def test_missing_file():
     assert main(["analyze", "/nonexistent/graph.edges"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "DIR"],
+        ["colour", "--girth6", "g.edges", "--trace", "DIR"],
+        ["colour", "--girth6", "g.edges", "-o", "DIR"],
+    ],
+    ids=["read", "trace", "output"],
+)
+def test_unusable_path_exits_1(argv, tmp_path, capsys):
+    """A directory where a file is read or written is bad input, as a missing
+    file is: exit 1 with an error line."""
+    p = write_graph(tmp_path, cycle(6))
+    subs = {"DIR": str(tmp_path), "g.edges": p}
+    assert main([subs.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_trace_needs_girth6(tmp_path, capsys):
+    p = write_graph(tmp_path, cycle(6))
+    trace = tmp_path / "t.json"
+    assert main(["colour", "--pipeline", p, "--trace", str(trace)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and "--girth6" in out.err
+    assert not trace.exists()
+
+
+def test_verify_zero_palette_is_bad_document(tmp_path, capsys):
+    p = write_graph(tmp_path, path(3))
+    doc = tmp_path / "zero.json"
+    doc.write_text('{"palette": 0, "colours": {}}')
+    assert main(["verify", p, str(doc)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: palette size must be >= 1\n"
 
 
 @pytest.mark.parametrize(

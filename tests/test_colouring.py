@@ -9,7 +9,6 @@ from conftest import brute_conflicts, brute_n2, small_graphs
 from strongedge.cli import _bench_corpus
 from strongedge.colouring import (
     ColouringError,
-    Palette,
     PartialColouring,
     Violation,
     colouring_from_json,
@@ -30,7 +29,7 @@ def reference_verify_strong(g, c, require_total=False):
     out = []
     assignment = {edge_key(*e): col for e, col in c.assignment.items()}
     for e, col in sorted(assignment.items()):
-        if col not in c.palette:
+        if not 1 <= col <= c.palette:
             out.append(Violation("off-palette", (e,)))
     if require_total:
         for e in g.edges:
@@ -47,10 +46,10 @@ def reference_verify_strong(g, c, require_total=False):
 
 
 def planted_colouring(g, rnd, size):
-    """A random partial colouring over Palette(size) with colours 0 and
+    """A random partial colouring over colours 1..size, with colours 0 and
     size + 1 off the palette, then a few edges recoloured to match an edge
     that shares an end with them or one at distance exactly 2."""
-    c = PartialColouring(g, Palette(size))
+    c = PartialColouring(g, size)
     for e in g.edges:
         if rnd.random() < 0.8:
             c._assignment[e] = rnd.randint(0, size + 1)
@@ -66,25 +65,39 @@ def planted_colouring(g, rnd, size):
 def reference_free_colours(c, e, h):
     """The palette minus the colours on ``h.n2_edges(e)``, the per-edge set
     that the per-vertex colour sets replaced."""
-    return set(c.palette.colours()) - {c.colour_of(f) for f in h.n2_edges(e)}
+    return set(range(1, c.palette + 1)) - {c.colour_of(f) for f in h.n2_edges(e)}
+
+
+def test_palette_is_an_int_from_1():
+    """A palette is the int k, standing for the colours 1..k."""
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=r"^palette size must be >= 1$"):
+            PartialColouring(path(3), k)
+    c = PartialColouring(path(3), 2)
+    assert c.palette == 2
+    c.put((0, 1), 2)
+    for bad in (0, 3):
+        with pytest.raises(ColouringError, match=r"^colour \d outside palette 1\.\.2$"):
+            c.put((1, 2), bad)
+    assert c.assignment == {(0, 1): 2}
 
 
 class TestFreeColours:
     def test_empty_colouring_full_palette(self):
         g = cycle(6)
-        c = PartialColouring(g, Palette(5))
+        c = PartialColouring(g, 5)
         assert free_colours(c, (0, 1)) == {1, 2, 3, 4, 5}
 
     def test_p3_one_adjacent_colour(self):
         g = path(3)
-        c = PartialColouring(g, Palette(3))
+        c = PartialColouring(g, 3)
         c.assign((0, 1), 1)
         assert free_colours(c, (1, 2)) == {2, 3}
 
     def test_c6_adjacent_and_distance_two(self):
         # e2 adjacent to e1, e3 at distance 2 from e1: both colours blocked
         g = cycle(6)
-        c = PartialColouring(g, Palette(4))
+        c = PartialColouring(g, 4)
         c.assign((1, 2), 1)
         c.assign((2, 3), 2)
         expected = set(range(1, 5)) - {
@@ -95,20 +108,20 @@ class TestFreeColours:
 
     def test_coloured_edge_rejected(self):
         g = path(3)
-        c = PartialColouring(g, Palette(3))
+        c = PartialColouring(g, 3)
         c.assign((0, 1), 1)
         with pytest.raises(ColouringError):
             free_colours(c, (0, 1))
 
     def test_edge_missing_from_graph_rejected(self):
-        c = PartialColouring(cycle(6), Palette(3))
+        c = PartialColouring(cycle(6), 3)
         with pytest.raises(KeyError, match="edge 0-3 not in graph"):
             free_colours(c, (0, 3))
         with pytest.raises(KeyError, match="edge 0-1 not in graph"):
             free_colours(c, (0, 1), graph=Graph(range(6), [(1, 2)]))
 
     def test_assign_rejects_a_colour_in_use_nearby(self):
-        c = PartialColouring(path(4), Palette(3))
+        c = PartialColouring(path(4), 3)
         c.assign((0, 1), 1)
         with pytest.raises(ColouringError, match="conflicts near edge 2-3"):
             c.assign((2, 3), 1)
@@ -119,7 +132,7 @@ class TestFreeColours:
     @given(small_graphs(max_vertices=7), st.randoms(use_true_random=False))
     def test_partition_of_palette(self, g, rnd):
         # free colours and the colours on n2_edges(e) split the palette
-        c = PartialColouring(g, Palette(6))
+        c = PartialColouring(g, 6)
         for e in g.edges:
             if rnd.random() < 0.5:
                 c.put(e, rnd.randrange(1, 7))
@@ -128,7 +141,7 @@ class TestFreeColours:
                 free = free_colours(c, e)
                 near = {c.colour_of(f) for f in g.n2_edges(e)} - {None}
                 assert free & near == set()
-                assert free | near == set(c.palette.colours())
+                assert free | near == set(range(1, c.palette + 1))
 
     @settings(max_examples=150, deadline=None)
     @given(small_graphs(max_vertices=8), st.randoms(use_true_random=False))
@@ -139,7 +152,7 @@ class TestFreeColours:
         the palette minus the colours on ``h.n2_edges(e)``."""
         if not g.edges:
             return
-        live = [PartialColouring(g, Palette(4))]
+        live = [PartialColouring(g, 4)]
         for _ in range(40):
             c = rnd.choice(live)
             e = rnd.choice(g.edges)
@@ -170,7 +183,7 @@ class TestFreeColours:
         free set, with None for an empty one, on colourings that hold
         off-palette colours (as ``colouring_from_json`` loads them) and
         palettes small enough to leave no colour free."""
-        c = PartialColouring(g, Palette(size))
+        c = PartialColouring(g, size)
         for e in g.edges:
             if rnd.random() < 0.6:
                 c._assignment[e] = rnd.randint(-1, size + 2)
@@ -203,7 +216,7 @@ class TestFreeColours:
     @given(small_graphs(max_vertices=7), st.randoms(use_true_random=False))
     def test_assign_any_free_colour_keeps_valid(self, g, rnd):
         # one colour per edge: some colour is always free, even on K7
-        c = PartialColouring(g, Palette(max(1, g.num_edges())))
+        c = PartialColouring(g, max(1, g.num_edges()))
         for e in g.edges:
             choice = rnd.choice(sorted(free_colours(c, e)))
             c.assign(e, choice)
@@ -213,7 +226,7 @@ class TestFreeColours:
 class TestVerify:
     def test_c6_three_colours_valid(self):
         g = cycle(6)
-        c = PartialColouring(g, Palette(3))
+        c = PartialColouring(g, 3)
         order = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]
         for i, e in enumerate(order):
             c.put(e, i % 3 + 1)
@@ -222,7 +235,7 @@ class TestVerify:
 
     def test_p4_distance2_conflict(self):
         g = path(4)
-        c = PartialColouring(g, Palette(2))
+        c = PartialColouring(g, 2)
         c.put((0, 1), 1)
         c.put((1, 2), 2)
         c.put((2, 3), 1)
@@ -232,7 +245,7 @@ class TestVerify:
 
     def test_star_adjacent_conflict(self):
         g = star(3)
-        c = PartialColouring(g, Palette(2))
+        c = PartialColouring(g, 2)
         c.put((0, 1), 1)
         c.put((0, 2), 2)
         c.put((0, 3), 2)
@@ -241,7 +254,7 @@ class TestVerify:
 
     def test_off_palette_and_uncoloured(self):
         g = path(3)
-        c = PartialColouring(g, Palette(2))
+        c = PartialColouring(g, 2)
         c._assignment[(0, 1)] = 9
         kinds = {v.kind for v in verify_strong(g, c, require_total=True)}
         assert kinds == {"off-palette", "uncoloured"}
@@ -249,7 +262,7 @@ class TestVerify:
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(max_vertices=8), st.randoms(use_true_random=False))
     def test_matches_all_pairs_oracle(self, g, rnd):
-        c = PartialColouring(g, Palette(3))
+        c = PartialColouring(g, 3)
         for e in g.edges:
             c.put(e, rnd.randrange(1, 4))
         flagged = {
@@ -276,7 +289,7 @@ class TestVerifyMatchesReference:
         rnd = random.Random(4)
         for _, spec in _bench_corpus(100):
             g = generate(spec)
-            valid = PartialColouring(g, Palette(2 * g.num_edges()))
+            valid = PartialColouring(g, 2 * g.num_edges())
             for e in g.edges:
                 valid.assign(e, min(free_colours(valid, e)))
             for c in (valid, planted_colouring(g, rnd, g.max_degree() + 2)):
@@ -286,7 +299,7 @@ class TestVerifyMatchesReference:
             assert verify_strong(g, valid, True) == []
 
     def test_assigned_edge_missing_from_graph_raises(self):
-        c = PartialColouring(cycle(6), Palette(3))
+        c = PartialColouring(cycle(6), 3)
         c.put((0, 1), 1)
         c.put((0, 5), 2)
         with pytest.raises(KeyError, match="edge 0-5 not in graph"):
@@ -348,13 +361,13 @@ class TestKnownBound:
 class TestJsonDocument:
     def test_roundtrip(self):
         g = cycle(6)
-        c = PartialColouring(g, Palette(3))
+        c = PartialColouring(g, 3)
         for i, e in enumerate(g.edges):
             c.put(e, i % 3 + 1)
         doc = colouring_to_json(c)
         back = colouring_from_json(doc, g)
         assert back.assignment == c.assignment
-        assert back.palette.size == 3
+        assert back.palette == 3
 
     def test_unknown_edge_rejected(self):
         g = path(3)

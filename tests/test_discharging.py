@@ -195,8 +195,8 @@ class TestRules:
         emb = embed(g)
         final = apply_rules(emb, initial_charges(emb))
         for face in emb.faces:
-            pendant_visits = sum(1 for v in face.walk if g.degree(v) == 1)
-            assert face.length >= 6 + 2 * pendant_visits
+            pendant_visits = sum(1 for v in face if g.degree(v) == 1)
+            assert len(face) >= 6 + 2 * pendant_visits
         assert final.total() == -12
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from strongedge.embedding import NonPlanar, planar_embed
+from strongedge.embedding import planar_embed
 from strongedge.generators import (
     GeneratorSpec,
     cycle,
@@ -24,12 +24,12 @@ class TestFamilies:
     def test_wheel(self):
         g = wheel(5)
         assert g.girth() == 3 and g.max_degree() == 5
-        assert not isinstance(planar_embed(g), NonPlanar)
+        assert planar_embed(g) is not None
 
     def test_hex_patch(self):
         g = hex_patch(2, 2)
         assert g.girth() == 6 and g.max_degree() == 3
-        assert not isinstance(planar_embed(g), NonPlanar)
+        assert planar_embed(g) is not None
 
     def test_grid(self):
         g = grid(3, 4)
@@ -44,7 +44,7 @@ class TestFamilies:
             g = stacked_triangulation(7, seed=seed)
             assert g.girth() == 3
             assert g.max_degree() >= 4
-            assert not isinstance(planar_embed(g), NonPlanar)
+            assert planar_embed(g) is not None
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -67,7 +67,7 @@ class TestSubdivide:
     def test_wheel_once_is_colourable_instance(self):
         g = subdivide(wheel(5), 1)
         assert g.girth() == 6 and g.max_degree() == 5
-        assert not isinstance(planar_embed(g), NonPlanar)
+        assert planar_embed(g) is not None
 
     def test_c6_twice_is_c18(self):
         g = subdivide(cycle(6), 2)

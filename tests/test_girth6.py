@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strongedge.colouring import (
-    Palette,
     PartialColouring,
     free_colours,
     lowest_free_colour,
@@ -52,7 +51,7 @@ def colour_within(g, palette_size):
     """Any valid strong colouring of g inside the palette (oracle-backed)."""
     witness = is_strong_k_colourable(g, palette_size)
     assert witness is not None
-    col = PartialColouring(g, Palette(palette_size))
+    col = PartialColouring(g, palette_size)
     for e, c in witness.assignment.items():
         col.put(e, c)
     return col
@@ -75,7 +74,7 @@ def rebuild_reference(g):
     subgraph_without_edges, the greedy residual, then extension in reverse,
     each plan against its own graph."""
     delta = g.max_degree()
-    col = PartialColouring(g, Palette(3 * delta + 1))
+    col = PartialColouring(g, 3 * delta + 1)
     trace, plans, current = [], [], g
     while current.max_degree() >= 4:
         plan = plan_reduction(current, full_scan(current), palette_delta=delta)
@@ -585,7 +584,7 @@ class TestExtendBasics:
         g = c4_instance()
         cfg = first_match(g, "C4")
         plan = plan_reduction(g, cfg, palette_delta=4)
-        col = PartialColouring(g, Palette(13))  # nothing coloured
+        col = PartialColouring(g, 13)  # nothing coloured
         with pytest.raises(Exception):
             extend(col, plan)
 
@@ -626,7 +625,7 @@ class TestCountingFloors:
         # the palette of Delta 5 sets the greedy floor at 16 - 12 = 4; the
         # host colours ``used`` other edges at vertex 0, all near edge 0-1
         host = star(used + 1)
-        col = PartialColouring(host, Palette(16))
+        col = PartialColouring(host, 16)
         for c, leaf in enumerate(range(2, used + 2), start=1):
             col.put((0, leaf), c)
         residual = Graph(host.vertices, [(0, 1)])
@@ -663,7 +662,7 @@ class TestColourGirth6:
     def test_small_delta_fallback_palette_cap(self):
         g = cycle(9)
         col = colour_girth6(g)
-        assert col.palette.size <= 10
+        assert col.palette <= 10
 
     def test_nonplanar_rejected(self):
         with pytest.raises(PreconditionError, match="planar"):

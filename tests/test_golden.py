@@ -31,7 +31,7 @@ def output_bytes(name, g):
     trace = []
     col = colour_girth6(g, trace=trace)
     buf = io.StringIO()
-    write_trace(buf, name, col.palette.size, trace)
+    write_trace(buf, name, col.palette, trace)
     return (colouring_to_json(col) + "\n" + buf.getvalue()).encode()
 
 

@@ -24,7 +24,6 @@ from conftest import (
 from strongedge.cli import main
 from strongedge.colouring import (
     ColouringError,
-    Palette,
     PartialColouring,
     colouring_from_json,
     verify_strong,
@@ -106,13 +105,13 @@ def test_graph_matches_reference(vertices, edges):
 
 @st.composite
 def partial_colourings(draw):
-    """A graph with a partial colouring over Palette(size): some edges left
+    """A graph with a partial colouring over colours 1..size: some edges left
     uncoloured, some off the palette (0 or size + 1), and some copying the
     colour of an edge that shares an end or lies at distance 2."""
     g = draw(small_graphs(max_vertices=9))
     size = draw(st.integers(1, 5))
     rnd = draw(st.randoms(use_true_random=False))
-    c = PartialColouring(g, Palette(size))
+    c = PartialColouring(g, size)
     edges = list(g.edges)
     for e in edges:
         if rnd.random() < 0.8:
@@ -133,7 +132,7 @@ def test_verify_strong_matches_reference(case):
 
 
 def test_verify_strong_missing_edge_raises_like_reference():
-    c = PartialColouring(path(5), Palette(3))
+    c = PartialColouring(path(5), 3)
     for e, col in (((0, 1), 1), ((1, 2), 2), ((3, 4), 3)):
         c.put(e, col)
     g = Graph(range(5), [(0, 1), (1, 2), (2, 3)])

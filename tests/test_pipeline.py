@@ -22,7 +22,7 @@ from strongedge.colouring import (
     trivial_lower_bound,
     verify_strong,
 )
-from strongedge.embedding import EmbeddingError, NonPlanar, embed_rotation, planar_embed
+from strongedge.embedding import EmbeddingError, embed_rotation, planar_embed
 from strongedge.exact import _conflict_lists, _edge_stars, _Search, strong_chromatic_index
 from strongedge.generators import cycle, generate, grid, hex_patch, path, stacked_triangulation, star, subdivide, wheel
 from strongedge.graph import Graph, edge_key
@@ -73,7 +73,7 @@ def bridged_prisms(n: int) -> Graph:
 
 
 def is_planar(g: Graph) -> bool:
-    return not isinstance(planar_embed(g), NonPlanar)
+    return planar_embed(g) is not None
 
 
 # planar class-2 inputs, each with the nodes the search needs to refute
