@@ -165,9 +165,20 @@ def cmd_colour(args) -> int:
         # raises InternalInconsistency (exit 2) on a violation
         "valid": True,
     }
+    # the files first, stdout last: a run that cannot write one exits 1 with
+    # stdout empty and no trace file left behind
     if args.trace:
         with open(args.trace, "w") as fh:
             write_trace(fh, args.graph, col.palette, trace)
+    if args.output:
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(colouring_to_json(col))
+        except OSError:
+            if args.trace:
+                os.remove(args.trace)
+            raise
+    if args.trace:
         _log(f"trace with {len(trace)} steps written to {args.trace}")
     if args.format == "dot":
         sys.stdout.write(to_dot(g, col.assignment))
@@ -176,9 +187,6 @@ def cmd_colour(args) -> int:
         doc = colouring_doc(col)
         doc["report"] = report
         _emit(doc)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(colouring_to_json(col))
     return EXIT_OK
 
 

@@ -20,6 +20,17 @@ readers sit on it: ``free_colours`` returns the free set itself (``assign``
 and callers that want the set), and ``lowest_free_colour`` returns only the
 lowest free colour and the free count, which is all a greedy step needs; it
 never builds the 3*Delta+1 palette.
+
+The used set is an int bitmask, bit x for colour x.  Each vertex keeps
+one, beside a count per colour of its coloured edges that carry it, and
+``_used_near`` ORs the masks over N(u) ∪ N(v), one int operation per
+vertex however many colours sit there.  A bit is cleared only when its
+count reaches 0: two edges at a vertex may share a colour in a partial or
+loaded colouring, and uncolouring one must leave the colour used.  The
+lowest free colour is then the lowest clear bit of the mask and the free
+count its popcount over the palette.  Colours outside the palette, which a
+loaded document may hold, are counted but get no bit: no free colour
+depends on them.
 """
 
 from __future__ import annotations
@@ -66,9 +77,10 @@ class PartialColouring:
     ``assign`` accepts only a colour that is free around the edge; ``put``
     writes unchecked, for solvers that keep their own state.  Snapshots
     taken with ``copy`` are independent.  ``_at`` counts, per vertex, the
-    colours on its coloured edges: the first ``free_colours`` call builds
-    it and ``put`` and ``unassign`` keep it from then on, so a colouring
-    that is only filled and verified never pays for it.
+    colours on its coloured edges, and ``_mask`` holds the same vertex's
+    palette colours as a bitmask (module docstring): the first free-colour
+    read builds both and ``put`` and ``unassign`` keep them from then on,
+    so a colouring that is only filled and verified never pays for them.
     """
 
     def __init__(self, graph: Graph, palette: int):
@@ -78,6 +90,7 @@ class PartialColouring:
         self.palette = palette
         self._assignment: dict[Edge, int] = {}
         self._at: dict[int, dict[int, int]] | None = None
+        self._mask: dict[int, int] = {}
 
     @property
     def assignment(self) -> dict[Edge, int]:
@@ -94,7 +107,7 @@ class PartialColouring:
 
     def assign(self, e: Edge, colour: int) -> None:
         e = edge_key(*e)
-        if 1 <= colour <= self.palette and colour not in free_colours(self, e):
+        if 1 <= colour <= self.palette and _used_near(self, e, None) >> colour & 1:
             raise ColouringError(f"colour {colour} conflicts near edge {e[0]}-{e[1]}")
         self.put(e, colour)
 
@@ -121,65 +134,69 @@ class PartialColouring:
         dup._assignment = dict(self._assignment)
         return dup
 
-    def _colours_at(self) -> dict[int, dict[int, int]]:
+    def _used_at(self) -> dict[int, int]:
         if self._at is None:
             self._at = {}
             for e, colour in self._assignment.items():
                 self._tally(e, colour, 1)
-        return self._at
+        return self._mask
 
     def _tally(self, e: Edge, colour: int, step: int) -> None:
+        bit = 1 << colour if 1 <= colour <= self.palette else 0
+        at, mask = self._at, self._mask
         for v in e:
-            counts = self._at.setdefault(v, {})
-            counts[colour] = counts.get(colour, 0) + step
-            if not counts[colour]:
+            counts = at.setdefault(v, {})
+            n = counts.get(colour, 0) + step
+            if n:
+                counts[colour] = n
+                if n == 1 and step == 1:
+                    mask[v] = mask.get(v, 0) | bit
+            else:
                 del counts[colour]
+                mask[v] &= ~bit
 
 
-def _used_near(c: PartialColouring, e: Edge, graph: Graph | None) -> set[int]:
-    """Colours used within distance 2 of the uncoloured edge ``e`` in
-    ``graph`` (by default the host): those at the vertices of N(u) ∪ N(v),
-    which contains u and v (module docstring).  The vertices' colours count
-    every coloured edge of ``c``, so the answer is exact when every coloured
-    edge is an edge of ``graph``, as on every girth-6 call: the working
-    graph holds every coloured edge.  Raises ``ColouringError`` if ``e`` is
-    coloured and ``KeyError`` if it is not an edge of ``graph``."""
+def _used_near(c: PartialColouring, e: Edge, graph: Graph | None) -> int:
+    """Palette colours used within distance 2 of the uncoloured edge ``e`` in
+    ``graph`` (by default the host), as a bitmask with bit x for colour x:
+    those at the vertices of N(u) ∪ N(v), which contains u and v (module
+    docstring).  The vertices' colours count every coloured edge of ``c``,
+    so the answer is exact when every coloured edge is an edge of ``graph``,
+    as on every girth-6 call: the working graph holds every coloured edge.
+    Raises ``ColouringError`` if ``e`` is coloured and ``KeyError`` if it is
+    not an edge of ``graph``."""
     g = graph if graph is not None else c.graph
     u, v = e = edge_key(*e)
     if e in c._assignment:
         raise ColouringError(f"edge {u}-{v} already coloured")
     if not g.has_edge(u, v):
         raise KeyError(f"edge {u}-{v} not in graph")
-    at = c._colours_at()
-    used: set[int] = set()
+    mask = c._used_at()
+    used = 0
     for w in g.neighbours(u) + g.neighbours(v):
-        used.update(at.get(w, ()))
+        used |= mask.get(w, 0)
     return used
 
 
 def free_colours(c: PartialColouring, e: Edge, graph: Graph | None = None) -> set[int]:
     """Palette colours not used within distance 2 of the uncoloured edge
     ``e`` in ``graph`` (see ``_used_near`` for the rule and the errors)."""
-    return set(range(1, c.palette + 1)) - _used_near(c, e, graph)
+    used = _used_near(c, e, graph)
+    return {x for x in range(1, c.palette + 1) if not used >> x & 1}
 
 
 def lowest_free_colour(
     c: PartialColouring, e: Edge, graph: Graph | None = None
 ) -> tuple[int | None, int]:
     """``(min(free), len(free))`` for ``free = free_colours(c, e, graph)``,
-    with None for the minimum of an empty set, read off the used set
-    without building the palette: the count is the palette size minus the
-    used colours inside the palette, and the lowest free colour is the first
-    colour from 1 up that is not used."""
-    used = _used_near(c, e, graph)
-    size = c.palette
-    count = size - sum(1 for x in used if 1 <= x <= size)
-    if not count:
+    with None for the minimum of an empty set, read off the used bitmask
+    without building the palette: the free colours are the clear bits 1 to
+    the palette size, so the lowest is the lowest clear bit and the count
+    is their popcount."""
+    free = ~_used_near(c, e, graph) & ((1 << (c.palette + 1)) - 2)
+    if not free:
         return None, 0
-    lowest = 1
-    while lowest in used:
-        lowest += 1
-    return lowest, count
+    return (free & -free).bit_length() - 1, free.bit_count()
 
 
 def verify_strong(

@@ -23,9 +23,12 @@ on.
 
 Each kind keeps a min-heap of candidate anchors that holds every vertex at
 which the kind matches, so the search pops non-matching vertices off the
-top and stops at the first match, the smallest anchor.  A matcher's answer
-at u can change only if an endpoint of a removed edge lies within the
-distance the matcher reads degrees at, measured before the removal:
+top and stops at the first match, the smallest anchor.
+
+A matcher at u reads along chains u = x0, x1, ..., xj: u's neighbour list,
+the degree of each vertex it reaches, and the neighbour list of a vertex
+other than u only after finding that vertex's degree at most 4.  Chains
+have at most the kind's radius r edges:
 
 - radius 1 for C1, C2, C5, C6: they read the degrees of u's neighbours;
 - radius 2 for C3, C4: they also count the degree-2 neighbours of a
@@ -34,19 +37,37 @@ distance the matcher reads degrees at, measured before the removal:
   spoke is constraining depends on the partner's neighbours, and C8's
   ``extra`` is one of them.
 
+Every degree test a matcher applies to a vertex other than u (<= 4, <= 3,
+== 4, == 2, == 1, <= 2, in {2, 3}, >= 2, != 2) gives the same answer at
+every degree >= 5: past its anchor, a matcher sees a hub only as a high
+vertex and never reads through it.  C5's matcher also stops scanning its
+anchor's neighbours once it has seen more non-pendant or high ones than the
+pattern allows.
+
 The heaps are topped up lazily.  Each step appends the endpoints of its
 removed edges to one ``touched`` list, and a kind's heap is brought up to
-date only when the search reaches that kind: the vertices within the kind's
-radius r of the endpoints touched since its last visit, measured in the
-*current* graph, are pushed then.  That reaches every vertex u whose answer
-one of those removals may have changed.  Take a path of length at most r
-from an endpoint of that removal to u in the graph just before it, and the
-path's suffix after the last vertex on it touched since the visit.  The
-suffix's edges were there before that removal, and none has been removed
-since, because every edge removed since the visit has both ends touched:
-the suffix is in the current graph, so u lies within r of a touched
-vertex there.  Kinds that the search does not reach (C7-C9 on most inputs)
-never pay for a ball.
+date only when the search reaches that kind, from the *ball* of the
+vertices touched since its last visit.  The ball starts as those vertices
+and grows for r rounds in the *current* graph, out of vertices of degree
+at most 4 only: a vertex of higher degree joins the ball when reached, but
+its neighbours do not join through it.  The ball holds every vertex u
+whose answer one of those removals may have changed.  Let G be the graph
+just before that removal, of the edge ab.  The answer changed, so some
+chain u = x0, ..., xj read in G, j <= r, ends at an endpoint of ab: either
+the matcher read xj's neighbour list, so xj = u or deg(xj) <= 4 in G, or
+it tested xj's degree, whose answer changes only if the degree falls
+below 5.  Either way xj = u or deg(xj) <= 4 after the removal.  The inner
+vertices x1, ..., x(j-1) had degree at most 4 in G.  Take xi, the vertex nearest u on the chain that
+was touched since the visit (xj is).  If i = 0, u is in the ball.
+Otherwise xi is xj or an inner vertex, and the vertices after it are
+untouched inner vertices, so all of xi, ..., x1 have degree at most 4
+now: degrees only fall.  The chain's edges from xi to u were in G, and
+none has been removed since, because every edge removed since the visit
+has both ends touched.  So the ball grows from xi along them and reaches
+u within i <= r rounds.  Kinds that the search does not reach (C7-C9 on
+most inputs) never pay for a ball, and a ball that meets a hub does not
+take in the hub's neighbourhood, whose answers no change beyond the hub
+can move.
 
 A vertex is pushed only if its degree lies in its kind's anchor range,
 outside which the matcher returns None: 1 for C1, 2 for C2-C4, at least 4
@@ -296,13 +317,24 @@ def _match_c4(g: Graph, u: int) -> Configuration | None:
 
 
 def _match_c5(g: Graph, u: int) -> Configuration | None:
+    # k - 2 pendants, or k - 3 pendants and k - 2 neighbours of degree at most
+    # 2: two or three non-pendant neighbours, at most two of degree above 2
     k = g.degree(u)
     if k < 4:
         return None
-    ones = [w for w in g.neighbours(u) if g.degree(w) == 1]
-    lows = [w for w in g.neighbours(u) if g.degree(w) <= 2]
-    if len(ones) == k - 2 or (len(ones) == k - 3 and len(lows) >= k - 2):
-        return Configuration("C5", {"u": u, "u1": ones[0]}, k=k)
+    u1, others, highs = None, 0, 0
+    for w in g.neighbours(u):
+        d = g.degree(w)
+        if d == 1:
+            if u1 is None:
+                u1 = w
+        else:
+            others += 1
+            highs += d > 2
+            if others > 3 or highs > 2:
+                return None
+    if others >= 2:
+        return Configuration("C5", {"u": u, "u1": u1}, k=k)
     return None
 
 
@@ -449,8 +481,8 @@ class _Candidates:
     def heap(self, name: str) -> list[int]:
         """The heap of kind ``name``: on the first call, every vertex of the
         kind's degree; later, after pushing every vertex of the kind's
-        degree within its radius of the vertices touched since the last
-        call."""
+        degree in the ball of the vertices touched since the last call
+        (module docstring)."""
         _, radius, (lo, hi), _ = _KINDS[name]
         adj = self.graph._adj
         start, end = self._cursor.get(name), len(self.touched)
@@ -465,7 +497,8 @@ class _Candidates:
         ring = set(self.touched[start:])
         ball = set(ring)
         for _ in range(radius):
-            ring = {y for x in ring for y in adj[x]} - ball
+            # grow out of vertices of degree <= 4 only; hubs join, not expand
+            ring = {y for x in ring if len(adj[x]) <= 4 for y in adj[x]} - ball
             ball |= ring
         for x in ball:
             if lo <= len(adj[x]) <= hi:

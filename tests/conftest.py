@@ -19,6 +19,7 @@ from strongedge.colouring import (
     Violation,
 )
 from strongedge.generators import hex_patch
+from strongedge.girth6 import Configuration
 from strongedge.graph import ACYCLIC, Edge, Graph, GraphParseError, edge_key
 
 
@@ -356,6 +357,24 @@ def reference_star_verify(
         kind = "adjacent-conflict" if set(e) & set(f) else "distance2-conflict"
         out.append(Violation(kind, (e, f)))
     return out
+
+
+# -- C5's matcher as first written ----------------------------------------------
+#
+# ``girth6._match_c5`` as it was before it stopped scanning a hub at the first
+# neighbour the pattern cannot allow: it reads every neighbour, so tests can
+# require the same answer.
+
+
+def reference_match_c5(g: Graph, u: int):
+    k = g.degree(u)
+    if k < 4:
+        return None
+    ones = [w for w in g.neighbours(u) if g.degree(w) == 1]
+    lows = [w for w in g.neighbours(u) if g.degree(w) <= 2]
+    if len(ones) == k - 2 or (len(ones) == k - 3 and len(lows) >= k - 2):
+        return Configuration("C5", {"u": u, "u1": ones[0]}, k=k)
+    return None
 
 
 # -- Vizing's edge colouring as first written -------------------------------------

@@ -286,18 +286,22 @@ def test_missing_file():
         ["analyze", "DIR"],
         ["colour", "--girth6", "g.edges", "--trace", "DIR"],
         ["colour", "--girth6", "g.edges", "-o", "DIR"],
+        ["colour", "--girth6", "g.edges", "--trace", "t.json", "-o", "DIR"],
     ],
-    ids=["read", "trace", "output"],
+    ids=["read", "trace", "output", "trace+output"],
 )
 def test_unusable_path_exits_1(argv, tmp_path, capsys):
     """A directory where a file is read or written is bad input, as a missing
-    file is: exit 1 with an error line."""
+    file is: exit 1 with an error line, nothing on stdout and no trace file."""
     p = write_graph(tmp_path, cycle(6))
-    subs = {"DIR": str(tmp_path), "g.edges": p}
+    trace = tmp_path / "t.json"
+    subs = {"DIR": str(tmp_path), "g.edges": p, "t.json": str(trace)}
     assert main([subs.get(a, a) for a in argv]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+    assert "Traceback" not in out.err
+    assert not trace.exists()
 
 
 def test_trace_needs_girth6(tmp_path, capsys):

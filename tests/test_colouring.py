@@ -193,6 +193,36 @@ class TestFreeColours:
                 expected = (min(free) if free else None, len(free))
                 assert lowest_free_colour(c, e) == expected, e
 
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(max_vertices=7), st.integers(1, 5), st.data())
+    def test_mask_upkeep_matches_the_assignment(self, g, size, data):
+        """After each put (overwrites included) and unassign, both readers
+        equal the reference free set at every uncoloured edge.  Each
+        sequence starts on the path b-v-a-y added to ``g``: vb and va get
+        one colour, then va loses it.  v still holds the colour, on vb, and
+        ay is the edge that sees v but not b, so a mask that cleared the bit
+        without counting reads the colour as free there."""
+        n = max(g.vertices, default=-1) + 1
+        b, v, a, y = range(n, n + 4)
+        g = Graph([*g.vertices, b, v, a, y], [*g.edges, (b, v), (v, a), (a, y)])
+        colour = data.draw(st.integers(1, size))
+        ops = [("put", (b, v), colour), ("put", (v, a), colour), ("unassign", (v, a), None)]
+        ops += data.draw(st.lists(st.tuples(
+            st.sampled_from(("put", "unassign")), st.sampled_from(g.edges), st.integers(1, size)
+        ), max_size=25))
+        c = PartialColouring(g, size)
+        free_colours(c, (a, y))  # the first read builds the masks; the ops keep them
+        for op, e, col in ops:
+            if op == "put":
+                c.put(e, col)
+            else:
+                c.unassign(e)
+            for h in g.edges:
+                if c.colour_of(h) is None:
+                    free = reference_free_colours(c, h, g)
+                    assert free_colours(c, h) == free, (h, ops)
+                    assert lowest_free_colour(c, h) == (min(free) if free else None, len(free))
+
     def test_lowest_free_colour_on_a_loaded_document(self):
         g = path(4)
         cases = [

@@ -24,6 +24,7 @@ from strongedge.generators import (
     subdivide,
     wheel,
 )
+from strongedge import girth6
 from strongedge.girth6 import (
     Configuration,
     ExtendStep,
@@ -43,7 +44,12 @@ from strongedge.girth6 import (
     write_trace,
 )
 from strongedge.graph import Graph, edge_key
-from conftest import complete_graph, reference_trace_json, small_graphs
+from conftest import (
+    complete_graph,
+    reference_match_c5,
+    reference_trace_json,
+    small_graphs,
+)
 from test_discharging import planar_with_hubs
 
 
@@ -127,22 +133,32 @@ LOOP_INPUTS = [
 _HUB = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (6, 7), (6, 8), (6, 9), (8, 10)]
 _HUB_LEAVES = {3: 1, 4: 1, 7: 1, 8: 1, 9: 2}
 
-#: (kind, graph, anchor, edge): removing ``edge`` makes the kind match at the
-#: anchor, and the edge's nearer endpoint lies exactly the kind's radius away.
+#: (kind, graph, anchor, edge, off): removing ``edge`` makes the kind match at
+#: the anchor, the edge's nearer endpoint lies exactly the kind's radius away,
+#: and no vertex of ``off`` is pushed on the kind's heap.
 RADIUS_CASES = [
-    ("C1", with_leaves([(0, 1), (0, 2)], {0: 3}), 1, (0, 2)),
-    ("C2", with_leaves([(0, 1), (0, 2), (2, 3)], {2: 2}), 0, (2, 3)),
+    ("C1", with_leaves([(0, 1), (0, 2)], {0: 3}), 1, (0, 2), ()),
+    ("C2", with_leaves([(0, 1), (0, 2), (2, 3)], {2: 2}), 0, (2, 3), ()),
     ("C3", with_leaves([(0, 1), (0, 2), (2, 3), (2, 4), (2, 5), (3, 6)],
-                       {3: 1, 4: 2, 5: 2}), 0, (3, 6)),
+                       {3: 1, 4: 2, 5: 2}), 0, (3, 6), ()),
+    # the 4-vertex 2 loses a degree-2 neighbour to a pendant: 4_4 becomes 4_3
+    ("C3", with_leaves([(0, 1), (0, 2), (2, 3), (2, 4), (2, 5)], {3: 1, 4: 1, 5: 1}),
+     0, (3, 6), ()),
+    # 1 is a spoke of the hub 0; the ball reaches 8 through the 4-vertex 7
+    # but stops at the hub, so its other spokes 2-5 stay off the heap
+    ("C3", with_leaves([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (6, 7), (7, 8),
+                        (8, 9), (7, 10), (7, 11)], {2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 10: 2, 11: 2}),
+     8, (1, 6), (2, 3, 4, 5)),
     ("C4", with_leaves([(0, 1), (0, 2), (1, 3), (1, 5), (1, 8), (2, 11), (2, 13),
                         (2, 16), (5, 6)], {3: 1, 5: 1, 8: 2, 11: 1, 13: 2, 16: 2}),
-     0, (5, 6)),
+     0, (5, 6), ()),
     ("C5", with_leaves([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (2, 6)],
-                       {3: 1, 4: 2, 5: 2}), 0, (2, 6)),
-    ("C6", with_leaves([(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)], {4: 1}), 0, (4, 5)),
-    ("C7", with_leaves(_HUB, {**_HUB_LEAVES, 2: 1, 5: 2}), 0, (8, 10)),
-    ("C8", with_leaves(_HUB + [(2, 11)], {**_HUB_LEAVES, 5: 1, 11: 2}), 0, (8, 10)),
-    ("C9", with_leaves(_HUB + [(2, 11)], {**_HUB_LEAVES, 5: 1, 11: 2, 0: 1}), 0, (8, 10)),
+                       {3: 1, 4: 2, 5: 2}), 0, (2, 6), ()),
+    ("C6", with_leaves([(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)], {4: 1}), 0, (4, 5), ()),
+    ("C7", with_leaves(_HUB, {**_HUB_LEAVES, 2: 1, 5: 2}), 0, (8, 10), ()),
+    ("C8", with_leaves(_HUB + [(2, 11)], {**_HUB_LEAVES, 5: 1, 11: 2}), 0, (8, 10), ()),
+    ("C9", with_leaves(_HUB + [(2, 11)], {**_HUB_LEAVES, 5: 1, 11: 2, 0: 1}), 0, (8, 10),
+     ()),
 ]
 
 
@@ -183,15 +199,17 @@ class TestFindConfiguration:
                 assert configuration_holds(g, cfg)
 
     def test_candidates_reach_anchors_a_removal_creates(self):
-        for kind, g, u, e in RADIUS_CASES:
-            assert _KINDS[kind].match(g, u) is None, kind
+        for kind, g, u, e, off in RADIUS_CASES:
+            assert _KINDS[kind].match(g, u) is None, (kind, u)
             work = _WorkingGraph(g)
             candidates = _Candidates(work)
             candidates.heap(kind).clear()  # the kind was searched: no anchor
             work.remove_edges([e])
             candidates.touched.extend(e)
-            assert _KINDS[kind].match(work, u) is not None, kind
-            assert u in candidates.heap(kind), kind
+            assert _KINDS[kind].match(work, u) is not None, (kind, u)
+            heap = candidates.heap(kind)
+            assert u in heap, (kind, u)
+            assert not set(off) & set(heap), (kind, off)
 
     def test_candidates_agree_with_a_full_scan(self):
         """At every step of the reduction loop, the configuration drawn from
@@ -209,6 +227,32 @@ class TestFindConfiguration:
                 work.remove_edges(plan.removed)
                 candidates.touched.extend(x for e in plan.removed for x in e)
         assert kinds == {"C1", "C2", "C5", "C6", "C7"}
+
+    def test_loop_work_per_step(self, monkeypatch):
+        """Matcher runs and heap pushes per reduction step on a subdivided
+        triangulation with 9,612 edges (Delta 138).  Balls that grew through
+        hubs took 15.33 runs and 10.01 pushes per step here; growing them out
+        of low vertices only takes 8.68 and 3.36."""
+        g = subdivide(stacked_triangulation(1600, seed=1), 1)
+        count = {"steps": 0, "runs": 0, "pushes": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                count[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        kinds = {name: kind._replace(match=counted("runs", kind.match))
+                 for name, kind in _KINDS.items()}
+        monkeypatch.setattr(girth6, "_KINDS", kinds)
+        monkeypatch.setattr(girth6, "heappush", counted("pushes", girth6.heappush))
+        monkeypatch.setattr(girth6, "find_configuration",
+                            counted("steps", girth6.find_configuration))
+        girth6._reduce_and_extend(g, g.max_degree(), None)
+        assert (g.num_edges(), count["steps"]) == (9612, 4256)
+        assert count["runs"] <= 10 * count["steps"]
+        assert count["pushes"] <= 4 * count["steps"]
 
     def test_fresh_search_agrees_with_a_full_scan(self):
         """Without the loop's heaps, find_configuration builds fresh ones;
@@ -240,6 +284,42 @@ class TestFindConfiguration:
         cfg = find_configuration(g)
         assert cfg.kind == "C5" and cfg.k == 5
         assert cfg.anchors["u1"] == 1
+
+
+@st.composite
+def hubs(draw):
+    """A vertex 0 of degree 4 to 8 whose neighbours have degree 1 to 4, their
+    other neighbours pendants."""
+    edges, n = [], 1
+    for _ in range(draw(st.integers(4, 8))):
+        arm, n = n, n + 1
+        edges.append((0, arm))
+        for _ in range(draw(st.integers(0, 3))):
+            edges.append((arm, n))
+            n += 1
+    return Graph(range(n), edges)
+
+
+class TestC5EarlyExit:
+    """C5's matcher stops at the first neighbour the pattern cannot allow;
+    its answers equal the full scan's."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(hubs() | planar_with_hubs() | small_graphs(max_vertices=12))
+    def test_early_exit_matches_full_scan(self, g):
+        for u in g.vertices:
+            assert _KINDS["C5"].match(g, u) == reference_match_c5(g, u), u
+
+    def test_hub_strategy_reaches_both_answers(self):
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(hubs())
+        def collect(g):
+            seen.add(reference_match_c5(g, 0) is not None)
+
+        collect()
+        assert seen == {True, False}
 
 
 def c7_tree(constraining="three"):
