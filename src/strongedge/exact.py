@@ -1,15 +1,22 @@
 """Exact strong chromatic index by backtracking search.
 
 Ground truth for everything else in the package: the decision search is
-complete, so an Unsat answer certifies that no k-colouring exists.  The
-search itself, ``_Search``, colours items under integer conflict lists and
-is the package's only colouring search: here the items are edges and the
-conflicts are edges within distance 2, and the pipeline runs it on
+complete, so an Unsat answer certifies that no k-colouring exists.  Values
+of k below ``clique_lower_bound`` are settled by proof instead: the edges
+meeting one edge, triangle or K4 pairwise conflict, so k colours cannot
+suffice when more than k of them meet one, and neither
+``is_strong_k_colourable`` nor ``strong_chromatic_index`` searches there.
+
+The search itself, ``_Search``, colours items under integer conflict lists
+and is the package's only colouring search: here the items are edges and
+the conflicts are edges within distance 2, and the pipeline runs it on
 incident edges (class-1 edge colouring) and on conflict-graph neighbours
 (node colouring).  It is iterative, so input size is bounded by time, not
 by recursion depth, and a search node costs O(deg) plus a scan of at most
 k counters in C, not O(n), so an easy instance is solved in about linear
-time.
+time.  Its per-item colour counts are kept for uncoloured items only:
+undo is last-in first-out, so a coloured item's counts are right again by
+the time it is uncoloured and read.
 
 Dead ends backjump instead of backtracking chronologically: each one
 returns straight to the deepest earlier choice it depends on, so after the
@@ -31,7 +38,6 @@ from heapq import heappop, heappush
 from .colouring import (
     InternalInconsistency,
     PartialColouring,
-    trivial_lower_bound,
     verify_strong,
 )
 from .graph import Edge, Graph
@@ -69,15 +75,45 @@ def _conflict_lists(g: Graph) -> tuple[list[Edge], list[list[int]]]:
     """Edges in identity order plus, per edge, the indices of all edges
     within distance 2 (the clique structure the colouring must respect).
 
-    Built from edge stars: the edges within distance 2 of ``uv`` are those
-    incident to a vertex of N(u) ∪ N(v), which contains u and v."""
+    Built from vertex rings: ``ring[v]`` holds the indices of the edges
+    meeting N(v), and the edges within distance 2 of ``uv`` are those
+    meeting N(u) ∪ N(v), which contains u and v, so they are
+    ``ring[u] | ring[v]`` less ``uv`` itself."""
     edges, star = _edge_stars(g)
+    ring = {v: {j for x in g.neighbours(v) for j in star[x]} for v in g.vertices}
     conflicts = []
     for i, (u, v) in enumerate(edges):
-        near = {j for w in (u, v) for x in g.neighbours(w) for j in star[x]}
+        near = ring[u] | ring[v]
         near.discard(i)
         conflicts.append(sorted(near))
     return edges, conflicts
+
+
+def clique_lower_bound(g: Graph) -> int:
+    """The largest number of edges meeting one edge, triangle or K4 of
+    ``g``: d(u)+d(v)-1, Σd-3 or Σd-6 (the degree sum less the clique's own
+    edges, each counted twice in it).
+
+    Two edges meeting a clique K, at x and at y, conflict: either x = y, or
+    the edge xy of K is adjacent to both.  So all of them need distinct
+    colours, and the bound holds on any graph; planar graphs have no K5.
+    The edge term alone is ``trivial_lower_bound``.  Triangles come from
+    each edge's common neighbours and K4s from each triangle's, each found
+    once from its two smallest vertices."""
+    adj = {v: set(g.neighbours(v)) for v in g.vertices}
+    best = 0
+    for u, v in g.edges:  # u < v
+        sum_uv = len(adj[u]) + len(adj[v])
+        best = max(best, sum_uv - 1)
+        common = adj[u] & adj[v]
+        for w in common:
+            if w > v:
+                sum_uvw = sum_uv + len(adj[w])
+                best = max(best, sum_uvw - 3)
+                for x in common & adj[w]:
+                    if x > w:
+                        best = max(best, sum_uvw + len(adj[x]) - 6)
+    return best
 
 
 class _Search:
@@ -90,11 +126,18 @@ class _Search:
     ascending order up to ``lim = min(k, max_used + 1)``, so a branch
     introduces at most one colour that no earlier item uses and permuting
     unused colours never re-runs.  ``count[i][c]`` counts the neighbours of
-    ``i`` coloured ``c`` and ``sat[i]`` the distinct colours among them,
-    both kept on assign and unassign, so the next free colour above ``c`` is
-    the first zero of ``count[i]`` in ``c+1..lim``, found by ``list.index``.
-    A coloured item's ``sat`` is shifted below zero.  Every used colour is
-    within the cap, so the fewest free colours is the largest ``sat``.
+    ``i`` coloured ``c`` and ``sat[i]`` the distinct colours among them, so
+    the next free colour above ``c`` is the first zero of ``count[i]`` in
+    ``c+1..lim``, found by ``list.index``.  Every used colour is within the
+    cap, so the fewest free colours is the largest ``sat``.
+
+    Both are kept only for uncoloured items: an assign or unassign updates
+    the uncoloured neighbours and skips the coloured ones.  A coloured
+    item's row is read again only once it is uncoloured, and undo is
+    last-in first-out, so by then every item coloured after it has been
+    uncoloured too, and each update skipped while it was coloured would
+    have been cancelled by the opposite one.  A coloured item's ``sat`` is
+    shifted below zero, so its bucket entries read as stale.
 
     The pick reads saturation buckets: ``buckets[s]`` is a min-heap of item
     indices holding every uncoloured item whose ``sat`` is ``s``, plus stale
@@ -154,83 +197,96 @@ class _Search:
         # (item, max_used before it, colour, nogood passed back to its level)
         stack: list[tuple[int, int, int, int]] = []
         max_used = 0
-        while True:
-            self.nodes += 1
-            if deadline is not None and time.monotonic() > deadline:
-                raise SolverTimeout()
-            while top >= 0:
-                heap = buckets[top]
-                while heap and sat[heap[0]] != top:
-                    queued[top][heappop(heap)] = 0
-                if heap:
-                    break
-                top -= 1
-            if top < 0:
-                return True
-            i, c, prev, nogood = buckets[top][0], 0, max_used, 0
-            while True:  # the next free colour of i above c, else backjump
-                try:
-                    c = count[i].index(0, c + 1, min(k, prev + 1) + 1)
-                    break
-                except ValueError:  # none in c+1..lim
-                    pass
-                earliest: dict[int, int] = {}
-                for j in conflicts[i]:
-                    d = colour[j]
-                    if d and level[j] < earliest.get(d, n):
-                        earliest[d] = level[j]
-                for lv in earliest.values():
-                    nogood |= 1 << lv
-                to = nogood.bit_length() - 1  # the deepest level, -1 if none
-                while len(stack) > max(to, 0):
-                    i, prev, c, kept = stack.pop()
-                    colour[i] = 0
-                    sat[i] += k + 1
+        shift = k + 1  # moves a coloured item's sat below zero
+        nodes = self.nodes
+        monotonic = time.monotonic
+        try:
+            while True:
+                nodes += 1
+                if deadline is not None and monotonic() > deadline:
+                    raise SolverTimeout()
+                while top >= 0:
+                    heap = buckets[top]
+                    while heap and sat[heap[0]] != top:
+                        queued[top][heappop(heap)] = 0
+                    if heap:
+                        break
+                    top -= 1
+                if top < 0:
+                    return True
+                i, c, prev, nogood = buckets[top][0], 0, max_used, 0
+                while True:  # the next free colour of i above c, else backjump
+                    lim = prev + 1 if prev < k else k
+                    try:
+                        c = count[i].index(0, c + 1, lim + 1)
+                        break
+                    except ValueError:  # none in c+1..lim
+                        pass
+                    earliest: dict[int, int] = {}
                     for j in conflicts[i]:
-                        row = count[j]
-                        row[c] -= 1
-                        if not row[c]:
-                            sat[j] -= 1
-                            s = sat[j]
-                            if s >= 0 and not queued[s][j]:
-                                queued[s][j] = 1
-                                heappush(buckets[s], j)
-                    s = sat[i]  # top is k: only an item with sat k has no colour left
-                    if not queued[s][i]:
-                        queued[s][i] = 1
-                        heappush(buckets[s], i)
-                if to < 0:
-                    return False
-                nogood = kept | (nogood ^ (1 << to))
-            level[i] = len(stack)
-            stack.append((i, prev, c, nogood))
-            max_used = max(prev, c)
-            colour[i] = c
-            sat[i] -= k + 1
-            for j in conflicts[i]:
-                row = count[j]
-                if not row[c]:
-                    sat[j] += 1
-                    s = sat[j]
-                    if s >= 0:
+                        d = colour[j]
+                        if d and level[j] < earliest.get(d, n):
+                            earliest[d] = level[j]
+                    for lv in earliest.values():
+                        nogood |= 1 << lv
+                    to = nogood.bit_length() - 1  # the deepest level, -1 if none
+                    keep = to if to > 0 else 0
+                    while len(stack) > keep:
+                        i, prev, c, kept = stack.pop()
+                        colour[i] = 0
+                        sat[i] += shift
+                        for j in conflicts[i]:
+                            if colour[j]:
+                                continue
+                            row = count[j]
+                            row[c] -= 1
+                            if not row[c]:
+                                s = sat[j] = sat[j] - 1
+                                q = queued[s]
+                                if not q[j]:
+                                    q[j] = 1
+                                    heappush(buckets[s], j)
+                        s = sat[i]  # top is k: only an item with sat k has no colour left
+                        q = queued[s]
+                        if not q[i]:
+                            q[i] = 1
+                            heappush(buckets[s], i)
+                    if to < 0:
+                        return False
+                    nogood = kept | (nogood ^ (1 << to))
+                level[i] = len(stack)
+                stack.append((i, prev, c, nogood))
+                max_used = c if c > prev else prev
+                colour[i] = c
+                sat[i] -= shift
+                for j in conflicts[i]:
+                    if colour[j]:
+                        continue
+                    row = count[j]
+                    if not row[c]:
+                        s = sat[j] = sat[j] + 1
                         if s > top:
                             top = s
-                        if not queued[s][j]:
-                            queued[s][j] = 1
+                        q = queued[s]
+                        if not q[j]:
+                            q[j] = 1
                             heappush(buckets[s], j)
-                row[c] += 1
+                    row[c] += 1
+        finally:
+            self.nodes = nodes
 
 
 def is_strong_k_colourable(
     g: Graph, k: int, deadline: float | None = None, stats: SolveStats | None = None
 ) -> PartialColouring | None:
     """A total strong colouring of ``g`` with at most ``k`` colours, or None
-    after the search space is exhausted."""
+    after the search space is exhausted; below ``clique_lower_bound`` None
+    comes without a search."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if g.num_edges() == 0:
         return PartialColouring(g, max(k, 1))
-    if k == 0 or k < trivial_lower_bound(g):
+    if k == 0 or k < clique_lower_bound(g):
         return None
     edges, conflicts = _conflict_lists(g)
     return _decide(g, edges, conflicts, k, deadline, stats)
@@ -263,9 +319,10 @@ def _decide(
 
 
 def strong_chromatic_index(g: Graph, timeout: float | None = None) -> SolveResult:
-    """Minimal palette size with witness, searching k upward from the trivial
-    lower bound; the failed search at k-1 certifies minimality.  The
-    conflict lists are built once and serve every k."""
+    """Minimal palette size with witness, searching k upward from
+    ``clique_lower_bound``; the failed search at k-1, or the bound itself,
+    certifies minimality.  The conflict lists are built once and serve
+    every k."""
     start = time.monotonic()
     deadline = start + timeout if timeout is not None else None
     stats = SolveStats()
@@ -273,7 +330,7 @@ def strong_chromatic_index(g: Graph, timeout: float | None = None) -> SolveResul
         stats.elapsed = time.monotonic() - start
         return SolveResult(0, PartialColouring(g, 1), stats)
     edges, conflicts = _conflict_lists(g)
-    k = max(trivial_lower_bound(g), 1)
+    k = max(clique_lower_bound(g), 1)
     while True:
         witness = _decide(g, edges, conflicts, k, deadline, stats)
         if witness is not None:

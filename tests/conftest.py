@@ -8,6 +8,7 @@ check.
 import json
 import random
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 
 import pytest
@@ -527,3 +528,108 @@ def small_graphs(draw, max_vertices: int = 8, max_edges: int | None = None):
     if max_edges is not None and len(edges) > max_edges:
         edges = edges[:max_edges]
     return Graph(range(n), edges)
+
+
+# -- the search kernel as first written ------------------------------------------
+#
+# ``exact._Search.run`` as it was while every assign and unassign updated the
+# counts and saturation of all neighbours, coloured ones included, kept so that
+# tests can require the same verdict, colouring and node count from the kernel
+# that updates only uncoloured neighbours.
+
+
+class ReferenceSearch:
+    def __init__(self, conflicts: list[list[int]], k: int):
+        self.conflicts = conflicts
+        self.k = k
+        self.colour = [0] * len(conflicts)
+        self.nodes = 0
+
+    def run(self) -> bool:
+        conflicts, colour = self.conflicts, self.colour
+        n = len(conflicts)
+        k = min(self.k, n, max(map(len, conflicts), default=0) + 1)
+        count = [[0] * (k + 1) for _ in conflicts]
+        sat = [0] * n
+        level = [0] * n
+        buckets: list[list[int]] = [list(range(n))] + [[] for _ in range(k)]
+        queued = [bytearray(b"\x01" * n)] + [bytearray(n) for _ in range(k)]
+        top = 0
+        stack: list[tuple[int, int, int, int]] = []
+        max_used = 0
+        while True:
+            self.nodes += 1
+            while top >= 0:
+                heap = buckets[top]
+                while heap and sat[heap[0]] != top:
+                    queued[top][heappop(heap)] = 0
+                if heap:
+                    break
+                top -= 1
+            if top < 0:
+                return True
+            i, c, prev, nogood = buckets[top][0], 0, max_used, 0
+            while True:
+                try:
+                    c = count[i].index(0, c + 1, min(k, prev + 1) + 1)
+                    break
+                except ValueError:
+                    pass
+                earliest: dict[int, int] = {}
+                for j in conflicts[i]:
+                    d = colour[j]
+                    if d and level[j] < earliest.get(d, n):
+                        earliest[d] = level[j]
+                for lv in earliest.values():
+                    nogood |= 1 << lv
+                to = nogood.bit_length() - 1
+                while len(stack) > max(to, 0):
+                    i, prev, c, kept = stack.pop()
+                    colour[i] = 0
+                    sat[i] += k + 1
+                    for j in conflicts[i]:
+                        row = count[j]
+                        row[c] -= 1
+                        if not row[c]:
+                            sat[j] -= 1
+                            s = sat[j]
+                            if s >= 0 and not queued[s][j]:
+                                queued[s][j] = 1
+                                heappush(buckets[s], j)
+                    s = sat[i]
+                    if not queued[s][i]:
+                        queued[s][i] = 1
+                        heappush(buckets[s], i)
+                if to < 0:
+                    return False
+                nogood = kept | (nogood ^ (1 << to))
+            level[i] = len(stack)
+            stack.append((i, prev, c, nogood))
+            max_used = max(prev, c)
+            colour[i] = c
+            sat[i] -= k + 1
+            for j in conflicts[i]:
+                row = count[j]
+                if not row[c]:
+                    sat[j] += 1
+                    s = sat[j]
+                    if s >= 0:
+                        if s > top:
+                            top = s
+                        if not queued[s][j]:
+                            queued[s][j] = 1
+                            heappush(buckets[s], j)
+                row[c] += 1
+
+
+def brute_max_clique(conflicts: list[list[int]]) -> int:
+    """Size of a largest set of pairwise conflicting items, by enumerating
+    every subset of items."""
+    n = len(conflicts)
+    masks = [sum(1 << j for j in row) for row in conflicts]
+    best = 0
+    for subset in range(1 << n):
+        members = [i for i in range(n) if subset >> i & 1]
+        if len(members) > best and all(subset & ~(1 << i) & ~masks[i] == 0 for i in members):
+            best = len(members)
+    return best

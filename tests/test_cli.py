@@ -213,13 +213,23 @@ def test_consecutive_calls_share_no_state(tmp_path, capsys, monkeypatch):
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("extra", [[], ["--k", "20"]])
+@pytest.mark.parametrize("extra", [[], ["--k", "29"]])
 def test_solve_timeout_zero_is_budget_exhausted(tmp_path, capsys, extra):
+    # 42 edges, clique lower bound 29 = chi_s: only a search finds the
+    # colouring at 29, so a zero timeout stops it
     p = write_graph(tmp_path, generate(GeneratorSpec("triangulation", (12,), seed=3)))
     assert main(["solve", p, "--timeout", "0", *extra]) == EXIT_BUDGET == 3
     out = capsys.readouterr()
     assert out.out == ""
     assert "budget exhausted: solve --timeout 0 s" in out.err
+
+
+def test_solve_timeout_zero_below_the_clique_bound_needs_no_search(tmp_path, capsys):
+    p = write_graph(tmp_path, generate(GeneratorSpec("triangulation", (12,), seed=3)))
+    assert main(["solve", p, "--timeout", "0", "--k", "28"]) == 0
+    out = capsys.readouterr()
+    assert json.loads(out.out)["satisfiable"] is False
+    assert out.err == ""
 
 
 def test_discharge(tmp_path, capsys):

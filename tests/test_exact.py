@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_graph, hex_with_leaves, naive_chi_s, small_graphs
+from conftest import (
+    ReferenceSearch,
+    brute_max_clique,
+    complete_graph,
+    hex_with_leaves,
+    naive_chi_s,
+    small_graphs,
+)
 from strongedge.cli import _bench_corpus
 from strongedge.colouring import trivial_lower_bound, verify_strong
 from strongedge.exact import (
@@ -14,10 +21,19 @@ from strongedge.exact import (
     SolverTimeout,
     _conflict_lists,
     _Search,
+    clique_lower_bound,
     is_strong_k_colourable,
     strong_chromatic_index,
 )
-from strongedge.generators import cycle, generate, hex_patch, path, stacked_triangulation, star
+from strongedge.generators import (
+    cycle,
+    generate,
+    hex_patch,
+    path,
+    stacked_triangulation,
+    star,
+    wheel,
+)
 from strongedge.graph import Graph
 
 
@@ -339,3 +355,121 @@ class TestConflictLists:
             result = strong_chromatic_index(g)
             got = (result.chi_s, result.stats.nodes, result.witness.assignment)
             assert got == reference_chromatic_index(g)
+
+
+@st.composite
+def chorded_triangulations(draw):
+    """Stacked triangulations on at most 12 vertices, or wheels, with up to
+    three random chords (which may make them non-planar) and shuffled
+    labels."""
+    if draw(st.booleans()):
+        g = stacked_triangulation(draw(st.integers(0, 8)), seed=draw(st.integers(0, 99)))
+    else:
+        g = wheel(draw(st.integers(3, 11)))
+    vertices = list(g.vertices)
+    pairs = [(u, v) for u in vertices for v in vertices if u < v and not g.has_edge(u, v)]
+    chords = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    labels = draw(st.permutations(range(3 * len(vertices))))
+    edges = list(g.edges) + chords
+    return Graph([labels[v] for v in vertices], [(labels[u], labels[v]) for u, v in edges])
+
+
+def assert_bound_sound(g: Graph) -> None:
+    """trivial <= clique <= chi_s, and on at most 12 edges the clique bound
+    is at most the largest set of pairwise conflicting edges."""
+    bound = clique_lower_bound(g)
+    assert trivial_lower_bound(g) <= bound <= strong_chromatic_index(g).chi_s
+    if g.num_edges() <= 12:
+        assert bound <= brute_max_clique(_conflict_lists(g)[1])
+
+
+class TestCliqueLowerBound:
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(max_vertices=7, max_edges=14))
+    def test_sound_on_small_graphs(self, g):
+        assert_bound_sound(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(chorded_triangulations())
+    def test_sound_on_chorded_triangulations_and_wheels(self, g):
+        assert_bound_sound(g)
+
+    def test_sound_and_tight_on_named_instances(self):
+        # K3, K4 and a wheel, whose edge, triangle and K4 terms are tight, and
+        # a 4-cycle with leaves at two opposite corners, whose leaves may
+        # share a colour: a 4-cycle is no clique of the conflict graph
+        c4_leaves = Graph(range(6), list(cycle(4).edges) + [(0, 4), (2, 5)])
+        named = [Graph([0], []), complete_graph(3), complete_graph(4), wheel(5), cycle(4), c4_leaves]
+        for g in named:
+            assert_bound_sound(g)
+        assert [clique_lower_bound(g) for g in named] == [0, 3, 6, 5 + 3 + 3 - 3, 3, 4]
+        assert strong_chromatic_index(c4_leaves).chi_s == 5
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_stacked_triangulation_solves_with_no_refutation(self, n):
+        # the bound is chi_s here, so one search at the bound and no
+        # refutation: the trivial bound left 3,104 and 235,780 nodes
+        g = stacked_triangulation(n, seed=1)
+        result = strong_chromatic_index(g)
+        assert result.stats.nodes == g.num_edges() + 1
+        assert result.chi_s == clique_lower_bound(g)
+        stats = SolveStats()
+        assert is_strong_k_colourable(g, result.chi_s - 1, stats=stats) is None
+        assert stats.nodes == 0
+
+
+@st.composite
+def symmetric_lists(draw):
+    """Conflict lists of up to 9 items, each pair in conflict or not by its
+    own draw, and each list shuffled."""
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    conflicts: list[list[int]] = [[] for _ in range(n)]
+    for (i, j), kept in zip(pairs, keep):
+        if kept:
+            conflicts[i].append(j)
+            conflicts[j].append(i)
+    return [draw(st.permutations(row)) for row in conflicts]
+
+
+class TestKernelUpkeep:
+    """The kernel updates counts only at uncoloured items; the search that
+    updated every neighbour gives the same verdict, colours and nodes."""
+
+    @staticmethod
+    def assert_same_as_reference(conflicts: list[list[int]], k: int) -> None:
+        search, ref = _Search(conflicts, k, None), ReferenceSearch(conflicts, k)
+        assert (search.run(), search.colour, search.nodes) == (ref.run(), ref.colour, ref.nodes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(max_vertices=7, max_edges=12), st.integers(1, 7))
+    def test_edge_conflict_lists(self, g, k):
+        self.assert_same_as_reference(_conflict_lists(g)[1], k)
+
+    @settings(max_examples=500, deadline=None)
+    @given(symmetric_lists(), st.integers(1, 7))
+    def test_random_symmetric_lists(self, conflicts, k):
+        self.assert_same_as_reference(conflicts, k)
+
+    def test_recolouring_after_a_backjump(self):
+        # a dead end undoes an item whose neighbour below it stays coloured,
+        # and that neighbour then takes its next colour: wrong counts at the
+        # coloured neighbour, from updating it in only one of assign and
+        # unassign, change that colour
+        cases = [
+            ([[], [2, 3], [1, 3], [1, 2]], 2),
+            ([[6, 5, 8, 1, 3, 2], [4, 0, 2, 8], [5, 4, 1, 7, 0], [7, 4, 0, 5, 6, 8],
+              [8, 1, 6, 2, 5, 3], [4, 2, 8, 0, 6, 3], [5, 3, 8, 4, 0], [3, 2],
+              [4, 0, 3, 6, 5, 1]], 4),
+        ]
+        for conflicts, k in cases:
+            self.assert_same_as_reference(conflicts, k)
+
+    def test_nodes_kept_on_timeout(self):
+        # the node count lives in a local during the run; a timeout still
+        # leaves it on the search object for callers that read it after
+        search = _Search(_conflict_lists(cycle(6))[1], 3, time.monotonic() - 1)
+        with pytest.raises(SolverTimeout):
+            search.run()
+        assert search.nodes == 1
