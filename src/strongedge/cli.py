@@ -48,18 +48,20 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _read_graph(path: str) -> Graph:
-    with open(path) as fh:
-        return parse_graph(fh.read())
+def _read_graph(path: str) -> tuple[Graph, bytes]:
+    """The graph in the file at ``path``, and the bytes it was parsed from.
+    The file is read once, so a pipe or FIFO is hashed as it was parsed."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return parse_graph(data.decode()), data
 
 
 def _girth_json(girth: float):
     return "acyclic" if girth == ACYCLIC else int(girth)
 
 
-def _input_hash(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
+def _input_hash(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def _emit(doc) -> None:
@@ -67,14 +69,14 @@ def _emit(doc) -> None:
 
 
 def cmd_analyze(args) -> int:
-    g = _read_graph(args.graph)
+    g, data = _read_graph(args.graph)
     emb = planar_embed(g)
     planar = emb is not None
     delta = g.max_degree()
     girth = g.girth()
     doc = {
         "input": args.graph,
-        "input_hash": _input_hash(args.graph),
+        "input_hash": _input_hash(data),
         "vertices": g.num_vertices(),
         "edges": g.num_edges(),
         "delta": delta,
@@ -107,7 +109,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    g = _read_graph(args.graph)
+    g, _ = _read_graph(args.graph)
     start = time.monotonic()
     try:
         if args.k is not None:
@@ -138,7 +140,7 @@ def cmd_solve(args) -> int:
 def cmd_colour(args) -> int:
     if args.trace and not args.girth6:
         raise PreconditionError("--trace needs --girth6, the only colourer that records steps")
-    g = _read_graph(args.graph)
+    g, data = _read_graph(args.graph)
     trace: list[ExtendStep] = []
     delta = g.max_degree()
     girth = g.girth()
@@ -154,7 +156,7 @@ def cmd_colour(args) -> int:
         "palette": col.palette,
         **facts,
         "command": "colour --girth6" if args.girth6 else "colour --pipeline",
-        "input_hash": _input_hash(args.graph),
+        "input_hash": _input_hash(data),
         "delta": delta,
         "girth": _girth_json(girth),
         "planar": True,
@@ -191,7 +193,7 @@ def cmd_colour(args) -> int:
 
 
 def cmd_discharge(args) -> int:
-    g = _read_graph(args.graph)
+    g, _ = _read_graph(args.graph)
     emb = planar_embed(g)
     if emb is None:
         raise PreconditionError("discharging needs a planar input")
@@ -208,7 +210,7 @@ def cmd_discharge(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = _read_graph(args.graph)
+    g, _ = _read_graph(args.graph)
     with open(args.colouring) as fh:
         col = colouring_from_json(fh.read(), g)
     violations = verify_strong(g, col, require_total=not args.partial)

@@ -1,21 +1,56 @@
 """Combinatorial planar embeddings: rotation systems and face walks.
 
 Planarity is decided by the left-right test (Brandes 2009), run here over
-integer arrays; ``planar_embed`` returns None for a non-planar graph.  The
-rotation system the test returns is traced into explicit face walks, and the
-per-component Euler check certifies it.  A face is its walk, a tuple of
-vertices: ``walk[i] -> walk[i+1]`` (cyclically) are its directed edges, face
-i is ``Embedding.faces[i]``, and its length r(f) is ``len(walk)``, the
-number of edge visits, so a bridge crossed out and back counts twice.
-``embed_rotation`` runs the same checks on a rotation system from any
-source, such as one derived from a host embedding by contraction.
+integer arrays; ``planar_embed`` returns None for a non-planar graph.  A face
+is its walk, a tuple of vertices: ``walk[i] -> walk[i+1]`` (cyclically) are
+its directed edges, face i is ``Embedding.faces[i]``, and its length r(f) is
+``len(walk)``, the number of edge visits, so a bridge crossed out and back
+counts twice.
+
+The test runs on the graph's series kernel.  A chain is a maximal path whose
+interior vertices have degree 2.  It is suppressed, and becomes one kernel
+edge between its ends, when three guards hold: its two ends are distinct (so
+the kernel has no loops), both ends have a degree other than 2 (so the chain
+is maximal), and every interior vertex comes after the smaller end in
+``g.vertices`` (so no depth-first search root lies inside it).  Cycles of
+degree-2 vertices and chains whose ends coincide stay as they are.  Two
+chains, or a chain and an edge, may join the same ends: the passes work on
+edge indices, so parallel kernel edges are fine.  Each end lists the kernel
+edge where the chain's first vertex sits among its sorted neighbours.
+
+Every pass sees a chain as one edge.  A search that enters a chain at one
+end has no choice at its interior vertices and leaves at the other end, so
+the chain becomes a run of tree edges, possibly closed by one back edge, and
+the kernel edge is that tree edge or that back edge.  The rotation is the
+one the test gives the whole graph, because nothing it compares changes: no
+return edge ends inside a chain, so every lowpoint is the height of a kernel
+vertex, and heights map monotonically along each root path, so lowpoint
+comparisons, nesting order and the conflicts between return edges are kept.
+An interior vertex's rotation is (its neighbour toward the kernel edge's
+source in the search, its other neighbour).  Without a chain to suppress the
+kernel is the graph's own adjacency.
+
+The rotation is certified on integer darts: dart ``2k`` runs along edge k
+from ``g.edges[k][0]`` to ``g.edges[k][1]`` and dart ``2k + 1`` back.  A
+rotation is ``first``, the dart each vertex's rotation starts at, and
+``nxt``, the dart after each dart around its tail.  ``_certify`` checks that
+each vertex's cycle holds exactly the darts leaving it, traces the face walks
+and checks Euler's formula per connected component, with no per-vertex
+indexes or sorting.  ``embed_rotation`` converts a rotation system from any
+source, such as one derived from a host embedding by contraction, to darts
+and runs the same checks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, compress
+from typing import Sequence
 
 from .graph import Graph
+
+Adjacency = list[Sequence[tuple[int, int]]]
 
 
 class EmbeddingError(ValueError):
@@ -29,86 +64,186 @@ class Embedding:
     faces: tuple[tuple[int, ...], ...]
 
 
-def _trace_faces(
-    g: Graph, rotation: dict[int, tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """Partition directed edges into face walks.
-
-    Successor rule: after arriving at v along u->v, leave along the neighbour
-    that follows u in the rotation at v.  Each walk starts at the smallest
-    dart not yet walked.  Darts in sorted order are ``(u, v)`` for u in
-    ``g.vertices`` and v in ``g.neighbours(u)``, since both are sorted and
-    ``rotation`` permutes each neighbour tuple; the walked dart ``(u, v)`` is
-    flagged at v's position in ``rotation[u]``.
-    """
-    index = {
-        v: {w: i for i, w in enumerate(ns)} for v, ns in rotation.items()
-    }
-    walked = {v: [False] * len(ns) for v, ns in rotation.items()}
-    walks = []
-    for u0 in g.vertices:
-        flags = walked[u0]
-        at = index[u0]
-        for v0 in g.neighbours(u0):
-            i0 = at[v0]
-            if flags[i0]:
-                continue
-            walk = []
-            u, i = u0, i0
-            while True:
-                walked[u][i] = True
-                walk.append(u)
-                v = rotation[u][i]
-                ns = rotation[v]
-                i = index[v][u] + 1
-                if i == len(ns):
-                    i = 0
-                u = v
-                if i == i0 and u == u0:
-                    break
-            walks.append(tuple(walk))
-    return walks
-
-
 def planar_embed(g: Graph) -> Embedding | None:
     """Planarity test returning a rotation system plus its face walks, or
     None if ``g`` is not planar.
 
-    The left-right test supplies the rotation and ``embed_rotation`` checks
-    it, so Euler's formula per connected component is asserted here, not
-    left to callers.  A negative verdict costs one test.
+    The left-right test supplies the rotation and ``_certify`` checks it, so
+    Euler's formula per connected component is asserted here, not left to
+    callers.  A negative verdict costs one test.
     """
-    rotation = _lr_rotation(g)
-    if rotation is None:
+    found = _lr_darts(g)
+    if found is None:
         return None
-    return embed_rotation(g, rotation)
+    adj, first, nxt = found
+    order = [2 * k + (i > j) for i, row in enumerate(adj) for j, k in row]
+    del found, adj  # a tuple per dart, not needed to certify
+    return _certify(g, order, first, nxt)
 
 
 def _lr_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
-    """The left-right planarity test (Brandes 2009): a rotation system of
-    ``g`` if it is planar, else None.
+    """The rotation system that the left-right test gives ``g``, or None if
+    ``g`` is not planar; the tests hold it to a reference implementation.
 
-    Non-recursive, over vertex indices (positions in ``g.vertices``), edge
-    indices (positions in ``g.edges``) and flat per-edge lists, in three
-    depth-first passes: orientation (lowpoints and nesting depths), testing
-    (conflict pairs of return-edge intervals, kept by ``_Constraints``) and
-    embedding.  ``-1`` stands for a missing edge, vertex or dart.  Vertices
-    are visited in ``g.vertices`` order and neighbours in ``g.neighbours``
-    order, so the rotation, down to the neighbour each tuple starts at, is a
-    function of ``g`` alone; the tests hold it to a reference
-    implementation.
+    The test runs on the series kernel (module docstring): each chain that
+    passes the three guards is one kernel edge, which every pass sees as a
+    single tree or back edge, and its interior vertices get their rotations
+    when the kernel's is expanded back to ``g``.  The rotation is the one
+    the test gives ``g`` itself, down to the neighbour each tuple starts at.
     """
+    found = _lr_darts(g)
+    return None if found is None else _rotation(g, *found[1:])
+
+
+def _index(g: Graph) -> Sequence[int] | dict[int, int]:
+    """Each vertex's position in ``g.vertices``."""
     vertices = g.vertices
-    n, m = len(vertices), g.num_edges()
-    if n > 2 and m > 3 * n - 6:
-        return None
-    index = {v: i for i, v in enumerate(vertices)}
-    # edges are sorted, so each list comes out in neighbour order
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    n = len(vertices)
+    # vertices are sorted and distinct, so 0..n-1 are their own positions
+    return range(n) if not n or vertices[-1] == n - 1 else {v: i for i, v in enumerate(vertices)}
+
+
+def _adjacency(g: Graph) -> Adjacency:
+    """``(neighbour index, edge index)`` per vertex index (positions in
+    ``g.vertices`` and ``g.edges``); edges are sorted, so each list comes
+    out in neighbour order."""
+    index = _index(g)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices())]
     for k, (a, b) in enumerate(g.edges):
         i, j = index[a], index[b]
         adj[i].append((j, k))
         adj[j].append((i, k))
+    return adj
+
+
+def _lr_darts(g: Graph) -> tuple[Adjacency, list[int], list[int]] | None:
+    """The left-right test on the series kernel of ``g``, expanded back to
+    ``g``: ``(adj, first, nxt)``, or None if ``g`` is not planar.
+
+    ``adj`` is ``_adjacency(g)``; ``first[i]`` is the dart that vertex i's
+    rotation starts at (-1 if it has none) and ``nxt[d]`` the dart after d
+    in the rotation at its tail.  Vertices are visited in ``g.vertices``
+    order and neighbours in ``g.neighbours`` order, so the rotation, down to
+    the neighbour each one starts at, is a function of ``g`` alone.
+    """
+    n, m = g.num_vertices(), g.num_edges()
+    if n > 2 and m > 3 * n - 6:
+        return None
+    adj = _adjacency(g)
+    first, nxt = [-1] * n, [0] * (2 * m)
+    kadj, chains, inner = _series_kernel(adj, first, nxt)
+    found = _lr(kadj, first, nxt)
+    if found is None:
+        return None
+    ccw, src = found
+    start = 0
+    for s, u, k, du, saved, end in zip(*[iter(chains)] * 6):
+        # at the upper end u the search used dart x = 2k + 1, which is g's
+        # dart from the chain's first vertex back to the lower end: put du,
+        # the dart of g leaving u along the chain, in its place
+        x = 2 * k + 1
+        p, q = ccw[x], nxt[x]
+        if p == x:
+            nxt[du] = ccw[du] = du
+        else:
+            nxt[p] = ccw[q] = du
+            nxt[du], ccw[du] = q, p
+        if first[u] == x:
+            first[u] = du
+        nxt[x] = saved
+        if src[k] != s:  # entered from the other end: start at the other dart
+            for c in inner[start:end]:
+                first[c] = nxt[first[c]]
+        start = end
+    return adj, first, nxt
+
+
+def _series_kernel(adj: Adjacency, first: list[int], nxt: list[int]):
+    """The graph with its suppressible chains (module docstring) replaced by
+    one edge each: ``(kadj, chains, inner)``.
+
+    The kernel keeps the vertex and edge indices of ``g``: a chain's
+    interior vertices lose their edges, and its kernel edge takes the index
+    k of its edge at the lower end.  By the third guard every interior
+    vertex comes after that end, so ``2k``, the dart of g that leaves it
+    along the chain, is the one the search gives the kernel edge there.
+
+    Each interior vertex's rotation goes into ``first`` and ``nxt`` here,
+    starting toward the end s the chain was walked from.  ``inner`` lists
+    the interior vertices, chain by chain, and ``chains`` holds six numbers
+    per chain: s, the upper end u, the kernel edge k, the dart of g leaving
+    u along the chain, ``nxt[2k + 1]`` (which the search overwrites) and
+    where the chain's interior vertices end in ``inner``.  With nothing to
+    suppress the kernel is ``adj`` itself.
+    """
+    walked = bytearray(len(adj))
+    chains: list[int] = []
+    inner: list[int] = []
+    far = {}  # edge at a chain's end -> (the chain's other end, kernel edge)
+    for c in compress(range(len(adj)), map((2).__eq__, map(len, adj))):  # degree 2
+        if walked[c]:
+            continue
+        (x, kx), (y, ky) = adj[c]
+        if len(adj[x]) != 2:
+            s, e = x, kx
+        elif len(adj[y]) != 2:
+            s, e = y, ky
+        else:
+            continue  # inside a chain, or on a cycle of degree-2 vertices
+        start, low = len(inner), c
+        v, w, f = s, c, e  # entering w from v along f
+        while True:
+            walked[w] = 1
+            inner.append(w)
+            if w < low:
+                low = w
+            (x, kx), (y, ky) = adj[w]
+            if kx == f:
+                x, kx = y, ky
+            back, on = 2 * f + (w > v), 2 * kx + (w > x)
+            first[w] = back
+            nxt[back], nxt[on] = on, back
+            v, w, f = w, x, kx
+            if len(adj[w]) != 2:
+                break
+        t = w  # the other end, reached along f
+        if s == t or low < (s if s < t else t):
+            for w in inner[start:]:  # kept: its vertices are the search's
+                first[w] = -1
+            del inner[start:]
+            continue
+        if s < t:
+            k, u, du = e, t, 2 * f + (t > v)
+        else:
+            k, u, du = f, s, 2 * e + (s > c)
+        chains += (s, u, k, du, nxt[2 * k + 1], len(inner))
+        far[e], far[f] = (t, k), (s, k)
+    if not chains:
+        return adj, chains, inner
+    kadj = adj[:]
+    for c in inner:
+        kadj[c] = ()
+    for v in {end for end, _ in far.values()}:
+        kadj[v] = [far.get(jk[1], jk) for jk in adj[v]]
+    return kadj, chains, inner
+
+
+def _lr(adj: Adjacency, first: list[int], cw: list[int]) -> tuple[list[int], list[int]] | None:
+    """The left-right planarity test (Brandes 2009) on a multigraph given by
+    its adjacency over vertex indices and edge indices below ``len(cw) //
+    2``: ``(ccw, src)``, or None if it is not planar.
+
+    Non-recursive, over flat per-edge lists, in three depth-first passes:
+    orientation (lowpoints and nesting depths), testing (conflict pairs of
+    return-edge intervals, kept by ``_Constraints``) and embedding.  ``-1``
+    stands for a missing edge, vertex or dart.  Edge k is oriented from
+    ``src[k]`` to ``dst[k]``.  Dart ``2k + (v > w)`` leaves v along edge k
+    between v and w, as in ``g`` (module docstring).  The rotation is
+    written into ``first`` and ``cw``, at the darts and vertices that have
+    edges: ``first[v]`` is v's leftmost dart, ``cw`` and ``ccw`` turn
+    clockwise and back.
+    """
+    n, m = len(adj), len(cw) // 2
 
     # -- orientation: DFS tree edges point down, back edges up ----------------
     height = [-1] * n
@@ -122,7 +257,7 @@ def _lr_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
     roots = []
     ind = [0] * n
     for r in range(n):
-        if height[r] >= 0:
+        if height[r] >= 0 or not adj[r]:  # isolated vertices need no search
             continue
         height[r] = 0
         roots.append(r)
@@ -130,8 +265,9 @@ def _lr_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
         while stack:
             v = stack.pop()
             e, hv, nbrs = parent[v], height[v], adj[v]
-            while ind[v] < len(nbrs):
-                w, k = nbrs[ind[v]]
+            i = ind[v]
+            while i < len(nbrs):
+                w, k = nbrs[i]
                 if src[k] < 0:
                     src[k], dst[k] = v, w
                     out[v].append(k)
@@ -139,26 +275,30 @@ def _lr_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
                     if height[w] < 0:  # tree edge: descend, finish it on return
                         parent[w] = k
                         height[w] = hv + 1
+                        ind[v] = i
                         stack.append(v)
                         stack.append(w)
                         break
                     lowpt[k] = height[w]
                 elif parent[w] != k:  # oriented from its other end
-                    ind[v] += 1
+                    i += 1
                     continue
                 nesting[k] = 2 * lowpt[k] + (lowpt2[k] < hv)
-                if e >= 0:
-                    if lowpt[k] < lowpt[e]:
-                        lowpt2[e] = min(lowpt[e], lowpt2[k])
-                        lowpt[e] = lowpt[k]
-                    elif lowpt[k] > lowpt[e]:
-                        lowpt2[e] = min(lowpt2[e], lowpt[k])
+                if e >= 0:  # fold k's lowpoints into e's
+                    low, low_e = lowpt[k], lowpt[e]
+                    if low < low_e:
+                        low2 = lowpt2[k]
+                        lowpt2[e] = low_e if low_e < low2 else low2
+                        lowpt[e] = low
                     else:
-                        lowpt2[e] = min(lowpt2[e], lowpt2[k])
-                ind[v] += 1
+                        low2 = lowpt2[e]
+                        if low == low_e:
+                            low = lowpt2[k]
+                        lowpt2[e] = low2 if low2 < low else low
+                i += 1
 
     # -- testing: constraints between return edges, as conflict pairs --------
-    ordered = [sorted(ks, key=nesting.__getitem__) for ks in out]
+    ordered = [sorted(ks, key=nesting.__getitem__) if len(ks) > 1 else ks for ks in out]
     state = _Constraints(height, src, dst, lowpt)
     pairs, stack_bottom, lowpt_edge = state.pairs, state.stack_bottom, state.lowpt_edge
     started = bytearray(m)
@@ -169,12 +309,14 @@ def _lr_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
             v = stack.pop()
             e, hv, edges = parent[v], height[v], ordered[v]
             descended = False
-            while ind[v] < len(edges):
-                k = edges[ind[v]]
+            i = ind[v]
+            while i < len(edges):
+                k = edges[i]
                 if not started[k]:
                     stack_bottom[k] = pairs[-1] if pairs else None
                     if parent[dst[k]] == k:
                         started[k] = 1
+                        ind[v] = i
                         stack.append(v)
                         stack.append(dst[k])
                         descended = True
@@ -182,30 +324,28 @@ def _lr_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
                     lowpt_edge[k] = k
                     pairs.append([-1, -1, k, k])
                 if lowpt[k] < hv:  # k has a return edge below v
-                    if ind[v] == 0:
+                    if i == 0:
                         lowpt_edge[e] = lowpt_edge[k]
                     elif not state.add_constraints(k, e):
                         return None
-                ind[v] += 1
+                i += 1
             if not descended and e >= 0:
                 state.remove_back_edges(e)
 
     # -- embedding: absolute sides, then a circular list of darts per vertex --
     ref, side = state.ref, state.side
     for k in range(m):
-        chain = [k]
-        while ref[chain[-1]] >= 0:
-            chain.append(ref[chain[-1]])
-            ref[chain[-2]] = -1
-        for i in range(len(chain) - 2, -1, -1):
-            side[chain[i]] *= side[chain[i + 1]]
+        if ref[k] >= 0:
+            refs = [k]
+            while ref[refs[-1]] >= 0:
+                refs.append(ref[refs[-1]])
+                ref[refs[-2]] = -1
+            for i in range(len(refs) - 2, -1, -1):
+                side[refs[i]] *= side[refs[i + 1]]
         nesting[k] *= side[k]
-    ordered = [sorted(ks, key=nesting.__getitem__) for ks in out]
-    # dart 2k runs src -> dst along edge k, dart 2k + 1 back; ``first[v]`` is
-    # v's leftmost dart, where its clockwise walk starts
-    cw = [0] * (2 * m)
+    ordered = [sorted(ks, key=nesting.__getitem__) if len(ks) > 1 else ks for ks in out]
+    # ``first[v]`` is v's leftmost dart, where its clockwise walk starts
     ccw = [0] * (2 * m)
-    first = [-1] * n
 
     def insert(d: int, before: int, after: int) -> None:
         cw[d], ccw[d] = before, after
@@ -214,7 +354,7 @@ def _lr_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
     for v in range(n):
         prev = -1
         for k in ordered[v]:
-            d = 2 * k
+            d = 2 * k + (v > dst[k])
             if prev < 0:
                 cw[d] = ccw[d] = first[v] = d
             else:
@@ -228,17 +368,20 @@ def _lr_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
         while stack:
             v = stack.pop()
             edges = ordered[v]
-            while ind[v] < len(edges):
-                k = edges[ind[v]]
-                ind[v] += 1
-                w, d = dst[k], 2 * k + 1
+            i = ind[v]
+            while i < len(edges):
+                k = edges[i]
+                i += 1
+                w = dst[k]
+                d = 2 * k + (w > v)
                 if parent[w] == k:  # tree edge: d becomes w's first dart
                     if first[w] < 0:
                         cw[d] = ccw[d] = d
                     else:
                         insert(d, first[w], ccw[first[w]])
                     first[w] = d
-                    left_ref[v] = right_ref[v] = 2 * k
+                    left_ref[v] = right_ref[v] = d ^ 1
+                    ind[v] = i
                     stack.append(v)
                     stack.append(w)
                     break
@@ -249,19 +392,7 @@ def _lr_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
                     if first[w] == left_ref[w]:
                         first[w] = d
                     left_ref[w] = d
-
-    rotation = {}
-    for v, x in enumerate(vertices):
-        walk = []
-        d = first[v]
-        while d >= 0:
-            k = d >> 1
-            walk.append(vertices[src[k] if d & 1 else dst[k]])
-            d = cw[d]
-            if d == first[v]:
-                break
-        rotation[x] = tuple(walk)
-    return rotation
+    return ccw, src
 
 
 class _Constraints:
@@ -382,25 +513,107 @@ def embed_rotation(g: Graph, rotation: dict[int, tuple[int, ...]]) -> Embedding:
     rotation system that does is a planar embedding of ``g``.  Raises
     ``EmbeddingError`` otherwise.
     """
-    if rotation.keys() != set(g.vertices):
+    if rotation.keys() != g._adj.keys():
         raise EmbeddingError("rotation system does not list the graph's vertices")
-    for v in g.vertices:
-        # neighbour tuples are sorted, so this is a permutation test
-        if tuple(sorted(rotation[v])) != g.neighbours(v):
-            raise EmbeddingError(
-                f"rotation at vertex {v} is not a permutation of its neighbours"
-            )
-    emb = Embedding(g, rotation, tuple(_trace_faces(g, rotation)))
+    index = _index(g)
+    out: list[list[int]] = [[] for _ in index]  # darts leaving each vertex, sorted
+    for k, (a, b) in enumerate(g.edges):
+        out[index[a]].append(2 * k)
+        out[index[b]].append(2 * k + 1)
+    first = [-1] * len(out)
+    nxt = [-1] * (2 * g.num_edges())
+    for i, ((v, ns), ds) in enumerate(zip(g._adj.items(), out)):
+        ws, prev = rotation[v], -1
+        if len(ws) != len(ns):
+            raise _not_a_permutation(v)
+        try:
+            for w in ws:
+                p = bisect_left(ns, w)
+                if ns[p] != w:
+                    raise IndexError
+                if prev < 0:
+                    prev = first[i] = ds[p]
+                else:
+                    nxt[prev] = prev = ds[p]
+        except IndexError:
+            raise _not_a_permutation(v) from None
+        if prev >= 0:
+            nxt[prev] = first[i]
+    return _certify(g, list(chain.from_iterable(out)), first, nxt)
+
+
+def _not_a_permutation(v: int) -> EmbeddingError:
+    return EmbeddingError(f"rotation at vertex {v} is not a permutation of its neighbours")
+
+
+def _rotation(g: Graph, first: list[int], nxt: list[int]) -> dict[int, tuple[int, ...]]:
+    """The rotation system that ``first`` and ``nxt`` encode (as
+    ``_lr_darts`` returns them), as neighbour tuples; ``EmbeddingError``
+    unless each vertex's cycle holds each dart leaving it exactly once."""
+    ends = list(chain.from_iterable(g.edges))  # dart d leaves ends[d]
+    rotation = {}
+    for (v, ns), f in zip(g._adj.items(), first):
+        walk = []
+        d = f
+        if f >= 0:
+            for _ in ns:  # at most deg(v) darts
+                if ends[d] != v:
+                    raise _not_a_permutation(v)
+                walk.append(ends[d ^ 1])
+                d = nxt[d]
+                if d == f:
+                    break
+        if d != f or len(walk) != len(ns) or not walk and f >= 0:
+            raise _not_a_permutation(v)
+        rotation[v] = tuple(walk)
+    return rotation
+
+
+def _certify(g: Graph, order: list[int], first: list[int], nxt: list[int]) -> Embedding:
+    """The embedding that the rotation ``first``, ``nxt`` gives ``g``,
+    once the checks pass: the rotation is one of ``g`` (``_rotation``), and
+    its faces satisfy Euler's formula (``_check_euler``).
+
+    Face walks follow the successor rule: after arriving at v along u->v,
+    leave along the neighbour that follows u in the rotation at v.  Each
+    walk starts at the smallest dart not yet walked, in ``order``: the
+    darts as sorted ``(u, v)`` pairs.
+    """
+    rotation = _rotation(g, first, nxt)
+    ends = list(chain.from_iterable(g.edges))
+    walked = bytearray(len(ends))
+    faces = []
+    for d0 in order:
+        if walked[d0]:
+            continue
+        walk = []
+        d = d0
+        while True:
+            walked[d] = 1
+            walk.append(ends[d])
+            d = nxt[d ^ 1]
+            if d == d0:
+                break
+        faces.append(tuple(walk))
+    emb = Embedding(g, rotation, tuple(faces))
     _check_euler(emb)
     return emb
 
 
 def _check_euler(emb: Embedding) -> None:
-    """V - E + F = 2 on every component with an edge, counted in one pass:
-    an edge belongs to its endpoints' component, a face to its first
-    vertex's."""
+    """V - E + F = 2 on every component with an edge.
+
+    Faces traced from a rotation system give each component V - E + F =
+    2 - 2h for a genus h >= 0, so their total reaches E - V + 2C - I, for C
+    components of which I are isolated vertices, exactly when every
+    component is planar.  Any other total is broken down per component, to
+    name one: an edge belongs to its endpoints' component, a face to its
+    first vertex's."""
     g = emb.graph
     comps = g.components()
+    isolated = sum(len(comp) == 1 for comp in comps)
+    if len(emb.faces) == g.num_edges() - g.num_vertices() + 2 * len(comps) - isolated:
+        return
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     ne = [0] * len(comps)
     nf = [0] * len(comps)
@@ -416,4 +629,4 @@ def _check_euler(emb: Embedding) -> None:
                 f"face tracing broke Euler's formula on component {comp[:5]}...: "
                 f"V={len(comp)} E={ne[i]} F={nf[i]}"
             )
-
+    raise EmbeddingError(f"face tracing broke Euler's formula: F={len(emb.faces)}")

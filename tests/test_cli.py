@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -39,6 +40,30 @@ def test_analyze(tmp_path, capsys):
     assert doc["planar"] is True
     assert doc["known_bound"] == 16
     assert doc["trivial_lower_bound"] == 6
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("command", [["analyze"], ["colour", "--girth6"]], ids=" ".join)
+def test_piped_input_hashes_the_bytes_it_parsed(command, tmp_path, capsys):
+    # a pipe can be read once: hashing it by reading it again gave the hash
+    # of empty input next to the counts of the parsed graph
+    text = to_edge_list(subdivide(wheel(5), 1))
+    package_root = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = [package_root] + [x for x in [os.environ.get("PYTHONPATH")] if x]
+    proc = subprocess.run(
+        [sys.executable, "-m", "strongedge.cli", *command, "/dev/stdin"],
+        input=text.encode(),
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    report = doc if command == ["analyze"] else doc["report"]
+    assert report["input_hash"] == hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert main([*command, write_graph(tmp_path, parse_graph(text))]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc if command == ["analyze"] else doc["report"])["input_hash"] == report["input_hash"]
 
 
 def test_analyze_acyclic(tmp_path, capsys):

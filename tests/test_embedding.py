@@ -11,8 +11,10 @@ from strongedge.embedding import (
     Embedding,
     EmbeddingError,
     _check_euler,
+    _adjacency,
     _Constraints,
     _lr_rotation,
+    _series_kernel,
     embed_rotation,
     planar_embed,
 )
@@ -176,6 +178,7 @@ def test_embed_rotation_rejects_non_permutations():
         rotation[rim][:-1],  # misses a neighbour
         rotation[rim][:-1] + (stranger,),  # lists a non-neighbour
         rotation[rim][:-1] + rotation[rim][:1],  # lists a neighbour twice
+        rotation[rim] + rotation[rim],  # lists every neighbour twice
     ):
         with pytest.raises(EmbeddingError, match="permutation"):
             embed_rotation(g, {**rotation, rim: bad})
@@ -316,3 +319,86 @@ def test_add_constraints_stops_at_the_bottom_pair_itself():
     assert s.pairs == [bottom, [-1, -1, 2, 2]]
     assert s.pairs[0] is bottom
     assert s.ref == [-1, -1, -1, 4, -1]
+
+
+# -- the series kernel ------------------------------------------------------------
+
+
+def with_chains(g: Graph, lengths, labels=None) -> Graph:
+    """``g`` with edge i replaced by a path through ``lengths[i]`` new
+    vertices, then relabelled by ``labels`` (a list indexed by old label)."""
+    fresh = max(g.vertices, default=-1) + 1
+    edges = []
+    for (u, v), t in zip(g.edges, lengths):
+        walk = [u, *range(fresh, fresh + t), v]
+        fresh += t
+        edges += zip(walk, walk[1:])
+    vertices = [*g.vertices, *range(max(g.vertices, default=-1) + 1, fresh)]
+    if labels is None:
+        return Graph(vertices, edges)
+    return Graph([labels[v] for v in vertices], [(labels[u], labels[v]) for u, v in edges])
+
+
+@st.composite
+def chained_graphs(draw, max_vertices: int = 8):
+    """Small graphs with each edge replaced by a chain of 0 to 3 vertices,
+    relabelled at random."""
+    g = draw(small_graphs(max_vertices=max_vertices))
+    lengths = draw(st.lists(st.integers(0, 3), min_size=g.num_edges(), max_size=g.num_edges()))
+    size = g.num_vertices() + sum(lengths)
+    labels = draw(st.permutations(range(2 * size)))
+    return with_chains(g, lengths, labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chained_graphs())
+def test_rotation_matches_networkx_with_chains(g):
+    assert_matches_networkx(g)
+
+
+CHAIN_CASES = {
+    # a cycle of degree-2 vertices, and one beside a triangle with a tail
+    "cycle component": [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4), (6, 7)],
+    # a chain that leaves hub 0 and comes back to it
+    "chain with one end": [(0, 1), (0, 2), (0, 3), (1, 2), (0, 4), (4, 5), (5, 0)],
+    "two parallel chains": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (4, 3), (2, 5), (5, 3)],
+    "chain parallel to an edge": [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (1, 4), (4, 5), (5, 2)],
+    # 0 and 1 are inside chains and the smallest vertices of their components
+    "smallest vertex inside a chain": [(3, 4), (4, 5), (5, 3), (3, 0), (0, 6), (6, 5), (7, 1), (1, 8)],
+}
+
+
+@pytest.mark.parametrize("edges", CHAIN_CASES.values(), ids=CHAIN_CASES)
+def test_rotation_matches_networkx_on_chain_cases(edges):
+    assert_matches_networkx(Graph(edges=edges))
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_subdivided_k5_and_k33_are_not_planar(t):
+    for g in (complete_graph(5), Graph(range(6), [(i, j) for i in range(3) for j in range(3, 6)])):
+        h = subdivide(g, t)
+        assert _lr_rotation(h) is None
+        assert planar_embed(h) is None
+        assert nx_rotation(h) is None
+
+
+def kernel_size(g: Graph) -> tuple[int, int]:
+    """Vertices and edges of the kernel that the left-right test runs on."""
+    adj = _adjacency(g)
+    kadj = _series_kernel(adj, [-1] * len(adj), [0] * (2 * g.num_edges()))[0]
+    return sum(1 for row in kadj if row), sum(map(len, kadj)) // 2
+
+
+def test_the_kernel_suppresses_every_chain_of_a_subdivision():
+    # without the kernel every rotation stays right and only speed is lost,
+    # so this is the test that notices chains no longer being suppressed
+    for n, seed in ((10, 1), (60, 2), (200, 3)):
+        base = stacked_triangulation(n, seed=seed)
+        for t in (1, 2, 3):
+            assert kernel_size(subdivide(base, t)) == (base.num_vertices(), base.num_edges())
+    assert kernel_size(path(5)) == (2, 1)
+    # the guards keep a cycle, a chain closing on one end, and a chain with
+    # a vertex before both its ends
+    assert kernel_size(cycle(6)) == (6, 6)
+    assert kernel_size(Graph(edges=[(0, 1), (0, 2), (0, 3), (1, 2), (0, 4), (4, 5), (5, 0)])) == (6, 7)
+    assert kernel_size(Graph(edges=[(1, 0), (0, 2)])) == (3, 2)
