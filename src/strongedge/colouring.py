@@ -223,7 +223,7 @@ def verify_strong(
     colours_at: dict[int, set[int]] = {v: set() for v in adj}
     for e in sorted(assignment):
         x, y = e
-        if y not in adj.get(x, ()):
+        if not g.has_edge(x, y):
             raise KeyError(f"edge {x}-{y} not in graph")
         col = assignment[e]
         if not 1 <= col <= size:
@@ -339,7 +339,7 @@ def colouring_from_json(text: str, graph: Graph) -> PartialColouring:
     except (KeyError, TypeError, ValueError) as exc:
         raise ColouringError(f"bad colouring document: {exc}") from exc
     c = PartialColouring(graph, size)
-    adj, assignment = graph._adj, c._assignment
+    assignment = c._assignment
     for key, col in raw.items():
         try:
             a, b = key.split("-")
@@ -348,7 +348,7 @@ def colouring_from_json(text: str, graph: Graph) -> PartialColouring:
                 raise ValueError
         except ValueError:
             raise ColouringError(f"bad colouring entry {key!r}: {col!r}") from None
-        if v not in adj.get(u, ()):
+        if not graph.has_edge(u, v):
             raise ColouringError(f"colouring names edge {key} missing from graph")
         e = (u, v) if u < v else (v, u)
         if e in assignment:

@@ -33,20 +33,25 @@ kernel is the graph's own adjacency.
 The rotation is certified on integer darts: dart ``2k`` runs along edge k
 from ``g.edges[k][0]`` to ``g.edges[k][1]`` and dart ``2k + 1`` back.  A
 rotation is ``first``, the dart each vertex's rotation starts at, and
-``nxt``, the dart after each dart around its tail.  ``_certify`` checks that
-each vertex's cycle holds exactly the darts leaving it, traces the face walks
-and checks Euler's formula per connected component, with no per-vertex
-indexes or sorting.  ``embed_rotation`` converts a rotation system from any
-source, such as one derived from a host embedding by contraction, to darts
-and runs the same checks.
+``nxt``, the dart after each dart around its tail.  ``_certify`` is the one
+checker of a rotation system: given the darts' tails, ``first`` and ``nxt``
+as integer lists, it checks that each vertex's cycle holds exactly the darts
+leaving it, traces the face walks and checks Euler's formula against the
+number of connected components, with no per-vertex indexes or sorting.
+Three callers share it: ``planar_embed`` on the left-right test's rotation,
+``embed_rotation`` on a rotation system from any source (converted to darts
+first), and the pipeline on each conflict graph, whose darts it derives
+from the host's without building a ``Graph``.  ``Embedding.darts`` is the
+host-side index for that derivation, built on first use.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, compress
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import Graph
 
@@ -59,9 +64,68 @@ class EmbeddingError(ValueError):
 
 @dataclass(frozen=True)
 class Embedding:
+    """A planar embedding of ``graph``: its rotation as neighbour tuples and
+    on darts (``first``, ``nxt``; module docstring), and its face walks."""
+
     graph: Graph
     rotation: dict[int, tuple[int, ...]]
     faces: tuple[tuple[int, ...], ...]
+    first: list[int] = field(repr=False, compare=False)
+    nxt: list[int] = field(repr=False, compare=False)
+
+    @cached_property
+    def darts(self) -> "HostDarts":
+        """The index that output-sensitive scans of the host read, built on
+        first use (``HostDarts``)."""
+        return HostDarts.build(self)
+
+
+class HostDarts(NamedTuple):
+    """Integer views of a host embedding, for scans that must not read a
+    whole rotation: ``vertex`` maps a label to its index (its position in
+    ``g.vertices``), ``edge`` an edge to its index, ``degree``, ``tail`` and
+    ``pos`` give each vertex's degree and each dart's tail and position in
+    its tail's rotation (counted from ``first``), and ``out[i]`` lists
+    ``(j, d)`` for the darts d from i to j along the edges oriented toward
+    the end with the larger ``(degree, index)``.  Reading ``out[i]`` once per
+    edge at i, at every vertex, costs the smaller end degree summed over the
+    edges: at most 2aE for arboricity a, so O(E) on a planar graph
+    (Chiba-Nishizeki 1985)."""
+
+    vertex: Sequence[int] | dict[int, int]
+    edge: dict[tuple[int, int], int]
+    degree: list[int]
+    tail: list[int]
+    pos: list[int]
+    out: list[list[tuple[int, int]]]
+
+    @classmethod
+    def build(cls, emb: Embedding) -> "HostDarts":
+        g, first, nxt = emb.graph, emb.first, emb.nxt
+        vertex = _index(g)
+        degree = [len(ns) for ns in g._adj.values()]
+        tail = list(chain.from_iterable(g.edges))
+        if not isinstance(vertex, range):  # labels are their own indices in a range
+            tail = [vertex[a] for a in tail]
+        pos = [0] * len(tail)
+        for f in first:
+            if f >= 0:
+                d, p = f, 0
+                while True:
+                    pos[d] = p
+                    p += 1
+                    d = nxt[d]
+                    if d == f:
+                        break
+        out: list[list[tuple[int, int]]] = [[] for _ in degree]
+        for d in range(0, len(tail), 2):
+            i, j = tail[d], tail[d + 1]  # i < j, as edges are sorted
+            if degree[i] <= degree[j]:
+                out[i].append((j, d))
+            else:
+                out[j].append((i, d + 1))
+        edge = {e: k for k, e in enumerate(g.edges)}
+        return cls(vertex, edge, degree, tail, pos, out)
 
 
 def planar_embed(g: Graph) -> Embedding | None:
@@ -78,7 +142,7 @@ def planar_embed(g: Graph) -> Embedding | None:
     adj, first, nxt = found
     order = [2 * k + (i > j) for i, row in enumerate(adj) for j, k in row]
     del found, adj  # a tuple per dart, not needed to certify
-    return _certify(g, order, first, nxt)
+    return _embedding(g, order, first, nxt)
 
 
 def _lr_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
@@ -92,7 +156,10 @@ def _lr_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
     the test gives ``g`` itself, down to the neighbour each tuple starts at.
     """
     found = _lr_darts(g)
-    return None if found is None else _rotation(g, *found[1:])
+    if found is None:
+        return None
+    heads = _cycles(list(chain.from_iterable(g.edges)), *found[1:], g.vertices)
+    return dict(zip(g.vertices, heads))
 
 
 def _index(g: Graph) -> Sequence[int] | dict[int, int]:
@@ -513,6 +580,17 @@ def embed_rotation(g: Graph, rotation: dict[int, tuple[int, ...]]) -> Embedding:
     rotation system that does is a planar embedding of ``g``.  Raises
     ``EmbeddingError`` otherwise.
     """
+    first, nxt, order = _darts(g, rotation)
+    return _embedding(g, order, first, nxt)
+
+
+def _darts(
+    g: Graph, rotation: dict[int, tuple[int, ...]]
+) -> tuple[list[int], list[int], list[int]]:
+    """``rotation`` on the darts of ``g`` (module docstring): ``(first, nxt,
+    order)``, ``order`` being the darts as sorted ``(u, v)`` pairs.  Raises
+    ``EmbeddingError`` unless each vertex's rotation lists its neighbours
+    once each."""
     if rotation.keys() != g._adj.keys():
         raise EmbeddingError("rotation system does not list the graph's vertices")
     index = _index(g)
@@ -539,48 +617,70 @@ def embed_rotation(g: Graph, rotation: dict[int, tuple[int, ...]]) -> Embedding:
             raise _not_a_permutation(v) from None
         if prev >= 0:
             nxt[prev] = first[i]
-    return _certify(g, list(chain.from_iterable(out)), first, nxt)
+    return first, nxt, list(chain.from_iterable(out))
 
 
 def _not_a_permutation(v: int) -> EmbeddingError:
     return EmbeddingError(f"rotation at vertex {v} is not a permutation of its neighbours")
 
 
-def _rotation(g: Graph, first: list[int], nxt: list[int]) -> dict[int, tuple[int, ...]]:
-    """The rotation system that ``first`` and ``nxt`` encode (as
-    ``_lr_darts`` returns them), as neighbour tuples; ``EmbeddingError``
-    unless each vertex's cycle holds each dart leaving it exactly once."""
-    ends = list(chain.from_iterable(g.edges))  # dart d leaves ends[d]
-    rotation = {}
-    for (v, ns), f in zip(g._adj.items(), first):
+def _embedding(g: Graph, order: list[int], first: list[int], nxt: list[int]) -> Embedding:
+    """The embedding that the rotation ``first``, ``nxt`` gives ``g``, once
+    ``_certify`` accepts it; the faces start at their first dart in
+    ``order``."""
+    ends = list(chain.from_iterable(g.edges))
+    heads, faces = _certify(ends, first, nxt, g.vertices, order, g.components())
+    return Embedding(g, dict(zip(g.vertices, heads)), tuple(faces), first, nxt)
+
+
+def _cycles(ends: Sequence[int], first: list[int], nxt: list[int], labels: Sequence[int]):
+    """Each vertex's neighbours in rotation order: the heads of the darts on
+    its cycle, from ``first``.  Raises ``EmbeddingError`` unless every dart
+    lies on exactly one cycle, its tail's, so that each cycle holds exactly
+    the darts leaving its vertex."""
+    seen = bytearray(len(ends))
+    heads = []
+    for v, f in zip(labels, first):
         walk = []
-        d = f
         if f >= 0:
-            for _ in ns:  # at most deg(v) darts
-                if ends[d] != v:
+            d = f
+            while True:
+                if ends[d] != v or seen[d]:
                     raise _not_a_permutation(v)
+                seen[d] = 1
                 walk.append(ends[d ^ 1])
                 d = nxt[d]
                 if d == f:
                     break
-        if d != f or len(walk) != len(ns) or not walk and f >= 0:
-            raise _not_a_permutation(v)
-        rotation[v] = tuple(walk)
-    return rotation
+        heads.append(tuple(walk))
+    if 0 in seen:
+        raise _not_a_permutation(ends[seen.index(0)])
+    return heads
 
 
-def _certify(g: Graph, order: list[int], first: list[int], nxt: list[int]) -> Embedding:
-    """The embedding that the rotation ``first``, ``nxt`` gives ``g``,
-    once the checks pass: the rotation is one of ``g`` (``_rotation``), and
-    its faces satisfy Euler's formula (``_check_euler``).
+def _certify(
+    ends: Sequence[int],
+    first: list[int],
+    nxt: list[int],
+    labels: Sequence[int],
+    order: Iterable[int],
+    comps: Sequence[Sequence[int]] | None = None,
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The one check of a rotation system given on darts: ``(heads, faces)``
+    if it is a planar embedding, else ``EmbeddingError``.
 
-    Face walks follow the successor rule: after arriving at v along u->v,
-    leave along the neighbour that follows u in the rotation at v.  Each
-    walk starts at the smallest dart not yet walked, in ``order``: the
-    darts as sorted ``(u, v)`` pairs.
+    Dart ``d`` leaves ``ends[d]`` for ``ends[d ^ 1]``; vertex i is
+    ``labels[i]``, its rotation starts at dart ``first[i]`` (-1 if it has
+    none) and ``nxt[d]`` is the dart after d around its tail.  Each vertex's
+    cycle must hold exactly its own darts (``_cycles``, which gives
+    ``heads``).  Face walks then follow the successor rule: after arriving
+    at v along u->v, leave along the neighbour that follows u in the
+    rotation at v.  Each walk starts at the first dart not yet walked in
+    ``order``, and lists its tails.  Last comes Euler's formula, per
+    connected component (``_check_euler``); ``comps`` are the components as
+    labels, found from ``heads`` when not given (labels 0..n-1 only).
     """
-    rotation = _rotation(g, first, nxt)
-    ends = list(chain.from_iterable(g.edges))
+    heads = _cycles(ends, first, nxt, labels)
     walked = bytearray(len(ends))
     faces = []
     for d0 in order:
@@ -595,13 +695,35 @@ def _certify(g: Graph, order: list[int], first: list[int], nxt: list[int]) -> Em
             if d == d0:
                 break
         faces.append(tuple(walk))
-    emb = Embedding(g, rotation, tuple(faces))
-    _check_euler(emb)
-    return emb
+    _check_euler(len(heads), ends, faces, _components(heads) if comps is None else comps)
+    return heads, faces
 
 
-def _check_euler(emb: Embedding) -> None:
-    """V - E + F = 2 on every component with an edge.
+def _components(heads: list[tuple[int, ...]]) -> list[list[int]]:
+    """Connected components of the graph on 0..n-1 whose neighbours are
+    ``heads``."""
+    comp = [-1] * len(heads)
+    comps = []
+    for s in range(len(heads)):
+        if comp[s] >= 0:
+            continue
+        comp[s] = len(comps)
+        members = [s]
+        for x in members:  # grows as the search reaches new vertices
+            for y in heads[x]:
+                if comp[y] < 0:
+                    comp[y] = comp[s]
+                    members.append(y)
+        comps.append(members)
+    return comps
+
+
+def _check_euler(
+    n: int, ends: Sequence[int], faces: Sequence[tuple[int, ...]], comps: Sequence[Sequence[int]]
+) -> None:
+    """V - E + F = 2 on every component with an edge, for ``n`` vertices,
+    the darts ``ends`` (as in ``_certify``), the face walks and the
+    components.
 
     Faces traced from a rotation system give each component V - E + F =
     2 - 2h for a genus h >= 0, so their total reaches E - V + 2C - I, for C
@@ -609,24 +731,22 @@ def _check_euler(emb: Embedding) -> None:
     component is planar.  Any other total is broken down per component, to
     name one: an edge belongs to its endpoints' component, a face to its
     first vertex's."""
-    g = emb.graph
-    comps = g.components()
     isolated = sum(len(comp) == 1 for comp in comps)
-    if len(emb.faces) == g.num_edges() - g.num_vertices() + 2 * len(comps) - isolated:
+    if len(faces) == len(ends) // 2 - n + 2 * len(comps) - isolated:
         return
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     ne = [0] * len(comps)
     nf = [0] * len(comps)
-    for u, _ in g.edges:
+    for u in ends[::2]:
         ne[comp_of[u]] += 1
-    for walk in emb.faces:
+    for walk in faces:
         nf[comp_of[walk[0]]] += 1
     for i, comp in enumerate(comps):
         if ne[i] == 0:
             continue  # single vertex: one implicit face
         if len(comp) - ne[i] + nf[i] != 2:
             raise EmbeddingError(
-                f"face tracing broke Euler's formula on component {comp[:5]}...: "
+                f"face tracing broke Euler's formula on component {tuple(sorted(comp))[:5]}...: "
                 f"V={len(comp)} E={ne[i]} F={nf[i]}"
             )
-    raise EmbeddingError(f"face tracing broke Euler's formula: F={len(emb.faces)}")
+    raise EmbeddingError(f"face tracing broke Euler's formula: F={len(faces)}")

@@ -83,7 +83,12 @@ class Graph:
         return v in self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj.get(u, ())
+        """Scans the neighbours of the lower-degree end only."""
+        try:
+            nu, nv = self._adj[u], self._adj[v]
+        except KeyError:
+            return False
+        return v in nu if len(nu) <= len(nv) else u in nv
 
     def neighbours(self, v: int) -> tuple[int, ...]:
         try:

@@ -14,7 +14,13 @@ does an exact search look for a Delta-class colouring within the budget.
 Each class's planarity is certified, not assumed: the conflict graph is a
 minor of the host, so contracting the host's embedding (computed once per
 input, by the left-right test) yields a rotation system of it, which the
-package's face tracing and Euler check then accept.
+package's one dart checker (``embedding._certify``: cycles, face walks,
+Euler) then accepts.  The conflict graphs are built on the host's integer
+darts, each host edge oriented toward its end of larger degree: a class
+reads only the out-darts of its matched vertices, so the Delta classes
+together cost O(sum over edges of the smaller end degree), O(E) on planar
+hosts (Chiba-Nishizeki 1985), and no class builds a ``Graph``.  The node
+search and the five-colour fallback read sorted integer neighbour lists.
 
 The composite colouring is checked once, by ``verify_strong``, in
 ``colour_pipeline``; the steps before it do not re-check their classes or
@@ -23,6 +29,7 @@ node colourings.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from dataclasses import dataclass
@@ -33,7 +40,7 @@ from .colouring import (
     PreconditionError,
     verify_strong,
 )
-from .embedding import Embedding, EmbeddingError, embed_rotation, planar_embed
+from .embedding import Embedding, EmbeddingError, _certify, _cycles, planar_embed
 from . import exact
 from .exact import SolverTimeout, _edge_stars
 from .graph import Edge, Graph, edge_key
@@ -202,12 +209,28 @@ def _search_colours(
 @dataclass(frozen=True)
 class ConflictGraph:
     """Distance-2 conflicts inside one matching: node i stands for edge
-    ``nodes[i]``; linked nodes must receive different colours.  ``rotation``
-    is a rotation system of ``graph`` that certifies its planarity."""
+    ``nodes[i]``; linked nodes must receive different colours.  The links
+    come as darts with a rotation system that certifies planarity: dart
+    ``d`` runs from node ``ends[d]`` to node ``ends[d ^ 1]``, node i's
+    rotation starts at dart ``first[i]`` (-1 if it has no link), and
+    ``nxt[d]`` is the dart after d around its tail."""
 
     nodes: tuple[Edge, ...]
-    graph: Graph
-    rotation: dict[int, tuple[int, ...]]
+    ends: list[int]
+    first: list[int]
+    nxt: list[int]
+
+    @property
+    def graph(self) -> Graph:
+        """The links as a ``Graph`` on the nodes (the pipeline never builds
+        it)."""
+        return Graph(range(len(self.first)), zip(self.ends[::2], self.ends[1::2]))
+
+    @property
+    def rotation(self) -> dict[int, tuple[int, ...]]:
+        """The rotation system as neighbour tuples (the pipeline never
+        builds it); ``EmbeddingError`` if a node's darts are not a cycle."""
+        return dict(enumerate(_cycles(self.ends, self.first, self.nxt, range(len(self.first)))))
 
 
 def conflict_graph(emb: Embedding, matching: list[Edge]) -> ConflictGraph:
@@ -221,96 +244,133 @@ def conflict_graph(emb: Embedding, matching: list[Edge]) -> ConflictGraph:
     link the same two nodes, the smallest one is kept, on both sides.
     Neither step takes a rotation system off the sphere, so the result is
     planar whenever the host's rotation is.
+
+    Only host edges with both ends matched become links, and each is found
+    from its lower end, along the oriented darts of ``emb.darts``; its two
+    darts are placed by their positions in the host rotations, counted from
+    the matching edge at each end.  So a class costs the out-degrees of its
+    matched vertices, and all the classes of an edge colouring cost the
+    smaller end degree per host edge, not the squared degrees that reading
+    every matched vertex's rotation would.
     """
-    g = emb.graph
-    edges = sorted(edge_key(*e) for e in matching)
-    seen: set[int] = set()
-    for u, v in edges:
-        if not g.has_edge(u, v):
-            raise ValueError(f"edge {u}-{v} not in graph")
-        if u in seen or v in seen:
-            raise ValueError("edge set is not a matching")
-        seen.update((u, v))
-    owner = {v: i for i, e in enumerate(edges) for v in e}
-    darts: list[list[tuple[tuple[int, int], Edge, int]]] = []
-    link_edge: dict[tuple[int, int], Edge] = {}
+    host = emb.darts
+    vertex, pos, degree, tail, out = host.vertex, host.pos, host.degree, host.tail, host.out
+    edges = sorted((u, v) if u < v else (v, u) for u, v in matching)
+    n = len(edges)
+    # per matched vertex: its node, the position of its dart to its partner,
+    # the offset of its darts in the node's rotation, and its degree
+    at: dict[int, tuple[int, int, int, int]] = {}
     for i, (u, v) in enumerate(edges):
-        around = []
-        for a, b in ((u, v), (v, u)):
-            ns = emb.rotation[a]
-            k = ns.index(b)
-            for w in ns[k + 1:] + ns[:k]:
-                j = owner.get(w)
-                if j is None:
-                    continue
-                link = (i, j) if i < j else (j, i)
-                h = edge_key(a, w)
-                if link not in link_edge or h < link_edge[link]:
-                    link_edge[link] = h
-                around.append((link, h, j))
-        darts.append(around)
-    rotation = {
-        i: tuple(j for link, h, j in around if link_edge[link] == h)
-        for i, around in enumerate(darts)
-    }
-    return ConflictGraph(tuple(edges), Graph(range(len(edges)), link_edge), rotation)
+        k = host.edge.get((u, v))
+        if k is None:
+            raise ValueError(f"edge {u}-{v} not in graph")
+        a, b = vertex[u], vertex[v]
+        if a in at or b in at:
+            raise ValueError("edge set is not a matching")
+        at[a] = (i, pos[2 * k], 0, degree[a])
+        at[b] = (i, pos[2 * k + 1], degree[a], degree[b])
+    kept: dict[int, int] = {}  # link i * n + j (i < j) -> dart of its smallest host edge
+    for a, (i, _, _, _) in at.items():
+        for w, d in out[a]:
+            other = at.get(w)
+            if other is None or other[0] == i:
+                continue
+            j = other[0]
+            link = i * n + j if i < j else j * n + i
+            if kept.get(link, d) >= d:  # darts of distinct edges order as the edges
+                kept[link] = d
+    # dart 2l of the l-th kept link leaves its host dart's tail, 2l + 1 the
+    # head; each node's darts sort by their places around the node
+    ends: list[int] = []
+    placed: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for d in kept.values():
+        for x in (d, d ^ 1):
+            i, p, offset, deg = at[tail[x]]
+            placed[i].append((offset + (pos[x] - p) % deg, len(ends)))
+            ends.append(i)
+    first = [-1] * n
+    nxt = [0] * len(ends)
+    for i, around in enumerate(placed):
+        if around:
+            around.sort()
+            prev = first[i] = around[0][1]
+            for _, x in around:
+                nxt[prev] = prev = x
+            nxt[prev] = first[i]
+    return ConflictGraph(tuple(edges), ends, first, nxt)
 
 
 def colour_planar_nodes(cg: ConflictGraph, budget: float | None = None) -> dict[int, int]:
     """Proper node colouring of a planar conflict graph with at most 5
     colours; an exact search reaches 4 unless the budget interferes.
 
-    Planarity is checked first, on ``cg.rotation``: a rotation system that
-    fails the checks means the derivation or the host was wrong."""
+    Planarity is checked first, by ``embedding._certify`` on the darts of
+    ``cg``: a rotation system that fails the checks means the derivation or
+    the host was wrong.  The search and the fallback read each node's
+    neighbours sorted, as ``Graph.neighbours`` lists them."""
+    n = len(cg.first)
     try:
-        embed_rotation(cg.graph, cg.rotation)
+        heads, _ = _certify(cg.ends, cg.first, cg.nxt, range(n), range(len(cg.ends)))
     except EmbeddingError as exc:
         raise InternalInconsistency(
             "conflict graph of a matching in a planar host must be planar"
         ) from exc
-    if cg.graph.num_vertices() == 0:
-        return {}
-    result = _node_colour_exact(cg.graph, 4, budget)
-    return result if result is not None else _five_colour_planar(cg.graph)
+    adj = [sorted(ns) for ns in heads]
+    colour = _search_colours(adj, 4, budget) if n else []
+    return dict(enumerate(colour if colour is not None else _five_colour_planar(adj)))
 
 
-def _node_colour_exact(g: Graph, k: int, budget: float | None) -> dict[int, int] | None:
-    verts = list(g.vertices)
-    pos = {v: i for i, v in enumerate(verts)}
-    colour = _search_colours([[pos[w] for w in g.neighbours(v)] for v in verts], k, budget)
-    return None if colour is None else dict(zip(verts, colour))
+def _five_colour_planar(adj: list[list[int]]) -> list[int]:
+    """Constructive five-colouring of the graph on 0..n-1 with sorted
+    neighbour lists ``adj``: peel a vertex of least degree (the smallest
+    such), colour back greedily, and repair stuck degree-5 vertices by
+    swapping a two-colour component that separates two of their neighbours.
 
-
-def _five_colour_planar(g: Graph) -> dict[int, int]:
-    """Constructive five-colouring: peel minimum-degree vertices, colour
-    back greedily, and repair stuck degree-5 vertices by swapping a
-    two-colour component that separates two of their neighbours."""
-    work = {v: set(g.neighbours(v)) for v in g.vertices}
-    stack: list[tuple[int, tuple[int, ...]]] = []
-    while work:
-        v = min(work, key=lambda x: (len(work[x]), x))
-        if len(work[v]) > 5:
+    The peel takes O(E log V): ``buckets[d]`` is a min-heap holding every
+    vertex of current degree d, plus stale entries (peeled vertices, or
+    vertices whose degree has dropped since) that are dropped when they
+    reach the front.  Peeling drops the least degree by at most one."""
+    n = len(adj)
+    degree = [len(ns) for ns in adj]
+    buckets: list[list[int]] = [[] for _ in range(max(degree, default=0) + 1)]
+    for v, d in enumerate(degree):
+        buckets[d].append(v)  # in increasing order: already a heap
+    peeled = bytearray(n)
+    stack: list[tuple[int, list[int]]] = []
+    low = 0
+    for _ in range(n):
+        while True:
+            heap = buckets[low]
+            while heap and (peeled[heap[0]] or degree[heap[0]] != low):
+                heapq.heappop(heap)
+            if heap:
+                break
+            low += 1
+        if low > 5:
             raise InternalInconsistency("peeling found only degree > 5: not planar")
-        stack.append((v, tuple(sorted(work[v]))))
-        for w in work[v]:
-            work[w].discard(v)
-        del work[v]
+        v = heapq.heappop(heap)
+        peeled[v] = 1
+        nbrs = [w for w in adj[v] if not peeled[w]]
+        stack.append((v, nbrs))
+        for w in nbrs:
+            degree[w] -= 1
+            heapq.heappush(buckets[degree[w]], w)
+        if low:
+            low -= 1
 
-    colour: dict[int, int] = {}
+    colour = [0] * n
     for v, nbrs in reversed(stack):
         used = {colour[w] for w in nbrs}
         avail = [c for c in range(1, 6) if c not in used]
         if avail:
             colour[v] = avail[0]
             continue
-        if not _kempe_repair(g, colour, v, nbrs):
+        if not _kempe_repair(adj, colour, v, nbrs):
             raise InternalInconsistency("no two-colour swap freed a colour: not planar")
     return colour
 
 
-def _kempe_repair(
-    g: Graph, colour: dict[int, int], v: int, nbrs: tuple[int, ...]
-) -> bool:
+def _kempe_repair(adj: list[list[int]], colour: list[int], v: int, nbrs: list[int]) -> bool:
     by_colour = {colour[w]: w for w in nbrs}
     for a, b in itertools.combinations(sorted(by_colour), 2):
         start = by_colour[a]
@@ -318,8 +378,8 @@ def _kempe_repair(
         queue = [start]
         while queue:
             x = queue.pop()
-            for y in g.neighbours(x):
-                if y not in comp and colour.get(y) in (a, b):
+            for y in adj[x]:
+                if y not in comp and colour[y] in (a, b):
                     comp.add(y)
                     queue.append(y)
         if by_colour[b] in comp:

@@ -71,16 +71,15 @@ def _assert_exit_2(argv, capsys):
 
 
 def test_improper_node_colouring_caught(tmp_path, capsys, monkeypatch):
-    real = pipeline._node_colour_exact
+    real = pipeline.colour_planar_nodes
 
-    def improper(g, k, budget):
-        col = real(g, k, budget)
-        if col is not None and g.num_edges():
-            u, v = g.edges[0]
-            col[v] = col[u]
+    def improper(cg, budget=None):
+        col = real(cg, budget)
+        if cg.ends:  # give the ends of a link one colour
+            col[cg.ends[1]] = col[cg.ends[0]]
         return col
 
-    monkeypatch.setattr(pipeline, "_node_colour_exact", improper)
+    monkeypatch.setattr(pipeline, "colour_planar_nodes", improper)
     with pytest.raises(InternalInconsistency, match="distance2-conflict"):
         colour_pipeline(wheel(8))
     _assert_exit_2(["colour", "--pipeline", write_graph(tmp_path, wheel(8))], capsys)

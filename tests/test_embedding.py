@@ -111,7 +111,7 @@ def test_euler_check_names_broken_component():
     emb = planar_embed(g)
     kept = tuple(f for f in emb.faces if f[0] not in (4, 5, 6)) + emb.faces[-1:]
     with pytest.raises(EmbeddingError, match=r"on component \(4, 5, 6\)\.\.\.: V=3 E=3 F=1"):
-        _check_euler(Embedding(g, emb.rotation, kept))
+        _check_euler(g.num_vertices(), [v for e in g.edges for v in e], kept, g.components())
 
 
 def test_many_components_embed_quickly():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +23,7 @@ from strongedge.colouring import (
     trivial_lower_bound,
     verify_strong,
 )
-from strongedge.embedding import EmbeddingError, embed_rotation, planar_embed
+from strongedge.embedding import EmbeddingError, _darts, embed_rotation, planar_embed
 from strongedge.exact import _conflict_lists, _edge_stars, _Search, strong_chromatic_index
 from strongedge.generators import cycle, generate, grid, hex_patch, path, stacked_triangulation, star, subdivide, wheel
 from strongedge.graph import Graph, edge_key
@@ -101,13 +102,92 @@ def reference_class1(g: Graph) -> dict | None:
     return dict(zip(edges, ref.colour)) if ref.run() else None
 
 
-def reference_node_colours(cg: ConflictGraph) -> dict[int, int]:
+def adjacency(g: Graph) -> list[list[int]]:
+    """Sorted neighbour lists of a graph on 0..n-1, as the node search and
+    the five-colour fallback read them."""
+    assert g.vertices == tuple(range(g.num_vertices()))
+    return [list(g.neighbours(v)) for v in g.vertices]
+
+
+def reference_five_colour(g: Graph) -> dict[int, int]:
+    """The five-colour fallback as it was before the bucket queue: each peel
+    takes ``min()`` over every vertex left."""
+    work = {v: set(g.neighbours(v)) for v in g.vertices}
+    stack: list[tuple[int, tuple[int, ...]]] = []
+    while work:
+        v = min(work, key=lambda x: (len(work[x]), x))
+        assert len(work[v]) <= 5
+        stack.append((v, tuple(sorted(work[v]))))
+        for w in work[v]:
+            work[w].discard(v)
+        del work[v]
+    colour = [0] * g.num_vertices()
+    for v, nbrs in reversed(stack):
+        avail = [c for c in range(1, 6) if c not in {colour[w] for w in nbrs}]
+        if avail:
+            colour[v] = avail[0]
+        else:
+            assert pipeline._kempe_repair(adjacency(g), colour, v, list(nbrs))
+    return dict(enumerate(colour))
+
+
+def reference_node_colours(graph: Graph) -> dict[int, int]:
     """Node colouring by the recursive 4-colour search the kernel replaced,
-    with the same five-colour fallback."""
-    verts = list(cg.graph.vertices)
+    with the five-colour fallback the bucket queue replaced."""
+    verts = list(graph.vertices)
     pos = {v: i for i, v in enumerate(verts)}
-    ref = RecursiveSearch([[pos[w] for w in cg.graph.neighbours(v)] for v in verts], 4)
-    return dict(zip(verts, ref.colour)) if ref.run() else _five_colour_planar(cg.graph)
+    ref = RecursiveSearch([[pos[w] for w in graph.neighbours(v)] for v in verts], 4)
+    return dict(zip(verts, ref.colour)) if ref.run() else reference_five_colour(graph)
+
+
+def reference_conflict_graph(emb, matching):
+    """The label-based derivation the dart one replaced: ``(nodes, graph,
+    rotation)``, each class rotation read off the host's full rotations."""
+    g = emb.graph
+    edges = sorted(edge_key(*e) for e in matching)
+    seen: set[int] = set()
+    for u, v in edges:
+        if not g.has_edge(u, v):
+            raise ValueError(f"edge {u}-{v} not in graph")
+        if u in seen or v in seen:
+            raise ValueError("edge set is not a matching")
+        seen.update((u, v))
+    owner = {v: i for i, e in enumerate(edges) for v in e}
+    darts = []
+    link_edge: dict[tuple[int, int], tuple[int, int]] = {}
+    for i, (u, v) in enumerate(edges):
+        around = []
+        for a, b in ((u, v), (v, u)):
+            ns = emb.rotation[a]
+            k = ns.index(b)
+            for w in ns[k + 1:] + ns[:k]:
+                j = owner.get(w)
+                if j is None:
+                    continue
+                link = (i, j) if i < j else (j, i)
+                h = edge_key(a, w)
+                if link not in link_edge or h < link_edge[link]:
+                    link_edge[link] = h
+                around.append((link, h, j))
+        darts.append(around)
+    rotation = {
+        i: tuple(j for link, h, j in around if link_edge[link] == h)
+        for i, around in enumerate(darts)
+    }
+    return tuple(edges), Graph(range(len(edges)), link_edge), rotation
+
+
+def conflict_graph_of(nodes, g: Graph, rotation) -> ConflictGraph:
+    """A ``ConflictGraph`` with the links of ``g`` (on 0..n-1) and the
+    rotation system ``rotation``, which is not checked."""
+    first, nxt, _ = _darts(g, rotation)
+    return ConflictGraph(tuple(nodes), [v for e in g.edges for v in e], first, nxt)
+
+
+def every_class(g: Graph):
+    """The classes of both edge colourings of ``g``."""
+    for ec in (class1_edge_colour(g), vizing_edge_colour(g)):
+        yield from ec.classes().values() if ec else ()
 
 
 class TestVizing:
@@ -196,7 +276,7 @@ class TestClass1:
             emb = planar_embed(g)
             for cls in (ec or vizing_edge_colour(g)).classes().values():
                 cg = conflict_graph(emb, cls)
-                assert colour_planar_nodes(cg) == reference_node_colours(cg)
+                assert colour_planar_nodes(cg) == reference_node_colours(cg.graph)
 
 
 class TestConflictGraph:
@@ -244,59 +324,133 @@ class TestConflictGraph:
                     assert cg.graph.edges == tuple(oracle)
                     assert embed_rotation(cg.graph, cg.rotation).rotation == cg.rotation
 
-    def test_scrambled_rotation_fails_euler(self):
+    @staticmethod
+    def assert_matches_reference(g: Graph) -> None:
+        emb = planar_embed(g)
+        for cls in every_class(g):
+            cg = conflict_graph(emb, cls)
+            nodes, graph, rotation = reference_conflict_graph(emb, cls)
+            assert cg.nodes == nodes
+            assert cg.graph == graph
+            assert cg.rotation == rotation
+            assert colour_planar_nodes(cg) == reference_node_colours(graph)
+
+    def test_matches_label_reference_on_corpus(self):
+        corpus = [stacked_triangulation(90, seed=23)] + PLANAR_CORPUS
+        for g in corpus + [generate(spec) for _, spec in _bench_corpus(100)]:
+            self.assert_matches_reference(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(max_vertices=10).filter(is_planar))
+    def test_matches_label_reference_on_small_graphs(self, g):
+        self.assert_matches_reference(g)
+
+    def test_matching_errors_match_reference(self):
+        g = path(4)
+        emb = planar_embed(g)
+        for bad in ([(0, 1), (1, 2)], [(0, 2)], [(2, 1), (1, 0)], [(0, 1), (0, 1)], [(0, 9)]):
+            with pytest.raises(ValueError) as expected:
+                reference_conflict_graph(emb, bad)
+            with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+                conflict_graph(emb, bad)
+
+    @staticmethod
+    def hub_class() -> tuple[ConflictGraph, int, list[int]]:
+        """A conflict graph, a node of degree >= 3 and its darts in
+        rotation order."""
         g = stacked_triangulation(9, seed=3)
         ec = class1_edge_colour(g)
-        cgs = [conflict_graph(planar_embed(g), cls) for cls in ec.classes().values()]
-        cg = next(c for c in cgs if c.graph.max_degree() >= 3)
-        v = next(v for v in cg.graph.vertices if cg.graph.degree(v) >= 3)
-        a, b, *rest = cg.rotation[v]
+        for cls in ec.classes().values():
+            cg = conflict_graph(planar_embed(g), cls)
+            for i, f in enumerate(cg.first):
+                darts = [f]
+                while f >= 0 and cg.nxt[darts[-1]] != f:
+                    darts.append(cg.nxt[darts[-1]])
+                if len(darts) >= 3:
+                    return cg, i, darts
+        raise AssertionError("no node of degree 3")
+
+    def test_scrambled_rotation_fails_euler(self):
+        cg, i, (a, b, *rest) = self.hub_class()
         scrambled = dict(cg.rotation)
-        scrambled[v] = (b, a, *rest)
+        scrambled[i] = tuple(cg.ends[d ^ 1] for d in (b, a, *rest))
         with pytest.raises(EmbeddingError, match="Euler"):
             embed_rotation(cg.graph, scrambled)
-        with pytest.raises(InternalInconsistency, match="must be planar"):
-            colour_planar_nodes(ConflictGraph(cg.nodes, cg.graph, scrambled))
+        nxt = list(cg.nxt)
+        for x, y in zip((b, a, *rest), (a, *rest, b)):
+            nxt[x] = y
+        first = list(cg.first)
+        first[i] = b
+        with pytest.raises(InternalInconsistency, match="must be planar") as caught:
+            colour_planar_nodes(ConflictGraph(cg.nodes, cg.ends, first, nxt))
+        assert "Euler" in str(caught.value.__cause__)
+
+    def test_dart_missing_from_its_cycle(self):
+        cg, i, (a, b, c, *_) = self.hub_class()
+        nxt = list(cg.nxt)
+        nxt[a] = c  # b is on no cycle
+        with pytest.raises(InternalInconsistency, match="must be planar") as caught:
+            colour_planar_nodes(ConflictGraph(cg.nodes, cg.ends, cg.first, nxt))
+        assert "permutation" in str(caught.value.__cause__)
+
+    def test_dart_twice_in_its_cycle(self):
+        cg, i, (a, b, c, *_) = self.hub_class()
+        nxt = list(cg.nxt)
+        nxt[c] = b  # a, b, c, b, ...: b comes round again before a does
+        with pytest.raises(InternalInconsistency, match="must be planar") as caught:
+            colour_planar_nodes(ConflictGraph(cg.nodes, cg.ends, cg.first, nxt))
+        assert "permutation" in str(caught.value.__cause__)
 
 
 class TestColourPlanarNodes:
     def test_triangle_three_colours(self):
         k3 = complete_graph(3)
-        cg = ConflictGraph(((0, 1), (2, 3), (4, 5)), k3, planar_embed(k3).rotation)
+        cg = conflict_graph_of(((0, 1), (2, 3), (4, 5)), k3, planar_embed(k3).rotation)
         col = colour_planar_nodes(cg)
         assert sorted(col.values()) == [1, 2, 3]
 
     def test_edgeless_single_colour(self):
-        cg = ConflictGraph(((0, 1), (2, 3)), Graph(range(2), []), {0: (), 1: ()})
-        assert set(colour_planar_nodes(cg).values()) == {1}
+        cg = ConflictGraph(((0, 1), (2, 3)), [], [-1, -1], [])
+        assert colour_planar_nodes(cg) == {0: 1, 1: 1}
 
     def test_k4_four_colours(self):
         k4 = complete_graph(4)
-        cg = ConflictGraph(tuple((i, i + 10) for i in range(4)), k4, planar_embed(k4).rotation)
+        cg = conflict_graph_of(tuple((i, i + 10) for i in range(4)), k4, planar_embed(k4).rotation)
         col = colour_planar_nodes(cg)
         assert len(set(col.values())) == 4
 
     def test_nonplanar_conflict_graph_rejected(self):
         k5 = complete_graph(5)
         rotation = {v: k5.neighbours(v) for v in k5.vertices}
-        cg = ConflictGraph(tuple((i, i + 10) for i in range(5)), k5, rotation)
-        with pytest.raises(InternalInconsistency):
+        cg = conflict_graph_of(tuple((i, i + 10) for i in range(5)), k5, rotation)
+        with pytest.raises(InternalInconsistency, match="must be planar"):
             colour_planar_nodes(cg)
 
     def test_budget_exhaustion_falls_back_to_five(self):
         g = stacked_triangulation(20, seed=9)
-        col = colour_planar_nodes(ConflictGraph((), g, planar_embed(g).rotation), budget=0.0)
+        nodes = tuple((v, v + 100) for v in g.vertices)
+        col = colour_planar_nodes(conflict_graph_of(nodes, g, planar_embed(g).rotation), budget=0.0)
         assert max(col.values()) <= 5
         for u, v in g.edges:
             assert col[u] != col[v]
+        assert col == reference_five_colour(g)
 
     def test_five_colour_procedure_directly(self):
         for seed in range(6):
             g = stacked_triangulation(12, seed=seed)
-            col = _five_colour_planar(g)
-            assert max(col.values()) <= 5
+            col = _five_colour_planar(adjacency(g))
+            assert max(col) <= 5
             for u, v in g.edges:
                 assert col[u] != col[v]
+
+    def test_five_colour_matches_min_peel(self):
+        # the bucket queue peels in the order of the min() peel it replaced
+        graphs = [stacked_triangulation(n, seed=s) for n in (5, 40, 300) for s in range(4)]
+        for g in PLANAR_CORPUS + [generate(spec) for _, spec in _bench_corpus(100)]:
+            emb = planar_embed(g)
+            graphs += [conflict_graph(emb, cls).graph for cls in every_class(g)]
+        for g in graphs:
+            assert dict(enumerate(_five_colour_planar(adjacency(g)))) == reference_five_colour(g)
 
 
 class TestCompose:
