@@ -12,6 +12,7 @@ from conftest import (
     reference_vizing_edge_colour,
     small_graphs,
 )
+from test_embedding import relabelled_graphs
 from test_exact import RecursiveSearch
 from strongedge import pipeline
 from strongedge.cli import _bench_corpus
@@ -343,6 +344,12 @@ class TestConflictGraph:
     @settings(max_examples=150, deadline=None)
     @given(small_graphs(max_vertices=10).filter(is_planar))
     def test_matches_label_reference_on_small_graphs(self, g):
+        self.assert_matches_reference(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(relabelled_graphs(max_vertices=10).filter(is_planar))
+    def test_matches_label_reference_on_sparse_labels(self, g):
+        # labels that are not 0..n-1 go through the host index's label map
         self.assert_matches_reference(g)
 
     def test_matching_errors_match_reference(self):
