@@ -13,7 +13,7 @@ from .colouring import (
     verify_strong,
 )
 from .discharging import ChargeMap, Report, apply_rules, audit, initial_charges
-from .embedding import Embedding, embed_rotation, planar_embed
+from .embedding import Embedding, planar_embed
 from .exact import SolveResult, is_strong_k_colourable, strong_chromatic_index
 from .generators import GeneratorSpec, generate, subdivide
 from .girth6 import (
@@ -67,7 +67,6 @@ __all__ = [
     "colouring_to_json",
     "compose",
     "conflict_graph",
-    "embed_rotation",
     "extend",
     "find_configuration",
     "free_colours",

@@ -38,16 +38,14 @@ checker of a rotation system: given the darts' tails, ``first`` and ``nxt``
 as integer lists, it checks that each vertex's cycle holds exactly the darts
 leaving it, traces the face walks and checks Euler's formula against the
 number of connected components, with no per-vertex indexes or sorting.
-Three callers share it: ``planar_embed`` on the left-right test's rotation,
-``embed_rotation`` on a rotation system from any source (converted to darts
-first), and the pipeline on each conflict graph, whose darts it derives
-from the host's without building a ``Graph``.  ``Embedding.darts`` is the
-host-side index for that derivation, built on first use.
+Two callers share it: ``planar_embed`` on the left-right test's rotation,
+and the pipeline's per-class check on each conflict graph, whose darts it
+derives from the host's without building a ``Graph``.  ``Embedding.darts``
+is the host-side index for that derivation, built on first use.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
@@ -142,24 +140,9 @@ def planar_embed(g: Graph) -> Embedding | None:
     adj, first, nxt = found
     order = [2 * k + (i > j) for i, row in enumerate(adj) for j, k in row]
     del found, adj  # a tuple per dart, not needed to certify
-    return _embedding(g, order, first, nxt)
-
-
-def _lr_rotation(g: Graph) -> dict[int, tuple[int, ...]] | None:
-    """The rotation system that the left-right test gives ``g``, or None if
-    ``g`` is not planar; the tests hold it to a reference implementation.
-
-    The test runs on the series kernel (module docstring): each chain that
-    passes the three guards is one kernel edge, which every pass sees as a
-    single tree or back edge, and its interior vertices get their rotations
-    when the kernel's is expanded back to ``g``.  The rotation is the one
-    the test gives ``g`` itself, down to the neighbour each tuple starts at.
-    """
-    found = _lr_darts(g)
-    if found is None:
-        return None
-    heads = _cycles(list(chain.from_iterable(g.edges)), *found[1:], g.vertices)
-    return dict(zip(g.vertices, heads))
+    ends = list(chain.from_iterable(g.edges))
+    heads, faces = _certify(ends, first, nxt, g.vertices, order, g.components())
+    return Embedding(g, dict(zip(g.vertices, heads)), tuple(faces), first, nxt)
 
 
 def _index(g: Graph) -> Sequence[int] | dict[int, int]:
@@ -572,65 +555,8 @@ class _Constraints:
             ref[e] = hl if hl >= 0 and (hr < 0 or lowpt[hl] > lowpt[hr]) else hr
 
 
-def embed_rotation(g: Graph, rotation: dict[int, tuple[int, ...]]) -> Embedding:
-    """Check a rotation system of ``g`` and trace its faces.
-
-    Each vertex's rotation must list its neighbours in ``g`` once each, and
-    the faces must satisfy V - E + F = 2 on every component with an edge; a
-    rotation system that does is a planar embedding of ``g``.  Raises
-    ``EmbeddingError`` otherwise.
-    """
-    first, nxt, order = _darts(g, rotation)
-    return _embedding(g, order, first, nxt)
-
-
-def _darts(
-    g: Graph, rotation: dict[int, tuple[int, ...]]
-) -> tuple[list[int], list[int], list[int]]:
-    """``rotation`` on the darts of ``g`` (module docstring): ``(first, nxt,
-    order)``, ``order`` being the darts as sorted ``(u, v)`` pairs.  Raises
-    ``EmbeddingError`` unless each vertex's rotation lists its neighbours
-    once each."""
-    if rotation.keys() != g._adj.keys():
-        raise EmbeddingError("rotation system does not list the graph's vertices")
-    index = _index(g)
-    out: list[list[int]] = [[] for _ in index]  # darts leaving each vertex, sorted
-    for k, (a, b) in enumerate(g.edges):
-        out[index[a]].append(2 * k)
-        out[index[b]].append(2 * k + 1)
-    first = [-1] * len(out)
-    nxt = [-1] * (2 * g.num_edges())
-    for i, ((v, ns), ds) in enumerate(zip(g._adj.items(), out)):
-        ws, prev = rotation[v], -1
-        if len(ws) != len(ns):
-            raise _not_a_permutation(v)
-        try:
-            for w in ws:
-                p = bisect_left(ns, w)
-                if ns[p] != w:
-                    raise IndexError
-                if prev < 0:
-                    prev = first[i] = ds[p]
-                else:
-                    nxt[prev] = prev = ds[p]
-        except IndexError:
-            raise _not_a_permutation(v) from None
-        if prev >= 0:
-            nxt[prev] = first[i]
-    return first, nxt, list(chain.from_iterable(out))
-
-
 def _not_a_permutation(v: int) -> EmbeddingError:
     return EmbeddingError(f"rotation at vertex {v} is not a permutation of its neighbours")
-
-
-def _embedding(g: Graph, order: list[int], first: list[int], nxt: list[int]) -> Embedding:
-    """The embedding that the rotation ``first``, ``nxt`` gives ``g``, once
-    ``_certify`` accepts it; the faces start at their first dart in
-    ``order``."""
-    ends = list(chain.from_iterable(g.edges))
-    heads, faces = _certify(ends, first, nxt, g.vertices, order, g.components())
-    return Embedding(g, dict(zip(g.vertices, heads)), tuple(faces), first, nxt)
 
 
 def _cycles(ends: Sequence[int], first: list[int], nxt: list[int], labels: Sequence[int]):

@@ -32,6 +32,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .colouring import (
@@ -40,7 +41,7 @@ from .colouring import (
     PreconditionError,
     verify_strong,
 )
-from .embedding import Embedding, EmbeddingError, _certify, _cycles, planar_embed
+from .embedding import Embedding, EmbeddingError, _certify, planar_embed
 from . import exact
 from .exact import SolverTimeout, _edge_stars
 from .graph import Edge, Graph, edge_key
@@ -210,27 +211,16 @@ def _search_colours(
 class ConflictGraph:
     """Distance-2 conflicts inside one matching: node i stands for edge
     ``nodes[i]``; linked nodes must receive different colours.  The links
-    come as darts with a rotation system that certifies planarity: dart
-    ``d`` runs from node ``ends[d]`` to node ``ends[d ^ 1]``, node i's
-    rotation starts at dart ``first[i]`` (-1 if it has no link), and
-    ``nxt[d]`` is the dart after d around its tail."""
+    exist only as darts, with a rotation system that certifies planarity:
+    dart ``d`` runs from node ``ends[d]`` to node ``ends[d ^ 1]``, so link l
+    joins ``ends[2l]`` and ``ends[2l + 1]``; node i's rotation starts at dart
+    ``first[i]`` (-1 if it has no link), and ``nxt[d]`` is the dart after d
+    around its tail."""
 
     nodes: tuple[Edge, ...]
     ends: list[int]
     first: list[int]
     nxt: list[int]
-
-    @property
-    def graph(self) -> Graph:
-        """The links as a ``Graph`` on the nodes (the pipeline never builds
-        it)."""
-        return Graph(range(len(self.first)), zip(self.ends[::2], self.ends[1::2]))
-
-    @property
-    def rotation(self) -> dict[int, tuple[int, ...]]:
-        """The rotation system as neighbour tuples (the pipeline never
-        builds it); ``EmbeddingError`` if a node's darts are not a cycle."""
-        return dict(enumerate(_cycles(self.ends, self.first, self.nxt, range(len(self.first)))))
 
 
 def conflict_graph(emb: Embedding, matching: list[Edge]) -> ConflictGraph:
@@ -403,17 +393,18 @@ def compose(
     ``colour_pipeline`` checks the result with ``verify_strong``."""
     if len(per_class) != ec.class_count:
         raise ValueError("one node colouring per class required")
+    assignment = ec.assignment
+    sizes = Counter(assignment.values())
     max_c = 1
-    for i, cls in ec.classes().items():
-        node_col = per_class[i - 1]
-        if set(node_col) != set(cls):
+    for i, node_col in enumerate(per_class, 1):
+        if len(node_col) != sizes[i] or any(assignment.get(e) != i for e in node_col):
             raise ValueError(f"class {i} colouring keys do not match its edges")
-        if cls:
+        if node_col:
             max_c = max(max_c, max(node_col.values()))
     out = PartialColouring(ec.graph, max(ec.class_count, 1) * max_c)
-    for i in range(1, ec.class_count + 1):
-        for e, c in per_class[i - 1].items():
-            out.put(e, (i - 1) * max_c + c)
+    for i, node_col in enumerate(per_class):
+        for e, c in node_col.items():
+            out.put(e, i * max_c + c)
     return out
 
 

@@ -491,6 +491,24 @@ def complete_graph(n: int) -> Graph:
     return Graph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def sorted_darts(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """``(ends, first, nxt)`` of the rotation that lists each vertex's
+    neighbours in sorted order, on the darts of ``g`` (on 0..n-1): dart 2k
+    runs along ``g.edges[k]`` from its smaller end, dart 2k + 1 back."""
+    out: list[list[int]] = [[] for _ in g.vertices]
+    ends: list[int] = []
+    for k, (u, v) in enumerate(g.edges):  # sorted edges: darts in neighbour order
+        out[u].append(2 * k)
+        out[v].append(2 * k + 1)
+        ends += (u, v)
+    first = [ds[0] if ds else -1 for ds in out]
+    nxt = [0] * len(ends)
+    for ds in out:
+        for d, e in zip(ds, ds[1:] + ds[:1]):
+            nxt[d] = e
+    return ends, first, nxt
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_graph, small_graphs
+from conftest import complete_graph, small_graphs, sorted_darts
 from strongedge.cli import _bench_corpus
 from strongedge.embedding import (
     Embedding,
@@ -13,9 +13,8 @@ from strongedge.embedding import (
     _check_euler,
     _adjacency,
     _Constraints,
-    _lr_rotation,
+    _certify,
     _series_kernel,
-    embed_rotation,
     planar_embed,
 )
 from strongedge.generators import (
@@ -168,29 +167,25 @@ def test_euler_on_connected_planar(g):
     assert g.num_vertices() - g.num_edges() + len(res.faces) == 2
 
 
-def test_embed_rotation_rejects_non_permutations():
-    g = wheel(5)
-    rotation = planar_embed(g).rotation
-    hub = next(v for v in g.vertices if g.degree(v) == 5)
-    rim = next(v for v in g.vertices if v != hub)
-    stranger = next(v for v in g.vertices if v != rim and not g.has_edge(rim, v))
-    for bad in (
-        rotation[rim][:-1],  # misses a neighbour
-        rotation[rim][:-1] + (stranger,),  # lists a non-neighbour
-        rotation[rim][:-1] + rotation[rim][:1],  # lists a neighbour twice
-        rotation[rim] + rotation[rim],  # lists every neighbour twice
-    ):
-        with pytest.raises(EmbeddingError, match="permutation"):
-            embed_rotation(g, {**rotation, rim: bad})
-    with pytest.raises(EmbeddingError, match="vertices"):
-        embed_rotation(g, {v: ns for v, ns in rotation.items() if v != hub})
+@pytest.mark.parametrize("g", [wheel(5), stacked_triangulation(9, seed=3)], ids=["wheel5", "tri9"])
+def test_dart_on_another_vertex_cycle(g):
+    # swap the second darts of vertices 0 and 1: every dart still lies on
+    # exactly one cycle, but each cycle holds a dart leaving the other vertex
+    emb = planar_embed(g)
+    ends = [v for e in g.edges for v in e]
+    first, nxt = emb.first, list(emb.nxt)
+    a, b = first[0], first[1]
+    a1, b1 = nxt[a], nxt[b]
+    nxt[a], nxt[b], nxt[a1], nxt[b1] = b1, a1, nxt[b1], nxt[a1]
+    with pytest.raises(EmbeddingError, match="permutation"):
+        _certify(ends, first, nxt, g.vertices, range(len(ends)))
 
 
-def test_embed_rotation_rejects_torus_rotation():
+def test_torus_rotation_fails_euler():
     # sorted neighbour lists of K4 trace two faces, not four: a torus
-    g = complete_graph(4)
+    ends, first, nxt = sorted_darts(complete_graph(4))
     with pytest.raises(EmbeddingError, match="Euler"):
-        embed_rotation(g, {v: g.neighbours(v) for v in g.vertices})
+        _certify(ends, first, nxt, range(4), range(len(ends)))
 
 
 # -- the left-right test against networkx's -------------------------------------
@@ -213,7 +208,6 @@ def nx_rotation(g: Graph):
 
 def assert_matches_networkx(g: Graph) -> None:
     expected = nx_rotation(g)
-    assert _lr_rotation(g) == expected
     res = planar_embed(g)
     if expected is None:
         assert res is None
@@ -377,7 +371,6 @@ def test_rotation_matches_networkx_on_chain_cases(edges):
 def test_subdivided_k5_and_k33_are_not_planar(t):
     for g in (complete_graph(5), Graph(range(6), [(i, j) for i in range(3) for j in range(3, 6)])):
         h = subdivide(g, t)
-        assert _lr_rotation(h) is None
         assert planar_embed(h) is None
         assert nx_rotation(h) is None
 

@@ -11,6 +11,7 @@ from conftest import (
     is_proper_edge_colouring,
     reference_vizing_edge_colour,
     small_graphs,
+    sorted_darts,
 )
 from test_embedding import relabelled_graphs
 from test_exact import RecursiveSearch
@@ -24,7 +25,7 @@ from strongedge.colouring import (
     trivial_lower_bound,
     verify_strong,
 )
-from strongedge.embedding import EmbeddingError, _darts, embed_rotation, planar_embed
+from strongedge.embedding import _certify, _cycles, planar_embed
 from strongedge.exact import _conflict_lists, _edge_stars, _Search, strong_chromatic_index
 from strongedge.generators import cycle, generate, grid, hex_patch, path, stacked_triangulation, star, subdivide, wheel
 from strongedge.graph import Graph, edge_key
@@ -178,11 +179,21 @@ def reference_conflict_graph(emb, matching):
     return tuple(edges), Graph(range(len(edges)), link_edge), rotation
 
 
-def conflict_graph_of(nodes, g: Graph, rotation) -> ConflictGraph:
-    """A ``ConflictGraph`` with the links of ``g`` (on 0..n-1) and the
-    rotation system ``rotation``, which is not checked."""
-    first, nxt, _ = _darts(g, rotation)
-    return ConflictGraph(tuple(nodes), [v for e in g.edges for v in e], first, nxt)
+def conflict_graph_of(nodes, g: Graph) -> ConflictGraph:
+    """A ``ConflictGraph`` with the links of the planar graph ``g`` (on
+    0..n-1) and the rotation ``planar_embed`` gives it."""
+    emb = planar_embed(g)
+    return ConflictGraph(tuple(nodes), [v for e in g.edges for v in e], emb.first, emb.nxt)
+
+
+def links_of(cg: ConflictGraph) -> Graph:
+    """The links of ``cg`` as a ``Graph`` on its nodes."""
+    return Graph(range(len(cg.first)), zip(cg.ends[::2], cg.ends[1::2]))
+
+
+def rotation_of(cg: ConflictGraph) -> dict[int, tuple[int, ...]]:
+    """The rotation of ``cg`` as neighbour tuples."""
+    return dict(enumerate(_cycles(cg.ends, cg.first, cg.nxt, range(len(cg.first)))))
 
 
 def every_class(g: Graph):
@@ -277,19 +288,19 @@ class TestClass1:
             emb = planar_embed(g)
             for cls in (ec or vizing_edge_colour(g)).classes().values():
                 cg = conflict_graph(emb, cls)
-                assert colour_planar_nodes(cg) == reference_node_colours(cg.graph)
+                assert colour_planar_nodes(cg) == reference_node_colours(links_of(cg))
 
 
 class TestConflictGraph:
     def test_two_disjoint_edges_with_connector(self):
         g = path(4)  # edges (0,1),(1,2),(2,3); matching {(0,1),(2,3)}
         cg = conflict_graph(planar_embed(g), [(0, 1), (2, 3)])
-        assert cg.graph.num_edges() == 1
+        assert links_of(cg).num_edges() == 1
 
     def test_separate_components_unlinked(self):
         g = Graph(range(4), [(0, 1), (2, 3)])
         cg = conflict_graph(planar_embed(g), [(0, 1), (2, 3)])
-        assert cg.graph.num_edges() == 0
+        assert links_of(cg).num_edges() == 0
 
     def test_perfect_matching_of_c6_gives_triangle(self):
         g = cycle(6)
@@ -299,7 +310,7 @@ class TestConflictGraph:
                 if e < f:
                     assert edges_within_two(g, e, f)  # oracle: all pairs conflict
         cg = conflict_graph(planar_embed(g), m)
-        assert cg.graph.num_edges() == 3
+        assert links_of(cg).num_edges() == 3
 
     def test_non_matching_rejected(self):
         with pytest.raises(ValueError, match="matching"):
@@ -322,8 +333,8 @@ class TestConflictGraph:
                         for j, f in enumerate(cg.nodes)
                         if i < j and edges_within_two(g, e, f)
                     ]
-                    assert cg.graph.edges == tuple(oracle)
-                    assert embed_rotation(cg.graph, cg.rotation).rotation == cg.rotation
+                    assert links_of(cg).edges == tuple(oracle)
+                    _certify(cg.ends, cg.first, cg.nxt, range(len(cg.first)), range(len(cg.ends)))
 
     @staticmethod
     def assert_matches_reference(g: Graph) -> None:
@@ -332,8 +343,8 @@ class TestConflictGraph:
             cg = conflict_graph(emb, cls)
             nodes, graph, rotation = reference_conflict_graph(emb, cls)
             assert cg.nodes == nodes
-            assert cg.graph == graph
-            assert cg.rotation == rotation
+            assert links_of(cg) == graph
+            assert rotation_of(cg) == rotation
             assert colour_planar_nodes(cg) == reference_node_colours(graph)
 
     def test_matches_label_reference_on_corpus(self):
@@ -379,10 +390,6 @@ class TestConflictGraph:
 
     def test_scrambled_rotation_fails_euler(self):
         cg, i, (a, b, *rest) = self.hub_class()
-        scrambled = dict(cg.rotation)
-        scrambled[i] = tuple(cg.ends[d ^ 1] for d in (b, a, *rest))
-        with pytest.raises(EmbeddingError, match="Euler"):
-            embed_rotation(cg.graph, scrambled)
         nxt = list(cg.nxt)
         for x, y in zip((b, a, *rest), (a, *rest, b)):
             nxt[x] = y
@@ -412,7 +419,7 @@ class TestConflictGraph:
 class TestColourPlanarNodes:
     def test_triangle_three_colours(self):
         k3 = complete_graph(3)
-        cg = conflict_graph_of(((0, 1), (2, 3), (4, 5)), k3, planar_embed(k3).rotation)
+        cg = conflict_graph_of(((0, 1), (2, 3), (4, 5)), k3)
         col = colour_planar_nodes(cg)
         assert sorted(col.values()) == [1, 2, 3]
 
@@ -422,21 +429,19 @@ class TestColourPlanarNodes:
 
     def test_k4_four_colours(self):
         k4 = complete_graph(4)
-        cg = conflict_graph_of(tuple((i, i + 10) for i in range(4)), k4, planar_embed(k4).rotation)
+        cg = conflict_graph_of(tuple((i, i + 10) for i in range(4)), k4)
         col = colour_planar_nodes(cg)
         assert len(set(col.values())) == 4
 
     def test_nonplanar_conflict_graph_rejected(self):
-        k5 = complete_graph(5)
-        rotation = {v: k5.neighbours(v) for v in k5.vertices}
-        cg = conflict_graph_of(tuple((i, i + 10) for i in range(5)), k5, rotation)
+        cg = ConflictGraph(tuple((i, i + 10) for i in range(5)), *sorted_darts(complete_graph(5)))
         with pytest.raises(InternalInconsistency, match="must be planar"):
             colour_planar_nodes(cg)
 
     def test_budget_exhaustion_falls_back_to_five(self):
         g = stacked_triangulation(20, seed=9)
         nodes = tuple((v, v + 100) for v in g.vertices)
-        col = colour_planar_nodes(conflict_graph_of(nodes, g, planar_embed(g).rotation), budget=0.0)
+        col = colour_planar_nodes(conflict_graph_of(nodes, g), budget=0.0)
         assert max(col.values()) <= 5
         for u, v in g.edges:
             assert col[u] != col[v]
@@ -455,7 +460,7 @@ class TestColourPlanarNodes:
         graphs = [stacked_triangulation(n, seed=s) for n in (5, 40, 300) for s in range(4)]
         for g in PLANAR_CORPUS + [generate(spec) for _, spec in _bench_corpus(100)]:
             emb = planar_embed(g)
-            graphs += [conflict_graph(emb, cls).graph for cls in every_class(g)]
+            graphs += [links_of(conflict_graph(emb, cls)) for cls in every_class(g)]
         for g in graphs:
             assert dict(enumerate(_five_colour_planar(adjacency(g)))) == reference_five_colour(g)
 
@@ -503,10 +508,20 @@ class TestCompose:
         assert verify_strong(g, compose(ec, per_class), require_total=True) == []
 
     def test_wrong_keys_rejected(self):
-        g = path(3)
-        ec = EdgeColouring(g, {(0, 1): 1, (1, 2): 2}, 2)
-        with pytest.raises(ValueError, match="keys"):
-            compose(ec, [{(0, 1): 1, (1, 2): 1}, {(1, 2): 1}])
+        # the first class whose keys are not its edges is named
+        ec = EdgeColouring(path(4), {(0, 1): 1, (1, 2): 2, (2, 3): 1}, 2)
+        for per_class, bad in (
+            ([{(0, 1): 1, (2, 3): 2, (1, 2): 1}, {(1, 2): 1}], 1),  # extra key
+            ([{(0, 1): 1}, {(1, 2): 1}], 1),  # missing key
+            ([{(0, 1): 1, (3, 2): 2}, {(1, 2): 1}], 1),  # reversed key
+            ([{(0, 1): 1, (2, 3): 2}, {(0, 1): 1}], 2),  # a key from class 1
+            ([{(0, 1): 1, (2, 3): 2}, {(2, 1): 1}], 2),  # reversed key
+            ([{(0, 1): 1, (2, 3): 2}, {}], 2),  # missing key
+            ([{(0, 1): 1, (2, 3): 2}, {(1, 2): 1, (0, 1): 2}], 2),  # extra key
+            ([{(1, 2): 1}, {(0, 1): 1, (2, 3): 2}], 1),  # the classes swapped
+        ):
+            with pytest.raises(ValueError, match=rf"^class {bad} colouring keys do not match its edges$"):
+                compose(ec, per_class)
 
 
 class TestPipeline:
