@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 bad input, usage error, unmet precondition, a path
 that cannot be read or written, or stdout closed early by its reader
 (nothing goes to stderr then), 2 internal inconsistency (a state the
 underlying theory forbids), 3 budget exhausted (``solve --timeout`` ran out
-before the search finished).
+before the search finished, or the node budget of ``colour --girth6``'s
+search on a Delta <= 3 input did; stdout stays empty and no file is
+written).
 """
 
 from __future__ import annotations
@@ -146,7 +148,11 @@ def cmd_colour(args) -> int:
     girth = g.girth()
     start = time.monotonic()
     if args.girth6:
-        col = colour_girth6(g, trace=trace)
+        try:
+            col = colour_girth6(g, trace=trace)
+        except SolverTimeout as exc:
+            _log(f"budget exhausted: colour --girth6 {exc}")
+            return EXIT_BUDGET
         facts = {"steps": len(trace)}
     else:
         col, pipe = colour_pipeline(g, budget=args.budget)

@@ -27,6 +27,13 @@ are exactly those of chronological backtracking; only the node count
 falls (``_Search`` has the rule and the argument).  Refuting a k is still
 exponential in the worst case, so proving optimality stays a desk-scale
 task on dense inputs (tens of edges).
+
+Only ``strong_chromatic_index`` refutes values of k, to prove a palette
+minimal.  A caller that needs just a colouring within a known palette asks
+``is_strong_k_colourable`` once, as ``colour_girth6`` does at its cap on
+inputs with Delta <= 3.  A search can be bounded by a wall-clock
+``deadline`` and by a ``node_limit``, a number of visits, which gives the
+same outcome on any host; past either it raises ``SolverTimeout``.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from math import inf
 
 from .colouring import (
     InternalInconsistency,
@@ -170,13 +178,22 @@ class _Search:
     order depend on the assignment only: every verdict and the first
     colouring found are those of chronological backtracking, and ``nodes``
     (one per visit) is at most its count.  The search walks an explicit
-    stack and checks ``deadline`` at every node.
+    stack and checks ``deadline`` and ``node_limit`` at every node: it
+    raises ``SolverTimeout`` once the clock passes the deadline or a visit
+    would take ``nodes`` past the limit.
     """
 
-    def __init__(self, conflicts: list[list[int]], k: int, deadline: float | None):
+    def __init__(
+        self,
+        conflicts: list[list[int]],
+        k: int,
+        deadline: float | None,
+        node_limit: int | None = None,
+    ):
         self.conflicts = conflicts
         self.k = k
         self.deadline = deadline
+        self.node_limit = node_limit
         self.colour = [0] * len(conflicts)
         self.nodes = 0
 
@@ -199,9 +216,13 @@ class _Search:
         max_used = 0
         shift = k + 1  # moves a coloured item's sat below zero
         nodes = self.nodes
+        node_limit = self.node_limit
+        limit = inf if node_limit is None else node_limit
         monotonic = time.monotonic
         try:
             while True:
+                if nodes >= limit:
+                    raise SolverTimeout(f"node budget {node_limit}")
                 nodes += 1
                 if deadline is not None and monotonic() > deadline:
                     raise SolverTimeout()
@@ -277,11 +298,16 @@ class _Search:
 
 
 def is_strong_k_colourable(
-    g: Graph, k: int, deadline: float | None = None, stats: SolveStats | None = None
+    g: Graph,
+    k: int,
+    deadline: float | None = None,
+    stats: SolveStats | None = None,
+    node_limit: int | None = None,
 ) -> PartialColouring | None:
     """A total strong colouring of ``g`` with at most ``k`` colours, or None
     after the search space is exhausted; below ``clique_lower_bound`` None
-    comes without a search."""
+    comes without a search.  ``SolverTimeout`` ends a search that passes
+    ``deadline`` or would visit more than ``node_limit`` nodes."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if g.num_edges() == 0:
@@ -289,7 +315,7 @@ def is_strong_k_colourable(
     if k == 0 or k < clique_lower_bound(g):
         return None
     edges, conflicts = _conflict_lists(g)
-    return _decide(g, edges, conflicts, k, deadline, stats)
+    return _decide(g, edges, conflicts, k, deadline, stats, node_limit)
 
 
 def _decide(
@@ -299,11 +325,12 @@ def _decide(
     k: int,
     deadline: float | None,
     stats: SolveStats | None,
+    node_limit: int | None = None,
 ) -> PartialColouring | None:
     """``is_strong_k_colourable`` on conflict lists already built, so that
     ``strong_chromatic_index`` builds them once for every k it tries.  A
     witness is checked once, with ``verify_strong``."""
-    search = _Search(conflicts, k, deadline)
+    search = _Search(conflicts, k, deadline, node_limit=node_limit)
     found = search.run()
     if stats is not None:
         stats.nodes += search.nodes

@@ -13,6 +13,13 @@ means the input violated the preconditions or the implementation is wrong,
 and raises ``ExtensionInfeasible``.  Every floor is at least 1, so a step
 with no free colour fails the same check.
 
+The floors hold for Delta >= 4 only.  An input with Delta <= 3 is coloured
+by one exact search at the cap min(3*Delta+1, 10), which every such graph
+admits, under a node budget of ``NODES_PER_EDGE`` per edge: it proves no
+minimality, and it ends in a colouring within the cap, ``SolverTimeout``
+when the budget runs out, or ``InternalInconsistency`` if it refutes the
+cap.
+
 Pattern search order is C1..C9 and, within a kind, the smallest anchor
 vertex, so runs are reproducible.  Each kind is one row of ``_KINDS``.
 
@@ -97,7 +104,7 @@ from .colouring import (
     verify_strong,
 )
 from .embedding import planar_embed
-from .exact import strong_chromatic_index
+from .exact import is_strong_k_colourable
 from .graph import Edge, Graph, edge_key
 
 
@@ -674,10 +681,13 @@ def colour_girth6(
     """Total strong edge-colouring of a planar graph of girth >= 6 (forests
     allowed) using at most 3*Delta+1 colours when Delta >= 4.
 
-    Inputs with Delta <= 3 are solved exactly instead (the reduction floors
-    need a palette of at least 13).  Either way the colouring is checked
+    Inputs with Delta <= 3 get one exact search at the cap min(3*Delta+1,
+    10) instead (the reduction floors need a palette of at least 13), which
+    stops at the first colouring it finds: it does not look for the fewest
+    colours, and it raises ``SolverTimeout`` once it has visited
+    ``NODES_PER_EDGE`` nodes per edge.  Either way the colouring is checked
     once, with verify_strong, where it is built: by the reduction loop or by
-    the exact solver.  A violation raises InternalInconsistency.
+    the exact search.  A violation raises InternalInconsistency.
     """
     if planar_embed(g) is None:
         raise PreconditionError("input graph is not planar")
@@ -781,17 +791,22 @@ def _greedy_residual(
     _reinsert(col, residual, edges, [floor] * len(edges), "greedy", None, trace)
 
 
+#: Node budget per edge of the Delta <= 3 search.  At the cap the search
+#: colours each of 112 thinned hex patches (94 to 1,318 edges) with no dead
+#: end, in |E|+1 nodes; eight per edge leaves room for some and keeps the
+#: search linear in the input.
+NODES_PER_EDGE = 8
+
+
 def _colour_small_delta(g: Graph) -> PartialColouring:
-    """The solver's witness, which it has checked, copied onto the
-    min(3*Delta+1, 10) palette."""
-    delta = g.max_degree()
-    cap = min(3 * delta + 1, 10)
-    result = strong_chromatic_index(g)
-    if result.chi_s > cap:
-        raise InternalInconsistency(
-            f"exact solve used {result.chi_s} colours, above the {cap} cap"
-        )
-    out = PartialColouring(g, cap)
-    for e, c in result.witness.assignment.items():
-        out.put(e, c)
-    return out
+    """One search at the cap min(3*Delta+1, 10), under a node budget of
+    ``NODES_PER_EDGE`` per edge; its witness, checked by the search, comes
+    on the cap palette.  Every graph with Delta <= 3 has a strong colouring
+    with that many colours (at most 10 when Delta = 3: Andersen 1992,
+    Horak-Qing-Trotter 1993), so a refutation is a bug, and an exhausted
+    budget raises ``SolverTimeout``."""
+    cap = min(3 * g.max_degree() + 1, 10)
+    witness = is_strong_k_colourable(g, cap, node_limit=NODES_PER_EDGE * g.num_edges())
+    if witness is None:
+        raise InternalInconsistency(f"exact search refuted the {cap}-colour cap")
+    return witness

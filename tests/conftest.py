@@ -526,6 +526,41 @@ def hex_with_leaves(rows: int, cols: int, every: int) -> Graph:
     return Graph(list(g.vertices) + [w for _, w in leaves], list(g.edges) + leaves)
 
 
+def thinned_hex(r: int, seed: int, frac: float) -> Graph:
+    """``hex_patch(r, r)`` keeping each edge, in ``edges`` order, when
+    ``random.Random(seed).random() > frac``, and every vertex: planar,
+    subcubic, girth at least 6."""
+    g = hex_patch(r, r)
+    draw = random.Random(seed).random
+    return Graph(list(g.vertices), [e for e in g.edges if draw() > frac])
+
+
+def add_pendants(g: Graph, seed: int, share: float = 0.5) -> Graph:
+    """A new leaf on about ``share`` of the degree-2 vertices, drawn in
+    vertex order: no new cycle, and no degree above 3 on a subcubic input."""
+    draw = random.Random(seed).random
+    nxt = max(g.vertices, default=-1) + 1
+    leaves = []
+    for v in g.vertices:
+        if g.degree(v) == 2 and draw() < share:
+            leaves.append((v, nxt))
+            nxt += 1
+    return Graph(list(g.vertices) + [w for _, w in leaves], list(g.edges) + leaves)
+
+
+#: The sweep of subcubic girth-6 inputs, 94 to 1,318 edges: r in {8, 10,
+#: 12, 16, 20, 24, 30} and seeds 0-7, thinned at frac 0.1, or at 0.2 with
+#: pendants.
+SUBCUBIC_SWEEP = [
+    (r, seed, frac) for r in (8, 10, 12, 16, 20, 24, 30) for seed in range(8) for frac in (0.1, 0.2)
+]
+
+
+def sweep_input(r: int, seed: int, frac: float) -> Graph:
+    g = thinned_hex(r, seed, frac)
+    return add_pendants(g, seed) if frac == 0.2 else g
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)

@@ -121,6 +121,15 @@ def test_edge_colouring_class_not_a_matching_caught(tmp_path, capsys, monkeypatc
     _assert_exit_2(["colour", "--pipeline", write_graph(tmp_path, wheel(5))], capsys)
 
 
+def test_refuted_small_delta_cap_caught(tmp_path, capsys, monkeypatch):
+    """Every graph with Delta <= 3 has a strong colouring within the cap
+    min(3*Delta+1, 10), so a search that refutes it is a bug: exit 2."""
+    monkeypatch.setattr(girth6, "is_strong_k_colourable", lambda *a, **k: None)
+    with pytest.raises(InternalInconsistency, match="refuted the 7-colour cap"):
+        girth6.colour_girth6(cycle(7))
+    _assert_exit_2(["colour", "--girth6", write_graph(tmp_path, cycle(7))], capsys)
+
+
 def test_corrupted_solver_witness_caught(tmp_path, capsys, monkeypatch):
     real = exact._Search.run
 

@@ -11,7 +11,7 @@ import pytest
 import strongedge.cli as cli
 import strongedge.girth6 as girth6
 from strongedge.cli import EXIT_BUDGET, main
-from strongedge.colouring import Violation
+from strongedge.colouring import Violation, colouring_from_json, verify_strong
 from strongedge.generators import (
     GeneratorSpec,
     cycle,
@@ -22,7 +22,13 @@ from strongedge.generators import (
     wheel,
 )
 from strongedge.graph import Graph, parse_graph, to_edge_list
-from conftest import complete_graph, reference_trace_json
+from conftest import (
+    SUBCUBIC_SWEEP,
+    complete_graph,
+    reference_trace_json,
+    sweep_input,
+    thinned_hex,
+)
 
 
 def write_graph(tmp_path, g, name="g.edges"):
@@ -247,6 +253,32 @@ def test_solve_timeout_zero_is_budget_exhausted(tmp_path, capsys, extra):
     out = capsys.readouterr()
     assert out.out == ""
     assert "budget exhausted: solve --timeout 0 s" in out.err
+
+
+def test_colour_girth6_subcubic_sweep(tmp_path, capsys):
+    """Every sweep input colours at the cap, 10, under the node budget."""
+    for key in SUBCUBIC_SWEEP:
+        g = sweep_input(*key)
+        assert g.max_degree() == 3, key
+        assert main(["colour", "--girth6", write_graph(tmp_path, g)]) == 0, key
+        text = capsys.readouterr().out
+        col = colouring_from_json(text, g)
+        assert col.palette == 10 and col.colours_used() <= 10, key
+        assert verify_strong(g, col, require_total=True) == [], key
+
+
+@pytest.mark.parametrize("per_edge", [0, 1])
+def test_colour_girth6_node_budget_exhausted(tmp_path, capsys, monkeypatch, per_edge):
+    # the 91-edge input needs 92 nodes at the cap, one more than 1 per edge
+    monkeypatch.setattr(girth6, "NODES_PER_EDGE", per_edge)
+    p = write_graph(tmp_path, thinned_hex(8, 9, 0.1))
+    trace, colfile = tmp_path / "trace.json", tmp_path / "col.json"
+    argv = ["colour", "--girth6", p, "--trace", str(trace), "-o", str(colfile)]
+    assert main(argv) == EXIT_BUDGET
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"budget exhausted: colour --girth6 node budget {91 * per_edge}\n"
+    assert not trace.exists() and not colfile.exists()
 
 
 def test_solve_timeout_zero_below_the_clique_bound_needs_no_search(tmp_path, capsys):

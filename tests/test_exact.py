@@ -174,6 +174,32 @@ class TestDecision:
             is_strong_k_colourable(path(3), -1)
 
 
+class TestNodeLimit:
+    """A node limit ends a search after that many visits, as a deadline does
+    but whatever the host's speed, and is never taken for a verdict."""
+
+    @pytest.mark.parametrize("below", [0, 1])
+    def test_limit_at_the_node_count(self, below):
+        # at chi_s a colouring, at chi_s - 1 a refutation; either way the
+        # search's own node count suffices and one node fewer does not
+        g = hex_with_leaves(6, 6, 2)
+        k = strong_chromatic_index(g).chi_s - below
+        stats = SolveStats()
+        free = is_strong_k_colourable(g, k, stats=stats)
+        assert (free is None) == bool(below)
+        bounded = is_strong_k_colourable(g, k, node_limit=stats.nodes)
+        assert getattr(bounded, "assignment", None) == getattr(free, "assignment", None)
+        with pytest.raises(SolverTimeout, match=f"^node budget {stats.nodes - 1}$"):
+            is_strong_k_colourable(g, k, node_limit=stats.nodes - 1)
+
+    def test_nodes_kept_at_the_limit(self):
+        for limit in (0, 3):
+            search = _Search(_conflict_lists(cycle(6))[1], 3, None, node_limit=limit)
+            with pytest.raises(SolverTimeout):
+                search.run()
+            assert search.nodes == limit
+
+
 class TestIndex:
     def test_p4(self):
         assert strong_chromatic_index(path(4)).chi_s == 3

@@ -1,5 +1,7 @@
 import io
+import itertools
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -12,6 +14,7 @@ from strongedge.colouring import (
     lowest_free_colour,
     verify_strong,
 )
+from strongedge import exact
 from strongedge.exact import is_strong_k_colourable
 from strongedge.cli import _bench_corpus
 from strongedge.generators import (
@@ -19,6 +22,7 @@ from strongedge.generators import (
     generate,
     grid,
     hex_patch,
+    path,
     stacked_triangulation,
     star,
     subdivide,
@@ -45,10 +49,13 @@ from strongedge.girth6 import (
 )
 from strongedge.graph import Graph, edge_key
 from conftest import (
+    SUBCUBIC_SWEEP,
     complete_graph,
     reference_match_c5,
     reference_trace_json,
     small_graphs,
+    sweep_input,
+    thinned_hex,
 )
 from test_discharging import planar_with_hubs
 
@@ -743,6 +750,43 @@ class TestColourGirth6:
         g = cycle(9)
         col = colour_girth6(g)
         assert col.palette <= 10
+
+    @pytest.mark.parametrize(
+        "g, cap", [(path(2), 4), (path(3), 7), (cycle(6), 7), (star(3), 10)]
+    )
+    def test_small_delta_palette_is_the_cap(self, g, cap):
+        col = colour_girth6(g)
+        assert col.palette == cap == min(3 * g.max_degree() + 1, 10)
+        assert verify_strong(g, col, require_total=True) == []
+
+    def test_small_delta_one_search_at_the_cap(self, monkeypatch):
+        # the 91-edge input: refuting 5 colours here ran past 2.6 M nodes,
+        # and one search at the cap colours it with no dead end
+        g = thinned_hex(8, 9, 0.1)
+        assert (g.num_edges(), g.max_degree()) == (91, 3)
+        searches = []
+
+        class Recorded(exact._Search):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                searches.append(self)
+
+        monkeypatch.setattr(exact, "_Search", Recorded)
+        col = colour_girth6(g)
+        assert [(s.k, s.node_limit, s.nodes) for s in searches] == [
+            (10, girth6.NODES_PER_EDGE * 91, 92)
+        ]
+        assert col.palette == 10 and col.colours_used() <= 10
+        assert verify_strong(g, col, require_total=True) == []
+
+    def test_small_delta_colourings_ignore_the_clock(self, monkeypatch):
+        # a node budget, not a wall clock, bounds the search: with the clock
+        # jumping an hour per reading, every colouring stays the same
+        graphs = [sweep_input(*key) for key in SUBCUBIC_SWEEP[::3]]
+        expected = [colour_girth6(g).assignment for g in graphs]
+        clock = itertools.count(0.0, 3600.0)
+        monkeypatch.setattr(time, "monotonic", lambda: next(clock))
+        assert [colour_girth6(g).assignment for g in graphs] == expected
 
     def test_nonplanar_rejected(self):
         with pytest.raises(PreconditionError, match="planar"):

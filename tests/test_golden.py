@@ -6,12 +6,14 @@ a line break, and the ``write_trace`` document for the run.  The values were
 recorded before the loop's candidate heaps became lazily filled and
 degree-gated, and before the free-colour reads stopped building the palette.
 
-The Delta <= 3 path of ``colour_girth6``, which copies the exact solver's
-witness, is pinned by the sha256 of ``colouring_to_json`` of its colouring,
-and ``strong_chromatic_index`` by that of chi_s, a line break and
-``colouring_to_json`` of the witness; the node count is left out.  These
-values were recorded before the search learnt to backjump, which may visit
-fewer nodes but must find the same first colouring at every k.
+The Delta <= 3 path of ``colour_girth6``, the first colouring that one
+search at the cap min(3*Delta+1, 10) finds, is pinned by the sha256 of
+``colouring_to_json`` of its colouring and by its colour count: 7 on each
+input here, whose chi_s is 6.  ``strong_chromatic_index`` is pinned by the
+sha256 of chi_s, a line break and ``colouring_to_json`` of the witness;
+the node count is left out.  Those values were recorded before the search
+learnt to backjump, which may visit fewer nodes but must find the same
+first colouring at every k.
 """
 
 import hashlib
@@ -61,10 +63,10 @@ def test_bench_corpus():
 
 
 SUBCUBIC = {
-    (8, 8, 2): "95233405a903c306aa20e535e482627fd19376cb62e56db39a77fcdf12883d10",
-    (7, 8, 1): "bc4699ec3aa2735f04f6edac7923cb1e2708afb69504a5fb74e66ac5ab2f2b5a",
-    (4, 10, 1): "054ab4d949df9901e746904c2a67b6a5207fbfd47e8838892e11fbe0d038f163",
-    (8, 10, 2): "05ce568388dfa78aba7417637fa53696341f8b26ce384d57dca5c0557525d5ee",
+    (8, 8, 2): "ad754ecb5736ab55f2cf9a71f2b0107c9e1ff749ca498ed256fde070ec5bf3b4",
+    (7, 8, 1): "441ad3c27b967a1ea0ee210695a1909a9fd9942cebcdd6d81a8392950edd4ea2",
+    (4, 10, 1): "5f6d5c25fae02ae2c94786a5546ab282312877f6fc48a30d6fea63a605c80ff1",
+    (8, 10, 2): "8452d7638dc7994bd22eb95de96febb56c03bf623526d1dc9e9b93d684af4a04",
 }
 
 
@@ -73,6 +75,7 @@ def test_subcubic_girth6(shape):
     g = hex_with_leaves(*shape)
     assert g.max_degree() == 3
     col = colour_girth6(g)
+    assert (col.palette, col.colours_used()) == (10, 7)
     digest = hashlib.sha256(colouring_to_json(col).encode()).hexdigest()
     assert digest == SUBCUBIC[shape]
 
