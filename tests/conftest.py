@@ -552,7 +552,10 @@ def add_pendants(g: Graph, seed: int, share: float = 0.5) -> Graph:
 #: 12, 16, 20, 24, 30} and seeds 0-7, thinned at frac 0.1, or at 0.2 with
 #: pendants.
 SUBCUBIC_SWEEP = [
-    (r, seed, frac) for r in (8, 10, 12, 16, 20, 24, 30) for seed in range(8) for frac in (0.1, 0.2)
+    (r, seed, frac)
+    for r in (8, 10, 12, 16, 20, 24, 30)
+    for seed in range(8)
+    for frac in (0.1, 0.2)
 ]
 
 

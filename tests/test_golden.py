@@ -11,9 +11,9 @@ search at the cap min(3*Delta+1, 10) finds, is pinned by the sha256 of
 ``colouring_to_json`` of its colouring and by its colour count: 7 on each
 input here, whose chi_s is 6.  ``strong_chromatic_index`` is pinned by the
 sha256 of chi_s, a line break and ``colouring_to_json`` of the witness;
-the node count is left out.  Those values were recorded before the search
-learnt to backjump, which may visit fewer nodes but must find the same
-first colouring at every k.
+the node count is left out.  Those solve values were recorded before the
+search learnt to backjump, which may visit fewer nodes but must find the
+same first colouring at every k.
 """
 
 import hashlib
