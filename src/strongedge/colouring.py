@@ -211,31 +211,39 @@ def verify_strong(
     of ``g`` finds every pair: a star whose colours are pairwise distinct
     holds none, and only stars with a repeated colour list their pairs.
     Violations come in the order off-palette, uncoloured, conflicts, each
-    sorted by edge.  An assigned edge missing from ``g`` raises ``KeyError``.
+    sorted by edge.
 
-    It reads ``c._assignment`` as is (its writers store normal-form keys).
+    It reads ``c._assignment`` as is (its writers store normal-form keys)
+    and walks ``g.edges`` in their sorted order, counting the coloured edges
+    it meets; when that count falls short of the assignment, some assigned
+    edge is missing from ``g``, and ``KeyError`` names the smallest one.
     A star's colours are pairwise distinct iff those at x are, those at y
     are, and x and y share no colour but that of xy, if xy is coloured.
     """
-    out: list[Violation] = []
     assignment, size, adj = c._assignment, c.palette, g._adj
+    off: list[Violation] = []
+    uncoloured: list[Violation] = []
     at: dict[int, list[Edge]] = {v: [] for v in adj}  # vertex -> its coloured edges
     colours_at: dict[int, set[int]] = {v: set() for v in adj}
-    for e in sorted(assignment):
-        x, y = e
-        if not g.has_edge(x, y):
-            raise KeyError(f"edge {x}-{y} not in graph")
-        col = assignment[e]
+    met = 0
+    for e in g.edges:
+        col = assignment.get(e)
+        if col is None:
+            if require_total:
+                uncoloured.append(Violation("uncoloured", (e,)))
+            continue
+        met += 1
         if not 1 <= col <= size:
-            out.append(Violation("off-palette", (e,)))
+            off.append(Violation("off-palette", (e,)))
+        x, y = e
         at[x].append(e)
         at[y].append(e)
         colours_at[x].add(col)
         colours_at[y].add(col)
-    if require_total:
-        for e in g.edges:
-            if e not in assignment:
-                out.append(Violation("uncoloured", (e,)))
+    if met != len(assignment):
+        x, y = min(e for e in assignment if not g.has_edge(*e))
+        raise KeyError(f"edge {x}-{y} not in graph")
+    out = off + uncoloured
     pairs: set[tuple[Edge, Edge]] = set()
     for e in g.edges:
         x, y = e
@@ -324,8 +332,10 @@ def _no_repeats(pairs: list) -> dict:
 def colouring_from_json(text: str, graph: Graph) -> PartialColouring:
     """Load a colouring document.  The palette and every colour must be JSON
     integers (not booleans), and each edge may be named once, in either
-    order; anything else raises ``ColouringError``.  Off-palette integers
-    load, and ``verify_strong`` reports them."""
+    order, by a key that reads back as ``f"{u}-{v}"`` (no sign, space,
+    underscore, leading zero or non-ASCII digit); anything else raises
+    ``ColouringError``.  Off-palette integers load, and ``verify_strong``
+    reports them."""
     try:
         doc = json.loads(text, object_pairs_hook=_no_repeats)
         if not isinstance(doc, dict):
@@ -344,7 +354,7 @@ def colouring_from_json(text: str, graph: Graph) -> PartialColouring:
         try:
             a, b = key.split("-")
             u, v = int(a), int(b)
-            if type(col) is not int:
+            if f"{u}-{v}" != key or type(col) is not int:
                 raise ValueError
         except ValueError:
             raise ColouringError(f"bad colouring entry {key!r}: {col!r}") from None

@@ -250,45 +250,43 @@ def _anchors_json(anchors: dict | None) -> str:
 # -- pattern matchers ---------------------------------------------------------
 
 
-def _two_minus(g: Graph, v: int) -> bool:
-    return g.degree(v) <= 2
-
-
 def _is_4l(g: Graph, v: int, l: int) -> bool:
-    return g.degree(v) == 4 and sum(
-        1 for w in g.neighbours(v) if g.degree(w) == 2
-    ) == l
+    adj = g._adj
+    ns = adj[v]
+    return len(ns) == 4 and sum(1 for w in ns if len(adj[w]) == 2) == l
 
 
 def _is_constraining(g: Graph, v: int) -> bool:
     """Vertex types that pin down a degree-2 neighbour: degree 2 or 3, or a
     4-vertex with exactly three degree-2 neighbours."""
-    d = g.degree(v)
-    return d in (2, 3) or _is_4l(g, v, 3)
+    return len(g._adj[v]) in (2, 3) or _is_4l(g, v, 3)
 
 
 def _match_c1(g: Graph, u: int) -> Configuration | None:
-    if g.degree(u) == 1:
-        v = g.neighbours(u)[0]
-        if g.degree(v) <= 4:
+    adj = g._adj
+    if len(adj[u]) == 1:
+        v = adj[u][0]
+        if len(adj[v]) <= 4:
             return Configuration("C1", {"u": u, "v": v})
     return None
 
 
 def _match_c2(g: Graph, u: int) -> Configuration | None:
-    if g.degree(u) == 2:
-        v, w = g.neighbours(u)
-        if g.degree(v) <= 3 and g.degree(w) <= 3:
+    adj = g._adj
+    if len(adj[u]) == 2:
+        v, w = adj[u]
+        if len(adj[v]) <= 3 and len(adj[w]) <= 3:
             return Configuration("C2", {"u": u, "v": v, "w": w})
     return None
 
 
 def _match_c3(g: Graph, u: int) -> Configuration | None:
-    if g.degree(u) != 2:
+    adj = g._adj
+    if len(adj[u]) != 2:
         return None
-    a, b = g.neighbours(u)
+    a, b = adj[u]
     for v, w in ((a, b), (b, a)):
-        if (_is_4l(g, v, 2) or _is_4l(g, v, 3)) and g.degree(w) <= 3:
+        if (_is_4l(g, v, 2) or _is_4l(g, v, 3)) and len(adj[w]) <= 3:
             return Configuration("C3", {"u": u, "v": v, "w": w})
     return None
 
@@ -297,19 +295,20 @@ def _match_c4(g: Graph, u: int) -> Configuration | None:
     # Both 4_3+4_2 and 4_3+4_3 neighbour pairs reduce the same way; the
     # second pair is required for the charge analysis to close, so it is
     # matched here as well.
-    if g.degree(u) != 2:
+    adj = g._adj
+    if len(adj[u]) != 2:
         return None
-    a, b = g.neighbours(u)
+    a, b = adj[u]
     if _is_4l(g, a, 3) and (_is_4l(g, b, 2) or _is_4l(g, b, 3)):
         v, w = a, b
     elif _is_4l(g, b, 3) and _is_4l(g, a, 2):
         v, w = b, a
     else:
         return None
-    v1, v2 = sorted(x for x in g.neighbours(v) if x != u and g.degree(x) == 2)
-    (z,) = [x for x in g.neighbours(v) if g.degree(x) != 2]
-    w_twos = sorted(x for x in g.neighbours(w) if x != u and g.degree(x) == 2)
-    w_rest = sorted(x for x in g.neighbours(w) if x != u and g.degree(x) != 2)
+    v1, v2 = sorted(x for x in adj[v] if x != u and len(adj[x]) == 2)
+    (z,) = [x for x in adj[v] if len(adj[x]) != 2]
+    w_twos = sorted(x for x in adj[w] if x != u and len(adj[x]) == 2)
+    w_rest = sorted(x for x in adj[w] if x != u and len(adj[x]) != 2)
     anchors = {
         "u": u,
         "v": v,
@@ -326,12 +325,13 @@ def _match_c4(g: Graph, u: int) -> Configuration | None:
 def _match_c5(g: Graph, u: int) -> Configuration | None:
     # k - 2 pendants, or k - 3 pendants and k - 2 neighbours of degree at most
     # 2: two or three non-pendant neighbours, at most two of degree above 2
-    k = g.degree(u)
+    adj = g._adj
+    k = len(adj[u])
     if k < 4:
         return None
     u1, others, highs = None, 0, 0
-    for w in g.neighbours(u):
-        d = g.degree(w)
+    for w in adj[u]:
+        d = len(adj[w])
         if d == 1:
             if u1 is None:
                 u1 = w
@@ -346,25 +346,27 @@ def _match_c5(g: Graph, u: int) -> Configuration | None:
 
 
 def _match_c6(g: Graph, u: int) -> Configuration | None:
-    k = g.degree(u)
-    if k >= 4 and all(_two_minus(g, w) for w in g.neighbours(u)):
-        return Configuration("C6", {"u": u, "us": g.neighbours(u)}, k=k)
+    adj = g._adj
+    ns = adj[u]
+    if len(ns) >= 4 and all(len(adj[w]) <= 2 for w in ns):
+        return Configuration("C6", {"u": u, "us": ns}, k=len(ns))
     return None
 
 
 def _match_c7(g: Graph, u: int) -> Configuration | None:
-    k = g.degree(u)
+    adj = g._adj
+    k = len(adj[u])
     if k < 5:
         return None
-    lows = [w for w in g.neighbours(u) if _two_minus(g, w)]
+    lows = [w for w in adj[u] if len(adj[w]) <= 2]
     if len(lows) < k - 1:
         return None
     for u1 in lows:
-        if g.degree(u1) == 1:
+        if len(adj[u1]) == 1:
             return Configuration(
                 "C7", {"u": u, "u1": u1, "v1": None, "x": _c7_other(g, u, lows, u1)}, k=k
             )
-        (v1,) = [x for x in g.neighbours(u1) if x != u]
+        (v1,) = [x for x in adj[u1] if x != u]
         if _is_constraining(g, v1):
             return Configuration(
                 "C7", {"u": u, "u1": u1, "v1": v1, "x": _c7_other(g, u, lows, u1)}, k=k
@@ -373,7 +375,8 @@ def _match_c7(g: Graph, u: int) -> Configuration | None:
 
 
 def _c7_other(g: Graph, u: int, lows: list[int], u1: int) -> int:
-    highs = [w for w in g.neighbours(u) if not _two_minus(g, w)]
+    adj = g._adj
+    highs = [w for w in adj[u] if len(adj[w]) > 2]
     if highs:
         return highs[0]
     return max(w for w in lows if w != u1)
@@ -382,28 +385,30 @@ def _c7_other(g: Graph, u: int, lows: list[int], u1: int) -> int:
 def _constrained_paths(g: Graph, u: int) -> list[tuple[int, int]]:
     """(u_i, v_i) pairs: degree-2 neighbours u_i of u whose second neighbour
     v_i has degree >= 2 and is of a constraining type."""
+    adj = g._adj
     out = []
-    for w in g.neighbours(u):
-        if g.degree(w) != 2:
+    for w in adj[u]:
+        if len(adj[w]) != 2:
             continue
-        (other,) = [x for x in g.neighbours(w) if x != u]
-        if g.degree(other) >= 2 and _is_constraining(g, other):
+        (other,) = [x for x in adj[w] if x != u]
+        if len(adj[other]) >= 2 and _is_constraining(g, other):
             out.append((w, other))
     return out
 
 
 def _match_c8_c9(g: Graph, u: int, want_alpha_zero: bool) -> Configuration | None:
-    k = g.degree(u)
+    adj = g._adj
+    k = len(adj[u])
     if k < 5:
         return None
-    alpha = sum(1 for w in g.neighbours(u) if g.degree(w) == 1)
+    alpha = sum(1 for w in adj[u] if len(adj[w]) == 1)
     if want_alpha_zero:
         if alpha != 0:
             return None
     else:
         if not (1 <= alpha <= k - 4):
             return None
-    twos = [w for w in g.neighbours(u) if g.degree(w) == 2]
+    twos = [w for w in adj[u] if len(adj[w]) == 2]
     need = k - 2 - alpha
     if len(twos) < need:
         return None
@@ -416,7 +421,7 @@ def _match_c8_c9(g: Graph, u: int, want_alpha_zero: bool) -> Configuration | Non
     # A path ending in a degree-2/3 vertex, if present, must come last:
     # its tail edge is the one recoloured with only single-colour slack.
     tail_idx = next(
-        (i for i, (_, v) in enumerate(chosen) if g.degree(v) <= 3), None
+        (i for i, (_, v) in enumerate(chosen) if len(adj[v]) <= 3), None
     )
     if tail_idx is not None:
         chosen = chosen[:tail_idx] + chosen[tail_idx + 1:] + [chosen[tail_idx]]
@@ -427,7 +432,7 @@ def _match_c8_c9(g: Graph, u: int, want_alpha_zero: bool) -> Configuration | Non
         v_last = chosen[-1][1]
         u_last = chosen[-1][0]
         extra = min(
-            x for x in g.neighbours(v_last) if g.degree(x) == 2 and x != u_last
+            x for x in adj[v_last] if len(adj[x]) == 2 and x != u_last
         )
     anchors = {
         "u": u,

@@ -7,6 +7,10 @@ Vertices are nonnegative integers.  An edge is always the ordered pair
 ``Graph`` checks and normalises each edge once, dedupes through one set, and
 appends over the sorted edges: x's neighbours below x arrive (ascending) from
 the edges before those that start at x, so every neighbour list is sorted.
+``parse_graph`` checks each edge once too: it collects the normal-form keys
+of the lines it has checked and hands them to ``Graph._build``, the builder
+that ``Graph()`` calls after its own checks, which it keeps for every other
+caller.
 """
 
 from __future__ import annotations
@@ -58,6 +62,12 @@ class Graph:
             if u < 0 or v < 0:
                 raise GraphParseError(f"negative vertex id in edge {u}-{v}")
             keys.add((u, v) if u < v else (v, u))
+        self._build(verts, keys)
+
+    def _build(self, verts: set[int], keys: set[Edge]) -> None:
+        """Fill the graph from checked input: nonnegative int vertices and
+        normal-form edge keys ``(u, v)`` with ``0 <= u < v``.  ``verts`` gains
+        the edges' ends."""
         ordered = sorted(keys)
         verts.update(chain.from_iterable(ordered))
         adj: dict[int, list[int]] = {v: [] for v in sorted(verts)}
@@ -252,8 +262,8 @@ def parse_graph(text: str) -> Graph:
 
     Only LF, CR LF and a lone CR end a line (and count in error line
     numbers); ``str.splitlines``'s other breaks, such as form feed, are spaces."""
-    vertices: list[int] = []
-    edges: list[Edge] = []
+    vertices: set[int] = set()
+    keys: set[Edge] = set()
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, line in enumerate(lines, start=1):
         if "#" in line:
@@ -270,17 +280,20 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError(f"loop edge at vertex {u}", lineno)
             if u < 0 or v < 0:
                 raise GraphParseError("negative vertex id", lineno)
-            edges.append((u, v))
+            keys.add((u, v) if u < v else (v, u))
         elif len(parts) == 1:
             try:
-                vertices.append(int(parts[0]))
+                v = int(parts[0])
             except ValueError:
                 raise GraphParseError(f"not an integer: {parts[0]!r}", lineno) from None
-            if vertices[-1] < 0:
+            if v < 0:
                 raise GraphParseError("negative vertex id", lineno)
+            vertices.add(v)
         elif parts:
             raise GraphParseError(f"expected 'u v', got {line.strip()!r}", lineno)
-    return Graph(vertices, edges)
+    g = Graph.__new__(Graph)
+    g._build(vertices, keys)  # every edge is checked above (module docstring)
+    return g
 
 
 def to_edge_list(g: Graph) -> str:

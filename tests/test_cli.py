@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -162,6 +163,118 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path):
     assert b"Traceback" not in proc.stderr
     assert proc.stderr == b""
     assert proc.returncode == 1
+
+
+def _exit_0(tmp_path, monkeypatch):
+    return ["analyze", write_graph(tmp_path, cycle(5))]
+
+
+def _exit_1(tmp_path, monkeypatch):
+    return ["analyze", str(tmp_path / "missing.edges")]
+
+
+def _exit_2(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        girth6, "verify_strong", lambda *a, **k: [Violation("uncoloured", ((0, 1),))]
+    )
+    return ["colour", "--girth6", write_graph(tmp_path, subdivide(wheel(5), 1))]
+
+
+def _exit_3(tmp_path, monkeypatch):
+    g = generate(GeneratorSpec("triangulation", (12,), seed=3))
+    return ["solve", write_graph(tmp_path, g), "--timeout", "0"]
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("code, make_argv", enumerate([_exit_0, _exit_1, _exit_2, _exit_3]))
+def test_main_restores_the_collector_setting(tmp_path, monkeypatch, capsys, code, make_argv, collecting):
+    """``main`` pauses the cyclic collector for the command only and leaves
+    it as the caller had it, whatever the exit code."""
+    argv = make_argv(tmp_path, monkeypatch)
+    was = gc.isenabled()
+    try:
+        gc.enable() if collecting else gc.disable()
+        assert main(argv) == code
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_closed_stdout_restores_the_collector_setting(tmp_path, collecting):
+    p = write_graph(tmp_path, cycle(5))
+    script = (
+        "import gc, sys\n"
+        "from strongedge.cli import main\n"
+        f"{'gc.enable()' if collecting else 'gc.disable()'}\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.stderr.write(str(gc.isenabled()))\n"
+        "sys.exit(code)\n"
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    package_root = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = [package_root] + [x for x in [os.environ.get("PYTHONPATH")] if x]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "colour", "--pipeline", p],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == str(collecting).encode()
+    assert proc.returncode == 1
+
+
+def _json_garbage() -> int:
+    """Unreachable objects that one indented ``json.dumps`` leaves behind:
+    the standard library's pure-Python encoder builds closures that refer
+    to each other, the one cyclic garbage of a successful command."""
+    gc.collect()
+    gc.disable()
+    try:
+        json.dumps({"a": [1]}, indent=2, sort_keys=True)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "argv, documents",
+    [
+        (["analyze", "G"], 1),
+        (["discharge", "G"], 1),
+        (["colour", "--girth6", "G", "-o", "C", "--trace", "T"], 2),
+        (["verify", "G", "C"], 1),
+        (["colour", "--pipeline", "G"], 1),
+        (["solve", "G"], 1),
+        (["bench", "--count", "2"], 1),
+    ],
+    ids=lambda x: x if isinstance(x, int) else " ".join(x[:2]),
+)
+def test_commands_build_no_reference_cycles(tmp_path, capsys, argv, documents):
+    """After a command, a collection finds only the indented JSON encoder's
+    garbage, once per document written: with the collector paused, nothing
+    the package built waits for it."""
+    g = write_graph(tmp_path, subdivide(wheel(5), 1))
+    files = {"G": g, "C": str(tmp_path / "c.json"), "T": str(tmp_path / "t.json")}
+    argv = [files.get(a, a) for a in argv]
+    assert main(["colour", "--girth6", g, "-o", files["C"]]) == 0
+    assert main(argv) == 0  # first-call caches and imports are not garbage
+    per_document = _json_garbage()
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == documents * per_document
+    finally:
+        if was:
+            gc.enable()
+    capsys.readouterr()
 
 
 def test_colour_nonplanar_is_precondition_error(tmp_path, capsys):

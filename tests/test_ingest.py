@@ -4,7 +4,8 @@
 must give the same graphs, loads, violations and errors as the references
 kept in ``conftest``.  The intended differences are pinned here too: the
 constructor rejects a negative isolated vertex, and the loader rejects
-non-integer palettes and colours and an edge named twice.
+non-integer palettes and colours, an edge named twice and a key that is not
+``u-v`` written plainly.
 """
 
 import json
@@ -141,6 +142,18 @@ def test_verify_strong_missing_edge_raises_like_reference():
             fn(g, c)
 
 
+def test_verify_strong_names_the_smallest_missing_edge():
+    """Edges missing from the host, one with an end the host lacks, named
+    smallest first whatever order they were coloured in."""
+    g = Graph(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)])
+    c = PartialColouring(g, 3)
+    for e in ((7, 9), (2, 4), (1, 2), (0, 3)):
+        c._assignment[e] = 1
+    for fn in (verify_strong, reference_star_verify):
+        with pytest.raises(KeyError, match=re.escape("edge 0-3 not in graph")):
+            fn(g, c, True)
+
+
 # -- the colouring loader --------------------------------------------------------
 
 
@@ -173,6 +186,12 @@ _BAD_DOCUMENTS = [
     ('{"palette": 2, "colours": {"1-0": 1, "0-1": 2, "1-2": 3}}', "colouring names edge 0-1 twice"),
     ('{"palette": 2, "colours": {"0-1": 1, "0-1": 2, "1-2": 3}}', "a JSON object repeats a key"),
     ('{"palette": 2, "palette": 3, "colours": {}}', "a JSON object repeats a key"),
+    # keys that int() reads as 0-1 but that do not name it as u-v
+    ('{"palette": 2, "colours": {" 0-1": 1, "1-2": 2}}', "bad colouring entry ' 0-1': 1"),
+    ('{"palette": 2, "colours": {"+0-1": 1, "1-2": 2}}', "bad colouring entry '+0-1': 1"),
+    ('{"palette": 2, "colours": {"0-0_1": 1, "1-2": 2}}', "bad colouring entry '0-0_1': 1"),
+    ('{"palette": 2, "colours": {"00-1": 1, "1-2": 2}}', "bad colouring entry '00-1': 1"),
+    ('{"palette": 2, "colours": {"\\u0660-1": 1, "1-2": 2}}', "bad colouring entry '\u0660-1': 1"),
 ]
 
 
