@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 
 from .graph import Edge, Graph, edge_key
@@ -268,7 +269,8 @@ def trivial_lower_bound(g: Graph) -> int:
     conflict with uv, so they need pairwise distinct colours."""
     if g.num_edges() == 0:
         return 0
-    return max(g.degree(u) + g.degree(v) - 1 for u, v in g.edges)
+    adj = g._adj
+    return max(len(adj[u]) + len(adj[v]) for u, v in g.edges) - 1
 
 
 # -- published upper-bound table ---------------------------------------------
@@ -329,6 +331,10 @@ def _no_repeats(pairs: list) -> dict:
     return doc
 
 
+#: Colouring keys, one a line, each written as ``f"{u}-{v}"``.
+_PLAIN_KEYS = re.compile(r"(?:(?:0|[1-9][0-9]*)-(?:0|[1-9][0-9]*)\n)*")
+
+
 def colouring_from_json(text: str, graph: Graph) -> PartialColouring:
     """Load a colouring document.  The palette and every colour must be JSON
     integers (not booleans), and each edge may be named once, in either
@@ -350,11 +356,15 @@ def colouring_from_json(text: str, graph: Graph) -> PartialColouring:
         raise ColouringError(f"bad colouring document: {exc}") from exc
     c = PartialColouring(graph, size)
     assignment = c._assignment
+    # one match clears every key at once (no key holds a line break, so each
+    # line is one key); otherwise each key is compared with its ints' form
+    lines = "\n".join(raw) + "\n"
+    plain = lines.count("\n") == len(raw) and _PLAIN_KEYS.fullmatch(lines) is not None
     for key, col in raw.items():
         try:
             a, b = key.split("-")
             u, v = int(a), int(b)
-            if f"{u}-{v}" != key or type(col) is not int:
+            if type(col) is not int or not plain and f"{u}-{v}" != key:
                 raise ValueError
         except ValueError:
             raise ColouringError(f"bad colouring entry {key!r}: {col!r}") from None

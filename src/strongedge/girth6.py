@@ -250,16 +250,18 @@ def _anchors_json(anchors: dict | None) -> str:
 # -- pattern matchers ---------------------------------------------------------
 
 
-def _is_4l(g: Graph, v: int, l: int) -> bool:
+def _four_l(g: Graph, v: int) -> int:
+    """l when v is a 4_l-vertex (degree 4, with l neighbours of degree 2),
+    else -1."""
     adj = g._adj
     ns = adj[v]
-    return len(ns) == 4 and sum(1 for w in ns if len(adj[w]) == 2) == l
+    return sum(1 for w in ns if len(adj[w]) == 2) if len(ns) == 4 else -1
 
 
 def _is_constraining(g: Graph, v: int) -> bool:
     """Vertex types that pin down a degree-2 neighbour: degree 2 or 3, or a
     4-vertex with exactly three degree-2 neighbours."""
-    return len(g._adj[v]) in (2, 3) or _is_4l(g, v, 3)
+    return len(g._adj[v]) in (2, 3) or _four_l(g, v) == 3
 
 
 def _match_c1(g: Graph, u: int) -> Configuration | None:
@@ -286,7 +288,7 @@ def _match_c3(g: Graph, u: int) -> Configuration | None:
         return None
     a, b = adj[u]
     for v, w in ((a, b), (b, a)):
-        if (_is_4l(g, v, 2) or _is_4l(g, v, 3)) and len(adj[w]) <= 3:
+        if _four_l(g, v) in (2, 3) and len(adj[w]) <= 3:
             return Configuration("C3", {"u": u, "v": v, "w": w})
     return None
 
@@ -299,9 +301,10 @@ def _match_c4(g: Graph, u: int) -> Configuration | None:
     if len(adj[u]) != 2:
         return None
     a, b = adj[u]
-    if _is_4l(g, a, 3) and (_is_4l(g, b, 2) or _is_4l(g, b, 3)):
+    la, lb = _four_l(g, a), _four_l(g, b)
+    if la == 3 and lb in (2, 3):
         v, w = a, b
-    elif _is_4l(g, b, 3) and _is_4l(g, a, 2):
+    elif lb == 3 and la == 2:
         v, w = b, a
     else:
         return None

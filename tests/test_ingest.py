@@ -140,12 +140,8 @@ def test_verify_strong_missing_edge_raises_like_reference():
     for fn in (verify_strong, reference_star_verify):
         with pytest.raises(KeyError, match=re.escape("edge 3-4 not in graph")):
             fn(g, c)
-
-
-def test_verify_strong_names_the_smallest_missing_edge():
-    """Edges missing from the host, one with an end the host lacks, named
-    smallest first whatever order they were coloured in."""
-    g = Graph(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)])
+    # of several missing edges, one with an end the host lacks, the smallest
+    # is named, whatever order they were coloured in
     c = PartialColouring(g, 3)
     for e in ((7, 9), (2, 4), (1, 2), (0, 3)):
         c._assignment[e] = 1
@@ -192,6 +188,7 @@ _BAD_DOCUMENTS = [
     ('{"palette": 2, "colours": {"0-0_1": 1, "1-2": 2}}', "bad colouring entry '0-0_1': 1"),
     ('{"palette": 2, "colours": {"00-1": 1, "1-2": 2}}', "bad colouring entry '00-1': 1"),
     ('{"palette": 2, "colours": {"\\u0660-1": 1, "1-2": 2}}', "bad colouring entry '\u0660-1': 1"),
+    ('{"palette": 2, "colours": {"1-2": 2, "0-1\\n": 1}}', "bad colouring entry '0-1\\n': 1"),
 ]
 
 
