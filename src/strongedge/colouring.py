@@ -331,8 +331,10 @@ def _no_repeats(pairs: list) -> dict:
     return doc
 
 
-#: Colouring keys, one a line, each written as ``f"{u}-{v}"``.
-_PLAIN_KEYS = re.compile(r"(?:(?:0|[1-9][0-9]*)-(?:0|[1-9][0-9]*)\n)*")
+#: The start of a line that is not written as ``f"{u}-{v}"``.  A search,
+#: not one ``fullmatch`` over all lines, whose repeat would keep state for
+#: every line (about 0.3 KiB a key).
+_NOT_PLAIN = re.compile(r"^(?!(?:0|[1-9][0-9]*)-(?:0|[1-9][0-9]*)$)", re.MULTILINE)
 
 
 def colouring_from_json(text: str, graph: Graph) -> PartialColouring:
@@ -356,10 +358,10 @@ def colouring_from_json(text: str, graph: Graph) -> PartialColouring:
         raise ColouringError(f"bad colouring document: {exc}") from exc
     c = PartialColouring(graph, size)
     assignment = c._assignment
-    # one match clears every key at once (no key holds a line break, so each
+    # one search clears every key at once (no key holds a line break, so each
     # line is one key); otherwise each key is compared with its ints' form
-    lines = "\n".join(raw) + "\n"
-    plain = lines.count("\n") == len(raw) and _PLAIN_KEYS.fullmatch(lines) is not None
+    lines = "\n".join(raw)
+    plain = lines.count("\n") == len(raw) - 1 and _NOT_PLAIN.search(lines) is None
     for key, col in raw.items():
         try:
             a, b = key.split("-")

@@ -187,6 +187,7 @@ _BAD_DOCUMENTS = [
     ('{"palette": 2, "colours": {"+0-1": 1, "1-2": 2}}', "bad colouring entry '+0-1': 1"),
     ('{"palette": 2, "colours": {"0-0_1": 1, "1-2": 2}}', "bad colouring entry '0-0_1': 1"),
     ('{"palette": 2, "colours": {"00-1": 1, "1-2": 2}}', "bad colouring entry '00-1': 1"),
+    ('{"palette": 2, "colours": {"1-2": 2, "0-01": 1}}', "bad colouring entry '0-01': 1"),
     ('{"palette": 2, "colours": {"\\u0660-1": 1, "1-2": 2}}', "bad colouring entry '\u0660-1': 1"),
     ('{"palette": 2, "colours": {"1-2": 2, "0-1\\n": 1}}', "bad colouring entry '0-1\\n': 1"),
 ]
