@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
 from dataclasses import dataclass
 
 from .graph import Edge, Graph, edge_key
@@ -269,8 +268,7 @@ def trivial_lower_bound(g: Graph) -> int:
     conflict with uv, so they need pairwise distinct colours."""
     if g.num_edges() == 0:
         return 0
-    adj = g._adj
-    return max(len(adj[u]) + len(adj[v]) for u, v in g.edges) - 1
+    return max(g.degree(u) + g.degree(v) - 1 for u, v in g.edges)
 
 
 # -- published upper-bound table ---------------------------------------------
@@ -331,12 +329,6 @@ def _no_repeats(pairs: list) -> dict:
     return doc
 
 
-#: The start of a line that is not written as ``f"{u}-{v}"``.  A search,
-#: not one ``fullmatch`` over all lines, whose repeat would keep state for
-#: every line (about 0.3 KiB a key).
-_NOT_PLAIN = re.compile(r"^(?!(?:0|[1-9][0-9]*)-(?:0|[1-9][0-9]*)$)", re.MULTILINE)
-
-
 def colouring_from_json(text: str, graph: Graph) -> PartialColouring:
     """Load a colouring document.  The palette and every colour must be JSON
     integers (not booleans), and each edge may be named once, in either
@@ -358,15 +350,11 @@ def colouring_from_json(text: str, graph: Graph) -> PartialColouring:
         raise ColouringError(f"bad colouring document: {exc}") from exc
     c = PartialColouring(graph, size)
     assignment = c._assignment
-    # one search clears every key at once (no key holds a line break, so each
-    # line is one key); otherwise each key is compared with its ints' form
-    lines = "\n".join(raw)
-    plain = lines.count("\n") == len(raw) - 1 and _NOT_PLAIN.search(lines) is None
     for key, col in raw.items():
         try:
             a, b = key.split("-")
             u, v = int(a), int(b)
-            if type(col) is not int or not plain and f"{u}-{v}" != key:
+            if type(col) is not int or f"{u}-{v}" != key:
                 raise ValueError
         except ValueError:
             raise ColouringError(f"bad colouring entry {key!r}: {col!r}") from None
