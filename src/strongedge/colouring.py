@@ -3,8 +3,8 @@
 A strong edge-colouring is a proper edge-colouring in which every colour
 class is an induced matching: no two edges of the same colour are within
 distance 2 of each other.  ``verify_strong`` is the single authority on
-validity: each colourer runs it once, on the colouring it builds, and
-raises ``InternalInconsistency`` on a violation.
+validity: each colourer runs it once, on the colouring it builds, through
+``require_strong``, which raises ``InternalInconsistency`` on a violation.
 
 Two distinct edges e and f are within distance 2 exactly when both lie in
 the star of one edge xy, the set of edges touching x or y: if e and f share
@@ -261,6 +261,15 @@ def verify_strong(
         kind = "adjacent-conflict" if set(e) & set(f) else "distance2-conflict"
         out.append(Violation(kind, (e, f)))
     return out
+
+
+def require_strong(g: Graph, c: PartialColouring, what: str) -> None:
+    """The colourers' one check: ``InternalInconsistency("{what}: {first
+    violation}")`` unless ``c`` is a total strong colouring of ``g``.  It calls
+    this module's ``verify_strong`` by name, so a replacement there counts."""
+    violations = verify_strong(g, c, require_total=True)
+    if violations:
+        raise InternalInconsistency(f"{what}: {violations[0]}")
 
 
 def trivial_lower_bound(g: Graph) -> int:

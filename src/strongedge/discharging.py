@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .embedding import Embedding
-from .girth6 import Configuration, find_configuration
+from .girth6 import Configuration, _four_l, find_configuration
 from .graph import ACYCLIC
 
 #: Element keys: ("v", vertex id) or ("f", face id).
@@ -97,8 +97,7 @@ def _rule_transfers(emb: Embedding) -> tuple[list[Transfer], list[int]]:
     structure, never on intermediate charges, so application order is
     irrelevant."""
     g = emb.graph
-    adj = {v: g.neighbours(v) for v in g.vertices}
-    deg = {v: len(ns) for v, ns in adj.items()}
+    adj = g._adj
     # one list per place in the ledger order
     places = {rule: [] for rule in ("R1", "R2", "R3", "R4", "R5", "R6")}
     gaps: list[int] = []
@@ -107,7 +106,7 @@ def _rule_transfers(emb: Embedding) -> tuple[list[Transfer], list[int]]:
         places[rule[:2]].append(Transfer(source, ("v", w), thirds, rule))
 
     # R1: faces pay 2 per incident degree-1 vertex (one visit each).
-    pendants = {v for v, d in deg.items() if d == 1}
+    pendants = {v for v, ns in adj.items() if len(ns) == 1}
     check_face_bound = 6 <= g.girth() < ACYCLIC
     for i, walk in enumerate(emb.faces):
         if pendants.isdisjoint(walk):
@@ -125,22 +124,23 @@ def _rule_transfers(emb: Embedding) -> tuple[list[Transfer], list[int]]:
     for u, ns in adj.items():
         source = ("v", u)
         if len(ns) == 4:
-            twos = [w for w in ns if deg[w] == 2]
+            twos = [w for w in ns if len(adj[w]) == 2]
             if len(twos) in _FOUR_RATES:
                 thirds, rule = _FOUR_RATES[len(twos)]
                 for w in twos:
                     pay(source, w, thirds, rule)
         elif len(ns) >= 5:
             for w in ns:
-                if deg[w] == 1:
+                dw = len(adj[w])
+                if dw == 1:
                     pay(source, w, 6, "R2")
-                elif deg[w] == 2:
+                elif dw == 2:
                     a, b = adj[w]
                     other = b if a == u else a
-                    od = deg[other]
+                    od = len(adj[other])
                     if od in (2, 3):
                         pay(source, w, 6, "R6.1")
-                    elif od == 4 and sum(deg[x] == 2 for x in adj[other]) == 3:
+                    elif _four_l(g, other) == 3:  # a 4_3-vertex
                         pay(source, w, 4, "R6.2")
                     elif od >= 4:
                         pay(source, w, 3, "R6.3")

@@ -1,11 +1,13 @@
 """Combinatorial planar embeddings: rotation systems and face walks.
 
 Planarity is decided by the left-right test (Brandes 2009), run here over
-integer arrays; ``planar_embed`` returns None for a non-planar graph.  A face
-is its walk, a tuple of vertices: ``walk[i] -> walk[i+1]`` (cyclically) are
-its directed edges, face i is ``Embedding.faces[i]``, and its length r(f) is
-``len(walk)``, the number of edge visits, so a bridge crossed out and back
-counts twice.
+the graph's integer numbering: ``Graph.numbering``'s neighbour positions and
+``Graph.stars``'s edge indices, aligned with them, so vertex i is
+``g.vertices[i]`` and edge k is ``g.edges[k]``; ``planar_embed`` returns None
+for a non-planar graph.  A face is its walk, a tuple of vertices: ``walk[i]
+-> walk[i+1]`` (cyclically) are its directed edges, face i is
+``Embedding.faces[i]``, and its length r(f) is ``len(walk)``, the number of
+edge visits, so a bridge crossed out and back counts twice.
 
 The test runs on the graph's series kernel.  A chain is a maximal path whose
 interior vertices have degree 2.  It is suppressed, and becomes one kernel
@@ -28,7 +30,7 @@ vertex, and heights map monotonically along each root path, so lowpoint
 comparisons, nesting order and the conflicts between return edges are kept.
 An interior vertex's rotation is (its neighbour toward the kernel edge's
 source in the search, its other neighbour).  Without a chain to suppress the
-kernel is the graph's own adjacency.
+kernel is the graph's own neighbour and edge lists.
 
 The rotation is certified on integer darts: dart ``2k`` runs along edge k
 from ``g.edges[k][0]`` to ``g.edges[k][1]`` and dart ``2k + 1`` back.  A
@@ -37,7 +39,8 @@ rotation is ``first``, the dart each vertex's rotation starts at, and
 checker of a rotation system: given the darts' tails, ``first`` and ``nxt``
 as integer lists, it checks that each vertex's cycle holds exactly the darts
 leaving it, traces the face walks and checks Euler's formula against the
-number of connected components, with no per-vertex indexes or sorting.
+number of connected components (``graph.component_members``), with no
+per-vertex indexes or sorting.
 Two callers share it: ``planar_embed`` on the left-right test's rotation,
 and the pipeline's per-class check on each conflict graph, whose darts it
 derives from the host's without building a ``Graph``.  ``Embedding.darts``
@@ -51,9 +54,9 @@ from functools import cached_property
 from itertools import chain, compress
 from typing import Iterable, NamedTuple, Sequence
 
-from .graph import Graph
+from .graph import Graph, component_members
 
-Adjacency = list[Sequence[tuple[int, int]]]
+Rows = Sequence[Sequence[int]]
 
 
 class EmbeddingError(ValueError):
@@ -80,8 +83,8 @@ class Embedding:
 
 class HostDarts(NamedTuple):
     """Integer views of a host embedding, for scans that must not read a
-    whole rotation: ``vertex`` maps a label to its index (its position in
-    ``g.vertices``), ``edge`` an edge to its index, ``degree``, ``tail`` and
+    whole rotation: ``vertex`` is ``g.numbering()``'s map from a label to its
+    position, ``edge`` maps an edge to its index, ``degree``, ``tail`` and
     ``pos`` give each vertex's degree and each dart's tail and position in
     its tail's rotation (counted from ``first``), and ``out[i]`` lists
     ``(j, d)`` for the darts d from i to j along the edges oriented toward
@@ -100,8 +103,8 @@ class HostDarts(NamedTuple):
     @classmethod
     def build(cls, emb: Embedding) -> "HostDarts":
         g, first, nxt = emb.graph, emb.first, emb.nxt
-        vertex = _index(g)
-        degree = [len(ns) for ns in g._adj.values()]
+        vertex, nbr = g.numbering()
+        degree = [len(ns) for ns in nbr]
         tail = list(chain.from_iterable(g.edges))
         if not isinstance(vertex, range):  # labels are their own indices in a range
             tail = [vertex[a] for a in tail]
@@ -137,52 +140,32 @@ def planar_embed(g: Graph) -> Embedding | None:
     found = _lr_darts(g)
     if found is None:
         return None
-    adj, first, nxt = found
-    order = [2 * k + (i > j) for i, row in enumerate(adj) for j, k in row]
-    del found, adj  # a tuple per dart, not needed to certify
+    nbr, star, first, nxt = found
+    order = [2 * k + (i > j) for i, js in enumerate(nbr) for j, k in zip(js, star[i])]
+    del found, star  # an index per dart, not needed to certify
     ends = list(chain.from_iterable(g.edges))
     heads, faces = _certify(ends, first, nxt, g.vertices, order, g.components())
     return Embedding(g, dict(zip(g.vertices, heads)), tuple(faces), first, nxt)
 
 
-def _index(g: Graph) -> Sequence[int] | dict[int, int]:
-    """Each vertex's position in ``g.vertices``."""
-    vertices = g.vertices
-    n = len(vertices)
-    # vertices are sorted and distinct, so 0..n-1 are their own positions
-    return range(n) if not n or vertices[-1] == n - 1 else {v: i for i, v in enumerate(vertices)}
-
-
-def _adjacency(g: Graph) -> Adjacency:
-    """``(neighbour index, edge index)`` per vertex index (positions in
-    ``g.vertices`` and ``g.edges``); edges are sorted, so each list comes
-    out in neighbour order."""
-    index = _index(g)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices())]
-    for k, (a, b) in enumerate(g.edges):
-        i, j = index[a], index[b]
-        adj[i].append((j, k))
-        adj[j].append((i, k))
-    return adj
-
-
-def _lr_darts(g: Graph) -> tuple[Adjacency, list[int], list[int]] | None:
+def _lr_darts(g: Graph):
     """The left-right test on the series kernel of ``g``, expanded back to
-    ``g``: ``(adj, first, nxt)``, or None if ``g`` is not planar.
+    ``g``: ``(nbr, star, first, nxt)``, or None if ``g`` is not planar.
 
-    ``adj`` is ``_adjacency(g)``; ``first[i]`` is the dart that vertex i's
-    rotation starts at (-1 if it has none) and ``nxt[d]`` the dart after d
-    in the rotation at its tail.  Vertices are visited in ``g.vertices``
-    order and neighbours in ``g.neighbours`` order, so the rotation, down to
-    the neighbour each one starts at, is a function of ``g`` alone.
+    ``nbr`` is ``g.numbering()``'s and ``star`` is ``g.stars()``, aligned
+    with it; ``first[i]`` is the dart that vertex i's rotation starts at (-1
+    if it has none) and ``nxt[d]`` the dart after d in the rotation at its
+    tail.  Vertices are visited in ``g.vertices`` order and neighbours in
+    ``g.neighbours`` order, so the rotation, down to the neighbour each one
+    starts at, is a function of ``g`` alone.
     """
     n, m = g.num_vertices(), g.num_edges()
     if n > 2 and m > 3 * n - 6:
         return None
-    adj = _adjacency(g)
+    nbr, star = g.numbering()[1], g.stars()
     first, nxt = [-1] * n, [0] * (2 * m)
-    kadj, chains, inner = _series_kernel(adj, first, nxt)
-    found = _lr(kadj, first, nxt)
+    knbr, kstar, chains, inner = _series_kernel(nbr, star, first, nxt)
+    found = _lr(knbr, kstar, first, nxt)
     if found is None:
         return None
     ccw, src = found
@@ -205,12 +188,13 @@ def _lr_darts(g: Graph) -> tuple[Adjacency, list[int], list[int]] | None:
             for c in inner[start:end]:
                 first[c] = nxt[first[c]]
         start = end
-    return adj, first, nxt
+    return nbr, star, first, nxt
 
 
-def _series_kernel(adj: Adjacency, first: list[int], nxt: list[int]):
+def _series_kernel(nbr: Rows, star: Rows, first: list[int], nxt: list[int]):
     """The graph with its suppressible chains (module docstring) replaced by
-    one edge each: ``(kadj, chains, inner)``.
+    one edge each: ``(knbr, kstar, chains, inner)``, the kernel's neighbour
+    and edge lists, aligned as ``nbr`` and ``star`` are.
 
     The kernel keeps the vertex and edge indices of ``g``: a chain's
     interior vertices lose their edges, and its kernel edge takes the index
@@ -224,19 +208,19 @@ def _series_kernel(adj: Adjacency, first: list[int], nxt: list[int]):
     per chain: s, the upper end u, the kernel edge k, the dart of g leaving
     u along the chain, ``nxt[2k + 1]`` (which the search overwrites) and
     where the chain's interior vertices end in ``inner``.  With nothing to
-    suppress the kernel is ``adj`` itself.
+    suppress the kernel is ``nbr`` and ``star`` themselves.
     """
-    walked = bytearray(len(adj))
+    walked = bytearray(len(nbr))
     chains: list[int] = []
     inner: list[int] = []
     far = {}  # edge at a chain's end -> (the chain's other end, kernel edge)
-    for c in compress(range(len(adj)), map((2).__eq__, map(len, adj))):  # degree 2
+    for c in compress(range(len(nbr)), map((2).__eq__, map(len, nbr))):  # degree 2
         if walked[c]:
             continue
-        (x, kx), (y, ky) = adj[c]
-        if len(adj[x]) != 2:
+        (x, y), (kx, ky) = nbr[c], star[c]
+        if len(nbr[x]) != 2:
             s, e = x, kx
-        elif len(adj[y]) != 2:
+        elif len(nbr[y]) != 2:
             s, e = y, ky
         else:
             continue  # inside a chain, or on a cycle of degree-2 vertices
@@ -247,14 +231,14 @@ def _series_kernel(adj: Adjacency, first: list[int], nxt: list[int]):
             inner.append(w)
             if w < low:
                 low = w
-            (x, kx), (y, ky) = adj[w]
+            (x, y), (kx, ky) = nbr[w], star[w]
             if kx == f:
                 x, kx = y, ky
             back, on = 2 * f + (w > v), 2 * kx + (w > x)
             first[w] = back
             nxt[back], nxt[on] = on, back
             v, w, f = w, x, kx
-            if len(adj[w]) != 2:
+            if len(nbr[w]) != 2:
                 break
         t = w  # the other end, reached along f
         if s == t or low < (s if s < t else t):
@@ -269,19 +253,20 @@ def _series_kernel(adj: Adjacency, first: list[int], nxt: list[int]):
         chains += (s, u, k, du, nxt[2 * k + 1], len(inner))
         far[e], far[f] = (t, k), (s, k)
     if not chains:
-        return adj, chains, inner
-    kadj = adj[:]
+        return nbr, star, chains, inner
+    knbr, kstar = list(nbr), list(star)
     for c in inner:
-        kadj[c] = ()
+        knbr[c] = kstar[c] = ()
     for v in {end for end, _ in far.values()}:
-        kadj[v] = [far.get(jk[1], jk) for jk in adj[v]]
-    return kadj, chains, inner
+        knbr[v], kstar[v] = zip(*[far.get(k, (j, k)) for j, k in zip(nbr[v], star[v])])
+    return knbr, kstar, chains, inner
 
 
-def _lr(adj: Adjacency, first: list[int], cw: list[int]) -> tuple[list[int], list[int]] | None:
+def _lr(nbr: Rows, star: Rows, first: list[int], cw: list[int]):
     """The left-right planarity test (Brandes 2009) on a multigraph given by
-    its adjacency over vertex indices and edge indices below ``len(cw) //
-    2``: ``(ccw, src)``, or None if it is not planar.
+    each vertex's neighbours ``nbr[v]`` and, aligned with them, the edges
+    ``star[v]`` that join it to them, over vertex indices and edge indices
+    below ``len(cw) // 2``: ``(ccw, src)``, or None if it is not planar.
 
     Non-recursive, over flat per-edge lists, in three depth-first passes:
     orientation (lowpoints and nesting depths), testing (conflict pairs of
@@ -293,7 +278,7 @@ def _lr(adj: Adjacency, first: list[int], cw: list[int]) -> tuple[list[int], lis
     edges: ``first[v]`` is v's leftmost dart, ``cw`` and ``ccw`` turn
     clockwise and back.
     """
-    n, m = len(adj), len(cw) // 2
+    n, m = len(nbr), len(cw) // 2
 
     # -- orientation: DFS tree edges point down, back edges up ----------------
     height = [-1] * n
@@ -307,17 +292,17 @@ def _lr(adj: Adjacency, first: list[int], cw: list[int]) -> tuple[list[int], lis
     roots = []
     ind = [0] * n
     for r in range(n):
-        if height[r] >= 0 or not adj[r]:  # isolated vertices need no search
+        if height[r] >= 0 or not nbr[r]:  # isolated vertices need no search
             continue
         height[r] = 0
         roots.append(r)
         stack = [r]
         while stack:
             v = stack.pop()
-            e, hv, nbrs = parent[v], height[v], adj[v]
+            e, hv, js, ks = parent[v], height[v], nbr[v], star[v]
             i = ind[v]
-            while i < len(nbrs):
-                w, k = nbrs[i]
+            while i < len(js):
+                w, k = js[i], ks[i]
                 if src[k] < 0:
                     src[k], dst[k] = v, w
                     out[v].append(k)
@@ -621,27 +606,8 @@ def _certify(
             if d == d0:
                 break
         faces.append(tuple(walk))
-    _check_euler(len(heads), ends, faces, _components(heads) if comps is None else comps)
+    _check_euler(len(heads), ends, faces, component_members(heads) if comps is None else comps)
     return heads, faces
-
-
-def _components(heads: list[tuple[int, ...]]) -> list[list[int]]:
-    """Connected components of the graph on 0..n-1 whose neighbours are
-    ``heads``."""
-    comp = [-1] * len(heads)
-    comps = []
-    for s in range(len(heads)):
-        if comp[s] >= 0:
-            continue
-        comp[s] = len(comps)
-        members = [s]
-        for x in members:  # grows as the search reaches new vertices
-            for y in heads[x]:
-                if comp[y] < 0:
-                    comp[y] = comp[s]
-                    members.append(y)
-        comps.append(members)
-    return comps
 
 
 def _check_euler(

@@ -8,8 +8,9 @@ suffice when more than k of them meet one, and neither
 ``is_strong_k_colourable`` nor ``strong_chromatic_index`` searches there.
 
 The search itself, ``_Search``, colours items under integer conflict lists
-and is the package's only colouring search: here the items are edges and
-the conflicts are edges within distance 2, and the pipeline runs it on
+and is the package's only colouring search: here the items are the edge
+indices of ``g.edges`` and the conflicts are edges within distance 2, read
+off ``Graph.numbering`` and ``Graph.stars``, and the pipeline runs it on
 incident edges (class-1 edge colouring) and on conflict-graph neighbours
 (node colouring).  It is iterative, so input size is bounded by time, not
 by recursion depth, and a search node costs O(deg) plus a scan of at most
@@ -43,11 +44,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import inf
 
-from .colouring import (
-    InternalInconsistency,
-    PartialColouring,
-    verify_strong,
-)
+from .colouring import InternalInconsistency, PartialColouring, require_strong
 from .graph import Edge, Graph
 
 
@@ -68,31 +65,20 @@ class SolveResult:
     stats: SolveStats
 
 
-def _edge_stars(g: Graph) -> tuple[list[Edge], dict[int, list[int]]]:
-    """Edges in identity order plus, per vertex, the ascending indices of
-    its incident edges."""
-    edges = list(g.edges)
-    star: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for i, (x, y) in enumerate(edges):
-        star[x].append(i)
-        star[y].append(i)
-    return edges, star
-
-
 def _conflict_lists(g: Graph) -> tuple[list[Edge], list[list[int]]]:
     """Edges in identity order plus, per edge, the indices of all edges
     within distance 2 (the clique structure the colouring must respect).
 
-    Built from vertex rings: ``ring[v]`` holds the indices of the edges
-    meeting N(v), and the edges within distance 2 of ``uv`` are those
-    meeting N(u) ∪ N(v), which contains u and v, so they are
-    ``ring[u] | ring[v]`` less ``uv`` itself."""
-    edges, star = _edge_stars(g)
-    ring = {v: {j for x in g.neighbours(v) for j in star[x]} for v in g.vertices}
-    conflicts = []
-    for i, (u, v) in enumerate(edges):
-        near = ring[u] | ring[v]
-        near.discard(i)
+    Built from vertex rings over ``g.numbering()`` and ``g.stars()``:
+    ``ring[i]`` holds the indices of the edges meeting N(i), and the edges
+    within distance 2 of ``uv`` are those meeting N(u) ∪ N(v), which
+    contains u and v, so they are ``ring[u] | ring[v]`` less ``uv`` itself."""
+    (pos, nbr), star = g.numbering(), g.stars()
+    ring = [{k for x in js for k in star[x]} for js in nbr]
+    edges, conflicts = list(g.edges), []
+    for k, (u, v) in enumerate(edges):
+        near = ring[pos[u]] | ring[pos[v]]
+        near.discard(k)
         conflicts.append(sorted(near))
     return edges, conflicts
 
@@ -339,9 +325,7 @@ def _decide(
     witness = PartialColouring(g, k)
     for e, c in zip(edges, search.colour):
         witness.put(e, c)
-    violations = verify_strong(g, witness, require_total=True)
-    if violations:
-        raise InternalInconsistency(f"solver witness invalid: {violations[0]}")
+    require_strong(g, witness, "solver witness invalid")
     return witness
 
 

@@ -101,7 +101,7 @@ from .colouring import (
     PartialColouring,
     PreconditionError,
     lowest_free_colour,
-    verify_strong,
+    require_strong,
 )
 from .embedding import planar_embed
 from .exact import is_strong_k_colourable
@@ -738,11 +738,7 @@ def _reduce_and_extend(
     for plan in reversed(plans):
         work.add_edges(reversed(plan.removed))
         extend(col, plan, audit=trace)
-    violations = verify_strong(g, col, require_total=True)
-    if violations:
-        raise InternalInconsistency(
-            f"final colouring failed verification: {violations[0]}"
-        )
+    require_strong(g, col, "final colouring failed verification")
     return col
 
 
@@ -750,14 +746,15 @@ class _WorkingGraph(Graph):
     """Mutable copy of a graph for the reduction loop.  Edges are removed and
     put back in place; neighbour tuples stay sorted, ``_edges`` is a set, and
     ``high_degree`` counts the vertices of degree >= 4.  Each change drops
-    the girth and components that ``Graph`` keeps."""
+    the girth, components and numbering that ``Graph`` keeps: the numbering's
+    ``nbr`` holds the neighbour tuples that a change replaces."""
 
     __slots__ = ("high_degree",)
 
     def __init__(self, g: Graph):
         self._adj = dict(g._adj)
         self._edges = set(g.edges)
-        self._girth = self._components = None
+        self._girth = self._components = self._numbering = None
         self.high_degree = sum(1 for ns in self._adj.values() if len(ns) >= 4)
 
     @property
@@ -765,7 +762,7 @@ class _WorkingGraph(Graph):
         return tuple(sorted(self._edges))
 
     def remove_edges(self, edges) -> None:
-        self._girth = self._components = None
+        self._girth = self._components = self._numbering = None
         adj = self._adj
         for u, v in edges:
             self._edges.remove((u, v))
@@ -776,7 +773,7 @@ class _WorkingGraph(Graph):
                 adj[a] = ns[:i] + ns[i + 1:]
 
     def add_edges(self, edges) -> None:
-        self._girth = self._components = None
+        self._girth = self._components = self._numbering = None
         adj = self._adj
         for u, v in edges:
             self._edges.add((u, v))

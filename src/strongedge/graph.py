@@ -11,13 +11,18 @@ the edges before those that start at x, so every neighbour list is sorted.
 of the lines it has checked and hands them to ``Graph._build``, the builder
 that ``Graph()`` calls after its own checks, which it keeps for every other
 caller.
+
+The integer passes (girth, components, the left-right test, the conflict
+lists) share one numbering: vertex i is ``g.vertices[i]`` and edge k is
+``g.edges[k]``.  ``Graph.numbering`` is kept; ``Graph.stars``, aligned with
+it, is built on each call, so no graph keeps 2|E| edge indices.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
 
@@ -48,7 +53,7 @@ class Graph:
     and the degree sum always equals twice the edge count.
     """
 
-    __slots__ = ("_adj", "_edges", "_girth", "_components")
+    __slots__ = ("_adj", "_edges", "_girth", "_components", "_numbering")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[Edge] = ()):
         verts = {int(v) for v in vertices}
@@ -78,6 +83,7 @@ class Graph:
         self._edges: tuple[Edge, ...] = tuple(ordered)
         self._girth: float | None = None
         self._components: tuple[tuple[int, ...], ...] | None = None
+        self._numbering = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -136,28 +142,43 @@ class Graph:
 
     # -- derived structure -------------------------------------------------
 
+    def numbering(self) -> tuple[Sequence[int] | dict[int, int], tuple[tuple[int, ...], ...]]:
+        """``(pos, nbr)``: ``pos[v]`` is label v's position in ``vertices``
+        and ``nbr[i]`` the positions of position i's neighbours, ascending.
+        Built once per graph; with labels 0..n-1, ``pos`` is a ``range`` and
+        ``nbr`` holds the neighbour tuples themselves."""
+        if self._numbering is None:
+            adj = self._adj
+            n = len(adj)
+            # labels are sorted and distinct, so 0..n-1 are their own positions
+            if not n or next(reversed(adj)) == n - 1:
+                self._numbering = range(n), tuple(adj.values())
+            else:
+                pos = {v: i for i, v in enumerate(adj)}
+                self._numbering = pos, tuple(tuple(map(pos.__getitem__, ns)) for ns in adj.values())
+        return self._numbering
+
+    def stars(self) -> list[list[int]]:
+        """Each position's edge indices, ascending and aligned with
+        ``numbering()``'s ``nbr``: edge ``stars()[i][t]`` joins i and
+        ``nbr[i][t]``.  Edges are sorted, so a vertex's edges come in
+        neighbour order (module docstring).  Built on each call."""
+        pos, nbr = self.numbering()
+        star: list[list[int]] = [[] for _ in nbr]
+        ends = self.edges if isinstance(pos, range) else ((pos[a], pos[b]) for a, b in self.edges)
+        for k, (i, j) in enumerate(ends):
+            star[i].append(k)
+            star[j].append(k)
+        return star
+
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, in sorted order.
         The walk runs once per graph; later calls read the kept result."""
-        if self._components is not None:
-            return list(self._components)
-        seen: set[int] = set()
-        comps = []
-        for start in self._adj:
-            if start in seen:
-                continue
-            stack, comp = [start], {start}
-            seen.add(start)
-            while stack:
-                x = stack.pop()
-                for y in self._adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        seen.add(y)
-                        stack.append(y)
-            comps.append(tuple(sorted(comp)))
-        self._components = tuple(comps)
-        return comps
+        if self._components is None:
+            labels = self.vertices
+            comps = component_members(self.numbering()[1])
+            self._components = tuple(tuple(labels[i] for i in sorted(c)) for c in comps)
+        return list(self._components)
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
@@ -166,10 +187,10 @@ class Graph:
         """Length of a shortest cycle, or ACYCLIC for forests.
 
         Forests are recognised without search: |E| = |V| - #components.
-        Otherwise the vertices are numbered 0..n-1 in sorted order and a BFS
-        runs from each root r over the vertices numbered r or more only, on
-        neighbour-index lists with ``seen``/``dist``/``parent`` arrays shared
-        by all roots (``seen[y] == r`` marks y as reached from r).  A
+        Otherwise a BFS runs from each root r over the vertices numbered r
+        or more only (positions in ``numbering()``), with ``seen``/``dist``/
+        ``parent`` arrays shared by all roots (``seen[y] == r`` marks y as
+        reached from r).  A
         non-tree edge closing two BFS branches at depths d1, d2 closes a walk
         of length d1 + d2 + 1 through r that contains a cycle, so no value
         found is below the girth.  A shortest cycle lies among the vertices
@@ -184,8 +205,7 @@ class Graph:
         if len(self._edges) == len(self._adj) - len(self.components()):
             self._girth = best
             return best
-        index = {v: i for i, v in enumerate(self._adj)}
-        nbrs = [[index[y] for y in ns] for ns in self._adj.values()]
+        nbrs = self.numbering()[1]
         n = len(nbrs)
         seen = [-1] * n
         dist = [0] * n
@@ -250,6 +270,24 @@ class Graph:
                     if f != (u, v):
                         out.add(f)
         return out
+
+
+def component_members(nbr: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Connected components of the graph on 0..n-1 whose neighbours are
+    ``nbr``, each a list of its vertices in search order, by smallest vertex."""
+    seen = bytearray(len(nbr))
+    comps = []
+    for s in range(len(nbr)):
+        if not seen[s]:
+            seen[s] = 1
+            members = [s]
+            for x in members:  # grows as the search reaches new vertices
+                for y in nbr[x]:
+                    if not seen[y]:
+                        seen[y] = 1
+                        members.append(y)
+            comps.append(members)
+    return comps
 
 
 # -- edge-list I/O ----------------------------------------------------------

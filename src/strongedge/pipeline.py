@@ -22,7 +22,7 @@ together cost O(sum over edges of the smaller end degree), O(E) on planar
 hosts (Chiba-Nishizeki 1985), and no class builds a ``Graph``.  The node
 search and the five-colour fallback read sorted integer neighbour lists.
 
-The composite colouring is checked once, by ``verify_strong``, in
+The composite colouring is checked once, by ``require_strong``, in
 ``colour_pipeline``; the steps before it do not re-check their classes or
 node colourings.
 """
@@ -35,15 +35,10 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from .colouring import (
-    InternalInconsistency,
-    PartialColouring,
-    PreconditionError,
-    verify_strong,
-)
+from .colouring import InternalInconsistency, PartialColouring, PreconditionError, require_strong
 from .embedding import Embedding, EmbeddingError, _certify, planar_embed
 from . import exact
-from .exact import SolverTimeout, _edge_stars
+from .exact import SolverTimeout
 from .graph import Edge, Graph, edge_key
 
 
@@ -181,12 +176,18 @@ def class1_edge_colour(g: Graph, budget: float | None = None) -> EdgeColouring |
     delta = g.max_degree()
     if g.num_edges() == 0:
         return EdgeColouring(g, {}, 0)
-    edges, incident = _edge_stars(g)
-    adjacency = [[j for v in e for j in incident[v] if j != i] for i, e in enumerate(edges)]
-    colour = _search_colours(adjacency, delta, budget)
+    colour = _search_colours(_class1_lists(g), delta, budget)
     if colour is None:
         return None
-    return EdgeColouring(g, dict(zip(edges, colour)), delta)
+    return EdgeColouring(g, dict(zip(g.edges, colour)), delta)
+
+
+def _class1_lists(g: Graph) -> list[list[int]]:
+    """Per edge k, the indices of the edges sharing an end with it, less k:
+    the star of its lower end, then that of its upper end (``g.stars()``,
+    ascending in each)."""
+    pos, star = g.numbering()[0], g.stars()
+    return [[j for v in e for j in star[pos[v]] if j != k] for k, e in enumerate(g.edges)]
 
 
 def _search_colours(
@@ -456,9 +457,7 @@ def colour_pipeline(
         per_class.append({cg.nodes[j]: c for j, c in node_col.items()})
 
     col = compose(ec, per_class)
-    violations = verify_strong(g, col, require_total=True)
-    if violations:
-        raise InternalInconsistency(f"pipeline output invalid: {violations[0]}")
+    require_strong(g, col, "pipeline output invalid")
 
     max_c = col.palette // ec.class_count  # compose's palette is classes * maxC
     # Delta or Delta+1 classes, each with 4 node colours (5 where the node

@@ -185,12 +185,52 @@ def test_working_graph_drops_kept_facts():
     g = cycle(6)
     work = girth6._WorkingGraph(g)
     assert work.components() == [tuple(range(6))] and work.girth() == 6
+    assert work.numbering()[1] == g.numbering()[1]
     work.remove_edges([(0, 1), (3, 4)])
     assert work.components() == [(0, 4, 5), (1, 2, 3)]
     assert work.girth() == ACYCLIC
+    assert work.numbering()[1] == ((5,), (2,), (1, 3), (2,), (5,), (0, 4))
+    assert work.stars() == [[0], [1], [1, 2], [2], [3], [0, 3]]
     work.add_edges([(3, 4), (0, 1)])
     assert work.components() == [tuple(range(6))] and work.girth() == 6
+    assert work.numbering()[1] == g.numbering()[1]
     assert g.components() == [tuple(range(6))]
+    assert g.numbering()[1] == ((1, 5), (0, 2), (1, 3), (2, 4), (3, 5), (0, 4))
+
+
+# -- Graph.numbering is built once per graph -----------------------------------
+
+
+@pytest.fixture
+def numbering_builds(monkeypatch):
+    """Calls of ``Graph.numbering`` that had no kept result to read."""
+    builds = []
+    real = Graph.numbering
+
+    def counted(self):
+        if self._numbering is None:
+            builds.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Graph, "numbering", counted)
+    return builds
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["discharge"], ["colour", "--girth6"], ["colour", "--pipeline"]],
+)
+@pytest.mark.parametrize("labels", ["0..n-1", "2v+1"])
+def test_one_numbering_build_per_job(tmp_path, capsys, numbering_builds, argv, labels):
+    """The girth, the components, the left-right test, the host darts and,
+    in the pipeline, the class-1 lists share one numbering of the input; the
+    reduction loop's working graph reads none."""
+    g = subdivide(wheel(5), 1)
+    if labels == "2v+1":
+        g = Graph([2 * v + 1 for v in g.vertices], [(2 * a + 1, 2 * b + 1) for a, b in g.edges])
+    assert main([*argv, write_graph(tmp_path, g)]) == 0
+    capsys.readouterr()
+    assert len(numbering_builds) == 1
 
 
 def test_plan_step_below_its_floor_caught(tmp_path, capsys, monkeypatch):

@@ -10,6 +10,7 @@ import time
 import pytest
 
 import strongedge.cli as cli
+import strongedge.colouring as colouring
 import strongedge.girth6 as girth6
 from strongedge.cli import EXIT_BUDGET, main
 from strongedge.colouring import Violation, colouring_from_json, verify_strong
@@ -129,7 +130,7 @@ def test_trace_file_matches_json_dump(tmp_path, capsys):
 
 def test_colour_verification_failure_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
-        girth6, "verify_strong", lambda *a, **k: [Violation("uncoloured", ((0, 1),))]
+        colouring, "verify_strong", lambda *a, **k: [Violation("uncoloured", ((0, 1),))]
     )
     p = write_graph(tmp_path, subdivide(wheel(5), 1))
     assert main(["colour", "--girth6", p]) == 2
@@ -175,7 +176,7 @@ def _exit_1(tmp_path, monkeypatch):
 
 def _exit_2(tmp_path, monkeypatch):
     monkeypatch.setattr(
-        girth6, "verify_strong", lambda *a, **k: [Violation("uncoloured", ((0, 1),))]
+        colouring, "verify_strong", lambda *a, **k: [Violation("uncoloured", ((0, 1),))]
     )
     return ["colour", "--girth6", write_graph(tmp_path, subdivide(wheel(5), 1))]
 

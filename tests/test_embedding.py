@@ -11,7 +11,6 @@ from strongedge.embedding import (
     Embedding,
     EmbeddingError,
     _check_euler,
-    _adjacency,
     _Constraints,
     _certify,
     _series_kernel,
@@ -377,9 +376,9 @@ def test_subdivided_k5_and_k33_are_not_planar(t):
 
 def kernel_size(g: Graph) -> tuple[int, int]:
     """Vertices and edges of the kernel that the left-right test runs on."""
-    adj = _adjacency(g)
-    kadj = _series_kernel(adj, [-1] * len(adj), [0] * (2 * g.num_edges()))[0]
-    return sum(1 for row in kadj if row), sum(map(len, kadj)) // 2
+    nbr = g.numbering()[1]
+    knbr = _series_kernel(nbr, g.stars(), [-1] * len(nbr), [0] * (2 * g.num_edges()))[0]
+    return sum(1 for row in knbr if row), sum(map(len, knbr)) // 2
 
 
 def test_the_kernel_suppresses_every_chain_of_a_subdivision():

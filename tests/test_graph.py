@@ -206,6 +206,71 @@ class TestInvariants:
         assert h.num_edges() == 4
 
 
+def reference_numbering(g: Graph):
+    """``(pos, nbr, stars)`` built from ``g.vertices`` and ``g.edges`` alone:
+    positions, sorted neighbour positions, and each position's edge indices
+    listed by neighbour position."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    links = {i: [] for i in range(len(pos))}
+    for k, (a, b) in enumerate(g.edges):
+        links[pos[a]].append((pos[b], k))
+        links[pos[b]].append((pos[a], k))
+    rows = [sorted(links[i]) for i in range(len(pos))]
+    return pos, [[j for j, _ in row] for row in rows], [[k for _, k in row] for row in rows]
+
+
+NUMBERING_CASES = {
+    "labels 0..n-1": stacked_triangulation(12, seed=2),
+    "sparse labels": Graph([3, 40, 7, 99, 12], [(40, 7), (99, 3), (12, 40), (3, 7), (99, 40)]),
+    "isolated vertices": Graph([0, 2, 5, 8, 9], [(2, 8), (8, 5)]),
+    "isolated tail": Graph(range(6), [(0, 1), (1, 2)]),
+    "only isolated vertices": Graph([4, 1]),
+    "empty": Graph(),
+}
+
+
+class TestNumbering:
+    @pytest.mark.parametrize("g", NUMBERING_CASES.values(), ids=NUMBERING_CASES)
+    def test_matches_reference(self, g):
+        pos, nbr = g.numbering()
+        ref_pos, ref_nbr, ref_stars = reference_numbering(g)
+        assert {v: pos[v] for v in g.vertices} == ref_pos
+        assert [list(row) for row in nbr] == ref_nbr
+        assert g.stars() == ref_stars
+        labels_are_positions = g.vertices == tuple(range(g.num_vertices()))
+        assert isinstance(pos, range) is labels_are_positions
+
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_labelled_graphs())
+    def test_matches_reference_on_sparse_labels(self, g):
+        pos, nbr = g.numbering()
+        ref_pos, ref_nbr, ref_stars = reference_numbering(g)
+        assert {v: pos[v] for v in g.vertices} == ref_pos
+        assert [list(row) for row in nbr] == ref_nbr
+        assert g.stars() == ref_stars
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [1, 5, 9]])
+    def test_kept_and_read_only(self, labels):
+        g = Graph(labels, [(labels[0], labels[1]), (labels[1], labels[2])])
+        pos, nbr = g.numbering()
+        assert g.numbering()[1] is nbr
+        with pytest.raises(TypeError):
+            nbr[0] = (2,)
+        with pytest.raises(TypeError):
+            nbr[1][0] = 2
+        g.stars()[1].append(7)  # a fresh list on each call
+        assert [pos[v] for v in labels] == [0, 1, 2]
+        assert g.numbering()[1] == ((1,), (0, 2), (1,))
+        assert g.stars() == [[0], [0, 1], [1]]
+        assert g.girth() == ACYCLIC and g.components() == [tuple(labels)]
+
+    def test_labels_0_to_n_minus_1_share_the_neighbour_tuples(self):
+        g = cycle(5)
+        pos, nbr = g.numbering()
+        assert pos == range(5)
+        assert all(row is g.neighbours(v) for v, row in zip(g.vertices, nbr))
+
+
 def test_dot_export():
     g = parse_graph("0 1\n1 2\n5\n")
     dot = to_dot(g, {(0, 1): 3})

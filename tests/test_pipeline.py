@@ -26,12 +26,13 @@ from strongedge.colouring import (
     verify_strong,
 )
 from strongedge.embedding import _certify, _cycles, planar_embed
-from strongedge.exact import _conflict_lists, _edge_stars, _Search, strong_chromatic_index
+from strongedge.exact import _conflict_lists, _Search, strong_chromatic_index
 from strongedge.generators import cycle, generate, grid, hex_patch, path, stacked_triangulation, star, subdivide, wheel
 from strongedge.graph import Graph, edge_key
 from strongedge.pipeline import (
     ConflictGraph,
     EdgeColouring,
+    _class1_lists,
     _five_colour_planar,
     class1_edge_colour,
     colour_pipeline,
@@ -269,9 +270,7 @@ class TestClass1:
         lists and the solver's sorted ones are interchangeable."""
         rnd = random.Random(8)
         for g in PLANAR_CORPUS + [generate(spec) for _, spec in _bench_corpus(100)]:
-            edges, star = _edge_stars(g)
-            adjacency = [[j for v in e for j in star[v] if j != i] for i, e in enumerate(edges)]
-            runs = [(adjacency, g.max_degree()), (_conflict_lists(g)[1], trivial_lower_bound(g))]
+            runs = [(_class1_lists(g), g.max_degree()), (_conflict_lists(g)[1], trivial_lower_bound(g))]
             for lists, k in runs:
                 results = []
                 for order in range(3):
@@ -582,9 +581,7 @@ class TestPipeline:
         g, nodes = CLASS2[name]
         _, rep = colour_pipeline(g)
         assert (rep.regime, rep.class_count) == ("vizing", g.max_degree() + 1)
-        edges, incident = _edge_stars(g)
-        adjacency = [[j for v in e for j in incident[v] if j != i] for i, e in enumerate(edges)]
-        search = _Search(adjacency, g.max_degree(), None)
+        search = _Search(_class1_lists(g), g.max_degree(), None)
         assert search.run() is False
         assert search.nodes <= nodes <= 6000
 
