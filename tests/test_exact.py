@@ -14,6 +14,7 @@ from conftest import (
     naive_chi_s,
     small_graphs,
 )
+from test_embedding import relabelled_graphs
 from strongedge.cli import _bench_corpus
 from strongedge.colouring import trivial_lower_bound, verify_strong
 from strongedge.exact import (
@@ -364,7 +365,7 @@ class TestKernel:
 
 class TestConflictLists:
     @settings(max_examples=80, deadline=None)
-    @given(small_graphs(max_vertices=9))
+    @given(st.one_of(small_graphs(max_vertices=9), relabelled_graphs(max_vertices=9)))
     def test_star_lists_match_n2_edges_on_small_graphs(self, g):
         assert _conflict_lists(g) == reference_conflict_lists(g)
 

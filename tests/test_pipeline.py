@@ -279,6 +279,13 @@ class TestClass1:
                     results.append((search.run(), search.colour, search.nodes))
                 assert results[0] == results[1] == results[2], g
 
+    @settings(max_examples=60, deadline=None)
+    @given(relabelled_graphs(max_vertices=9).filter(is_planar))
+    def test_class1_matches_reference_on_sparse_labels(self, g):
+        # labels that are not 0..n-1 reach the class-1 lists through pos
+        ec = class1_edge_colour(g)
+        assert (ec.assignment if ec else None) == reference_class1(g)
+
     def test_class1_and_node_colours_match_reference(self):
         corpus = PLANAR_CORPUS + [generate(spec) for _, spec in _bench_corpus(100)]
         for g in corpus:
