@@ -7,7 +7,8 @@ the graph's integer numbering: ``Graph.numbering``'s neighbour positions and
 for a non-planar graph.  A face is its walk, a tuple of vertices: ``walk[i]
 -> walk[i+1]`` (cyclically) are its directed edges, face i is
 ``Embedding.faces[i]``, and its length r(f) is ``len(walk)``, the number of
-edge visits, so a bridge crossed out and back counts twice.
+edge visits, so a bridge crossed out and back counts twice.  Walks start
+from the darts in (tail, head) order, each from the first not yet walked.
 
 The test runs on the graph's series kernel.  A chain is a maximal path whose
 interior vertices have degree 2.  It is suppressed, and becomes one kernel
@@ -38,13 +39,20 @@ rotation is ``first``, the dart each vertex's rotation starts at, and
 ``nxt``, the dart after each dart around its tail.  ``_certify`` is the one
 checker of a rotation system: given the darts' tails, ``first`` and ``nxt``
 as integer lists, it checks that each vertex's cycle holds exactly the darts
-leaving it, traces the face walks and checks Euler's formula against the
-number of connected components (``graph.component_members``), with no
-per-vertex indexes or sorting.
+leaving it, counts the faces by walking the darts in index order, marking
+each but recording no walk, and checks Euler's formula against the number
+of connected components (``graph.component_members``), with no per-vertex
+indexes or sorting.
 Two callers share it: ``planar_embed`` on the left-right test's rotation,
 and the pipeline's per-class check on each conflict graph, whose darts it
-derives from the host's without building a ``Graph``.  ``Embedding.darts``
-is the host-side index for that derivation, built on first use.
+derives from the host's without building a ``Graph``.
+
+An ``Embedding`` keeps ``first``, ``nxt`` (both read-only) and the certified
+face count.  What only some callers read is built on first read and kept:
+``faces``, by ``_trace_faces`` (the one face tracer), checked against the
+count; ``rotation``, each vertex's neighbour tuple; and ``darts``, the
+host-side index for the conflict graphs.  ``analyze`` and both colourers
+read none of the first two; the discharging audit reads the faces.
 """
 
 from __future__ import annotations
@@ -65,14 +73,37 @@ class EmbeddingError(ValueError):
 
 @dataclass(frozen=True)
 class Embedding:
-    """A planar embedding of ``graph``: its rotation as neighbour tuples and
-    on darts (``first``, ``nxt``; module docstring), and its face walks."""
+    """A certified planar embedding of ``graph``: its rotation on darts,
+    ``first`` and ``nxt`` (module docstring), both read-only, and
+    ``face_count``, the number of faces that ``_certify`` counted.  The
+    views below are built from them on first read and kept."""
 
     graph: Graph
-    rotation: dict[int, tuple[int, ...]]
-    faces: tuple[tuple[int, ...], ...]
-    first: list[int] = field(repr=False, compare=False)
-    nxt: list[int] = field(repr=False, compare=False)
+    first: list[int] = field(repr=False)
+    nxt: list[int] = field(repr=False)
+    face_count: int
+
+    @cached_property
+    def rotation(self) -> dict[int, tuple[int, ...]]:
+        """Each vertex's neighbours in rotation order, from ``first``, with
+        each cycle checked again (``_cycles``)."""
+        g = self.graph
+        ends = list(chain.from_iterable(g.edges))
+        return dict(zip(g.vertices, _cycles(ends, self.first, self.nxt, g.vertices)))
+
+    @cached_property
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """The face walks (module docstring).  Raises ``EmbeddingError`` if
+        they are not ``face_count``, as when ``nxt`` changed after
+        ``_certify`` accepted it."""
+        g = self.graph
+        ends = list(chain.from_iterable(g.edges))
+        nbr, star = g.numbering()[1], g.stars()
+        darts = (2 * k + (i > j) for i, js in enumerate(nbr) for j, k in zip(js, star[i]))
+        faces = _trace_faces(ends, self.nxt, darts)
+        if len(faces) != self.face_count:
+            raise EmbeddingError(f"traced {len(faces)} faces, certified {self.face_count}")
+        return tuple(faces)
 
     @cached_property
     def darts(self) -> "HostDarts":
@@ -130,31 +161,29 @@ class HostDarts(NamedTuple):
 
 
 def planar_embed(g: Graph) -> Embedding | None:
-    """Planarity test returning a rotation system plus its face walks, or
-    None if ``g`` is not planar.
+    """Planarity test returning a certified rotation system, or None if
+    ``g`` is not planar.
 
     The left-right test supplies the rotation and ``_certify`` checks it, so
     Euler's formula per connected component is asserted here, not left to
-    callers.  A negative verdict costs one test.
+    callers.  The rotation's neighbour tuples and the face walks are built
+    when first read (``Embedding``).  A negative verdict costs one test.
     """
     found = _lr_darts(g)
     if found is None:
         return None
-    nbr, star, first, nxt = found
-    order = [2 * k + (i > j) for i, js in enumerate(nbr) for j, k in zip(js, star[i])]
-    del found, star  # an index per dart, not needed to certify
+    first, nxt = found
     ends = list(chain.from_iterable(g.edges))
-    heads, faces = _certify(ends, first, nxt, g.vertices, order, g.components())
-    return Embedding(g, dict(zip(g.vertices, heads)), tuple(faces), first, nxt)
+    _, count = _certify(ends, first, nxt, g.vertices, comps=g.components())
+    return Embedding(g, first, nxt, count)
 
 
 def _lr_darts(g: Graph):
     """The left-right test on the series kernel of ``g``, expanded back to
-    ``g``: ``(nbr, star, first, nxt)``, or None if ``g`` is not planar.
+    ``g``: ``(first, nxt)``, or None if ``g`` is not planar.
 
-    ``nbr`` is ``g.numbering()``'s and ``star`` is ``g.stars()``, aligned
-    with it; ``first[i]`` is the dart that vertex i's rotation starts at (-1
-    if it has none) and ``nxt[d]`` the dart after d in the rotation at its
+    ``first[i]`` is the dart that vertex i's rotation starts at (-1 if it
+    has none) and ``nxt[d]`` the dart after d in the rotation at its
     tail.  Vertices are visited in ``g.vertices`` order and neighbours in
     ``g.neighbours`` order, so the rotation, down to the neighbour each one
     starts at, is a function of ``g`` alone.
@@ -188,7 +217,7 @@ def _lr_darts(g: Graph):
             for c in inner[start:end]:
                 first[c] = nxt[first[c]]
         start = end
-    return nbr, star, first, nxt
+    return first, nxt
 
 
 def _series_kernel(nbr: Rows, star: Rows, first: list[int], nxt: list[int]):
@@ -291,8 +320,8 @@ def _lr(nbr: Rows, star: Rows, first: list[int], cw: list[int]):
     out: list[list[int]] = [[] for _ in range(n)]  # in orientation order
     roots = []
     ind = [0] * n
-    for r in range(n):
-        if height[r] >= 0 or not nbr[r]:  # isolated vertices need no search
+    for r in compress(range(n), nbr):  # isolated vertices need no search
+        if height[r] >= 0:
             continue
         height[r] = 0
         roots.append(r)
@@ -369,7 +398,7 @@ def _lr(nbr: Rows, star: Rows, first: list[int], cw: list[int]):
 
     # -- embedding: absolute sides, then a circular list of darts per vertex --
     ref, side = state.ref, state.side
-    for k in range(m):
+    for k in chain.from_iterable(out):  # the oriented edges: the kernel's
         if ref[k] >= 0:
             refs = [k]
             while ref[refs[-1]] >= 0:
@@ -386,7 +415,7 @@ def _lr(nbr: Rows, star: Rows, first: list[int], cw: list[int]):
         cw[d], ccw[d] = before, after
         ccw[before] = cw[after] = d
 
-    for v in range(n):
+    for v in compress(range(n), ordered):  # the vertices with kernel edges
         prev = -1
         for k in ordered[v]:
             d = 2 * k + (v > dst[k])
@@ -569,53 +598,74 @@ def _cycles(ends: Sequence[int], first: list[int], nxt: list[int], labels: Seque
     return heads
 
 
+def _trace_faces(ends: Sequence[int], nxt: list[int], darts: Iterable[int]) -> list[tuple[int, ...]]:
+    """The package's one face tracer: the walks of the rotation ``nxt`` on
+    the darts ``ends`` (as in ``_certify``), each started from the first
+    dart not yet walked in ``darts`` and listing its darts' tails.  Raises
+    ``EmbeddingError`` if a walk meets a walked dart before its start, which
+    a rotation that ``_certify`` accepted never does."""
+    walked = bytearray(len(ends))
+    faces = []
+    for d0 in darts:
+        if walked[d0]:
+            continue
+        walk = []
+        d = d0
+        while not walked[d]:
+            walked[d] = 1
+            walk.append(ends[d])
+            d = nxt[d ^ 1]
+        if d != d0:
+            raise EmbeddingError(f"the face walk from dart {d0} does not close")
+        faces.append(tuple(walk))
+    return faces
+
+
 def _certify(
     ends: Sequence[int],
     first: list[int],
     nxt: list[int],
     labels: Sequence[int],
-    order: Iterable[int],
+    order: Iterable[int] | None = None,
     comps: Sequence[Sequence[int]] | None = None,
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The one check of a rotation system given on darts: ``(heads, faces)``
-    if it is a planar embedding, else ``EmbeddingError``.
+) -> tuple[list[tuple[int, ...]], int]:
+    """The one check of a rotation system given on darts: ``(heads, number
+    of faces)`` if it is a planar embedding, else ``EmbeddingError``.
 
     Dart ``d`` leaves ``ends[d]`` for ``ends[d ^ 1]``; vertex i is
     ``labels[i]``, its rotation starts at dart ``first[i]`` (-1 if it has
     none) and ``nxt[d]`` is the dart after d around its tail.  Each vertex's
     cycle must hold exactly its own darts (``_cycles``, which gives
-    ``heads``).  Face walks then follow the successor rule: after arriving
-    at v along u->v, leave along the neighbour that follows u in the
-    rotation at v.  Each walk starts at the first dart not yet walked in
-    ``order``, and lists its tails.  Last comes Euler's formula, per
-    connected component (``_check_euler``); ``comps`` are the components as
-    labels, found from ``heads`` when not given (labels 0..n-1 only).
+    ``heads``).  Faces then follow the successor rule: after arriving at v
+    along u->v, leave along the neighbour that follows u in the rotation at
+    v.  They are counted, not recorded: each walk starts at the first dart
+    not yet walked in ``order`` (every dart, by index, when not given) and
+    only marks its darts.  Last comes Euler's formula, per connected
+    component (``_check_euler``); ``comps`` are the components as labels,
+    found from ``heads`` when not given (labels 0..n-1 only).
     """
     heads = _cycles(ends, first, nxt, labels)
     walked = bytearray(len(ends))
-    faces = []
-    for d0 in order:
+    faces = []  # each face as its start dart's tail, all _check_euler reads
+    for d0 in range(len(ends)) if order is None else order:
         if walked[d0]:
             continue
-        walk = []
+        faces.append((ends[d0],))
         d = d0
-        while True:
+        while not walked[d]:  # the darts are a permutation (_cycles): back to d0
             walked[d] = 1
-            walk.append(ends[d])
             d = nxt[d ^ 1]
-            if d == d0:
-                break
-        faces.append(tuple(walk))
     _check_euler(len(heads), ends, faces, component_members(heads) if comps is None else comps)
-    return heads, faces
+    return heads, len(faces)
 
 
 def _check_euler(
     n: int, ends: Sequence[int], faces: Sequence[tuple[int, ...]], comps: Sequence[Sequence[int]]
 ) -> None:
     """V - E + F = 2 on every component with an edge, for ``n`` vertices,
-    the darts ``ends`` (as in ``_certify``), the face walks and the
-    components.
+    the darts ``ends`` (as in ``_certify``), the faces and the components.
+    Only each face's first vertex is read: a face is its walk, or any
+    sequence that starts at a vertex on it.
 
     Faces traced from a rotation system give each component V - E + F =
     2 - 2h for a genus h >= 0, so their total reaches E - V + 2C - I, for C

@@ -4,13 +4,17 @@ edge neighbourhoods.
 Vertices are nonnegative integers.  An edge is always the ordered pair
 ``(min(u, v), max(u, v))``; every map in the package keys on that normal form.
 
-``Graph`` checks and normalises each edge once, dedupes through one set, and
-appends over the sorted edges: x's neighbours below x arrive (ascending) from
-the edges before those that start at x, so every neighbour list is sorted.
-``parse_graph`` checks each edge once too: it collects the normal-form keys
-of the lines it has checked and hands them to ``Graph._build``, the builder
-that ``Graph()`` calls after its own checks, which it keeps for every other
-caller.
+``Graph`` checks and normalises each edge once and dedupes through one dict,
+which keeps the edges in input order, first occurrence first.  ``sorted``
+then meets that order: the edge lists that ``to_edge_list`` and the
+generators write are already sorted, and Python's sort takes one linear
+pass over a sorted run, so only an unsorted input pays for a full sort.
+The builder appends over the sorted edges: x's neighbours below x arrive
+(ascending) from the edges before those that start at x, so every neighbour
+list is sorted.  ``parse_graph`` checks each edge once too: it collects the
+normal-form keys of the lines it has checked and hands them to
+``Graph._build``, the builder that ``Graph()`` calls after its own checks,
+which it keeps for every other caller.
 
 The integer passes (girth, components, the left-right test, the conflict
 lists) share one numbering: vertex i is ``g.vertices[i]`` and edge k is
@@ -59,20 +63,20 @@ class Graph:
         verts = {int(v) for v in vertices}
         if verts and min(verts) < 0:
             raise GraphParseError(f"negative vertex id {min(verts)}")
-        keys: set[Edge] = set()
+        keys: dict[Edge, None] = {}
         for u, v in edges:
             u, v = int(u), int(v)
             if u == v:
                 raise GraphParseError(f"loop edge at vertex {u}")
             if u < 0 or v < 0:
                 raise GraphParseError(f"negative vertex id in edge {u}-{v}")
-            keys.add((u, v) if u < v else (v, u))
+            keys[(u, v) if u < v else (v, u)] = None
         self._build(verts, keys)
 
-    def _build(self, verts: set[int], keys: set[Edge]) -> None:
+    def _build(self, verts: set[int], keys: dict[Edge, None]) -> None:
         """Fill the graph from checked input: nonnegative int vertices and
-        normal-form edge keys ``(u, v)`` with ``0 <= u < v``.  ``verts`` gains
-        the edges' ends."""
+        normal-form edge keys ``(u, v)`` with ``0 <= u < v``, in input order
+        (module docstring).  ``verts`` gains the edges' ends."""
         ordered = sorted(keys)
         verts.update(chain.from_iterable(ordered))
         adj: dict[int, list[int]] = {v: [] for v in sorted(verts)}
@@ -301,7 +305,7 @@ def parse_graph(text: str) -> Graph:
     Only LF, CR LF and a lone CR end a line (and count in error line
     numbers); ``str.splitlines``'s other breaks, such as form feed, are spaces."""
     vertices: set[int] = set()
-    keys: set[Edge] = set()
+    keys: dict[Edge, None] = {}
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, line in enumerate(lines, start=1):
         if "#" in line:
@@ -318,7 +322,7 @@ def parse_graph(text: str) -> Graph:
                 raise GraphParseError(f"loop edge at vertex {u}", lineno)
             if u < 0 or v < 0:
                 raise GraphParseError("negative vertex id", lineno)
-            keys.add((u, v) if u < v else (v, u))
+            keys[(u, v) if u < v else (v, u)] = None
         elif len(parts) == 1:
             try:
                 v = int(parts[0])

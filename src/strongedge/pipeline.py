@@ -14,7 +14,7 @@ does an exact search look for a Delta-class colouring within the budget.
 Each class's planarity is certified, not assumed: the conflict graph is a
 minor of the host, so contracting the host's embedding (computed once per
 input, by the left-right test) yields a rotation system of it, which the
-package's one dart checker (``embedding._certify``: cycles, face walks,
+package's one dart checker (``embedding._certify``: cycles, a face count,
 Euler) then accepts.  The conflict graphs are built on the host's integer
 darts, each host edge oriented toward its end of larger degree: a class
 reads only the out-darts of its matched vertices, so the Delta classes
@@ -301,7 +301,7 @@ def colour_planar_nodes(cg: ConflictGraph, budget: float | None = None) -> dict[
     neighbours sorted, as ``Graph.neighbours`` lists them."""
     n = len(cg.first)
     try:
-        heads, _ = _certify(cg.ends, cg.first, cg.nxt, range(n), range(len(cg.ends)))
+        heads, _ = _certify(cg.ends, cg.first, cg.nxt, range(n))
     except EmbeddingError as exc:
         raise InternalInconsistency(
             "conflict graph of a matching in a planar host must be planar"

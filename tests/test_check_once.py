@@ -4,15 +4,18 @@ the function that builds it, and a failed check ends in
 
 import sys
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 
 import strongedge.colouring as colouring
+import strongedge.embedding as embedding
 import strongedge.exact as exact
 import strongedge.girth6 as girth6
 import strongedge.pipeline as pipeline
 from strongedge.cli import EXIT_INCONSISTENT, main
 from strongedge.colouring import InternalInconsistency, PreconditionError
+from strongedge.embedding import Embedding
 from strongedge.generators import cycle, subdivide, wheel
 from strongedge.graph import ACYCLIC, Graph
 from strongedge.pipeline import EdgeColouring, colour_pipeline
@@ -258,3 +261,62 @@ def test_residual_step_below_its_floor_caught(tmp_path, capsys, monkeypatch):
     with pytest.raises(girth6.ExtensionInfeasible, match="greedy step .* below its floor"):
         girth6.colour_girth6(g)
     _assert_exit_2(["colour", "--girth6", write_graph(tmp_path, g)], capsys)
+
+
+# -- host faces and rotation are built on first read ---------------------------
+
+
+@pytest.fixture
+def host_views(monkeypatch):
+    """Calls of ``embedding._trace_faces``, the one face tracer, and first
+    reads of ``Embedding.rotation``."""
+    calls = {"faces": 0, "rotation": 0}
+    real_trace = embedding._trace_faces
+    real_rotation = Embedding.rotation.func
+
+    def traced(*args):
+        calls["faces"] += 1
+        return real_trace(*args)
+
+    def rotation(self):
+        calls["rotation"] += 1
+        return real_rotation(self)
+
+    counted = cached_property(rotation)
+    counted.__set_name__(Embedding, "rotation")
+    monkeypatch.setattr(embedding, "_trace_faces", traced)
+    monkeypatch.setattr(Embedding, "rotation", counted)
+    return calls
+
+
+def test_host_views_fixture_counts(host_views):
+    emb = embedding.planar_embed(cycle(6))
+    assert emb.faces is emb.faces and emb.rotation is emb.rotation
+    assert host_views == {"faces": 1, "rotation": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, faces",
+    [(["analyze"], 0), (["colour", "--girth6"], 0), (["colour", "--pipeline"], 0), (["discharge"], 1)],
+)
+@pytest.mark.parametrize("labels", ["0..n-1", "2v+1"])
+def test_host_faces_and_rotation_on_first_read(tmp_path, capsys, host_views, argv, faces, labels):
+    """Only the discharging audit reads the host's faces, once; no command
+    builds the host's rotation dict."""
+    g = subdivide(wheel(5), 1)
+    if labels == "2v+1":
+        g = Graph([2 * v + 1 for v in g.vertices], [(2 * a + 1, 2 * b + 1) for a, b in g.edges])
+    assert main([*argv, write_graph(tmp_path, g)]) == 0
+    capsys.readouterr()
+    assert host_views == {"faces": faces, "rotation": 0}
+
+
+def test_conflict_graph_certificate_traces_no_face(host_views):
+    g = wheel(8)
+    emb = pipeline.planar_embed(g)
+    classes = list(pipeline.vizing_edge_colour(g).classes().values())
+    assert len(classes) >= 8
+    for cls in classes:
+        pipeline.colour_planar_nodes(pipeline.conflict_graph(emb, cls))
+    colour_pipeline(g)
+    assert host_views == {"faces": 0, "rotation": 0}

@@ -1,12 +1,15 @@
 import random
+import re
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import strongedge.embedding as embedding
 from conftest import complete_graph, small_graphs, sorted_darts
 from strongedge.cli import _bench_corpus
+from strongedge.colouring import InternalInconsistency
 from strongedge.embedding import (
     Embedding,
     EmbeddingError,
@@ -28,6 +31,7 @@ from strongedge.generators import (
     wheel,
 )
 from strongedge.graph import Graph
+from strongedge.pipeline import ConflictGraph, colour_planar_nodes
 
 
 def test_c6_two_hexagonal_faces():
@@ -394,3 +398,86 @@ def test_the_kernel_suppresses_every_chain_of_a_subdivision():
     assert kernel_size(cycle(6)) == (6, 6)
     assert kernel_size(Graph(edges=[(0, 1), (0, 2), (0, 3), (1, 2), (0, 4), (4, 5), (5, 0)])) == (6, 7)
     assert kernel_size(Graph(edges=[(1, 0), (0, 2)])) == (3, 2)
+
+
+# -- the counting certificate, and the views built on first read ---------------
+
+
+def swap_two_darts_at_zero(first: list[int], nxt: list[int]) -> list[int]:
+    """``nxt`` with the last two darts of vertex 0's rotation swapped: on
+    K4, whose vertex 0 has degree 3, that reverses its rotation and leaves
+    two faces, a torus."""
+    nxt = list(nxt)
+    a = first[0]
+    b = nxt[a]
+    c = nxt[b]
+    nxt[a], nxt[c], nxt[b] = c, b, a
+    return nxt
+
+
+def drop_a_dart_at_zero(first: list[int], nxt: list[int]) -> list[int]:
+    """``nxt`` with vertex 0's second dart cut out of its cycle, so that it
+    lies on no cycle: not a permutation."""
+    nxt = list(nxt)
+    a = first[0]
+    nxt[a] = nxt[nxt[a]]
+    return nxt
+
+
+CORRUPTIONS = {
+    "not a permutation": (drop_a_dart_at_zero, r"rotation at vertex 0 is not a permutation"),
+    "genus 1": (swap_two_darts_at_zero, r"Euler's formula on component \(0, 1, 2, 3\)\.\.\.: V=4 E=6 F=2"),
+}
+
+
+@pytest.mark.parametrize("corrupt, message", CORRUPTIONS.values(), ids=CORRUPTIONS)
+def test_planar_embed_certificate_rejects(monkeypatch, corrupt, message):
+    # the left-right test's rotation corrupted before it reaches _certify
+    real = embedding._lr_darts
+
+    def corrupted(g):
+        first, nxt = real(g)
+        return first, corrupt(first, nxt)
+
+    monkeypatch.setattr(embedding, "_lr_darts", corrupted)
+    with pytest.raises(EmbeddingError, match=message):
+        planar_embed(complete_graph(4))
+
+
+@pytest.mark.parametrize("corrupt, message", CORRUPTIONS.values(), ids=CORRUPTIONS)
+def test_conflict_graph_certificate_rejects(corrupt, message):
+    g = complete_graph(4)
+    emb = planar_embed(g)
+    ends = [v for e in g.edges for v in e]
+    cg = ConflictGraph(tuple(g.edges[:4]), ends, emb.first, corrupt(emb.first, emb.nxt))
+    with pytest.raises(InternalInconsistency, match="must be planar") as caught:
+        colour_planar_nodes(cg)
+    assert isinstance(caught.value.__cause__, EmbeddingError)
+    assert re.search(message, str(caught.value.__cause__))
+
+
+def test_face_count_is_certified_on_corpus():
+    for _, spec in _bench_corpus(100):
+        g = generate(spec)
+        emb = planar_embed(g)
+        assert len(emb.faces) == emb.face_count == g.num_edges() - g.num_vertices() + 2
+
+
+def test_faces_and_rotation_are_built_once():
+    emb = planar_embed(wheel(6))
+    assert "faces" not in vars(emb) and "rotation" not in vars(emb)
+    assert emb.faces is emb.faces
+    assert emb.rotation is emb.rotation
+
+
+def test_changed_nxt_fails_the_first_faces_read():
+    emb = planar_embed(complete_graph(4))
+    emb.nxt[:] = swap_two_darts_at_zero(emb.first, emb.nxt)
+    with pytest.raises(EmbeddingError, match="traced 2 faces, certified 4"):
+        emb.faces
+    # no dart leads back to dart 0 any more, so the walk from it meets a
+    # walked dart before its start: it does not close
+    emb = planar_embed(complete_graph(4))
+    emb.nxt[emb.nxt.index(0)] = emb.nxt[0]
+    with pytest.raises(EmbeddingError, match="does not close"):
+        emb.faces

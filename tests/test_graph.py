@@ -155,6 +155,54 @@ class TestGirthAgainstNetworkx:
         assert g.girth() == nx.girth(h)
 
 
+def set_reference(vertices, pairs):
+    """``(vertices, edges, adjacency items)`` built through a set of edge
+    keys and full sorts, with no reliance on input order."""
+    keys = {(u, v) if u < v else (v, u) for u, v in pairs}
+    verts = sorted(set(vertices) | {v for e in keys for v in e})
+    adj = {v: [] for v in verts}
+    for u, v in keys:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(verts), tuple(sorted(keys)), [(v, tuple(sorted(ns))) for v, ns in adj.items()]
+
+
+@st.composite
+def scrambled_edge_lists(draw):
+    """``(isolated vertices, edge pairs)`` of a graph with sparse labels:
+    its edges shuffled, some repeated, some written high end first."""
+    g = draw(sparse_labelled_graphs())
+    rnd = draw(st.randoms(use_true_random=False))
+    pairs = list(g.edges)
+    pairs += rnd.sample(pairs, min(len(pairs), draw(st.integers(0, 6))))
+    rnd.shuffle(pairs)
+    pairs = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in pairs]
+    covered = {v for e in g.edges for v in e}
+    return [v for v in g.vertices if v not in covered], pairs
+
+
+class TestBuildOrder:
+    """The build dedupes in input order and sorts what remains: any order,
+    repeat or orientation of the edges gives the graph a set-based build
+    gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scrambled_edge_lists())
+    def test_matches_set_reference(self, case):
+        isolated, pairs = case
+        expected = set_reference(isolated, pairs)
+        text = "".join(f"{u} {v}\n" for u, v in pairs) + "".join(f"{v}\n" for v in isolated)
+        for g in (Graph(isolated, pairs), parse_graph(text)):
+            assert (g.vertices, g.edges, list(g._adj.items())) == expected
+
+    def test_reversed_and_sorted_lists_agree(self):
+        g = subdivide(stacked_triangulation(30, seed=4), 1)
+        for pairs in (g.edges[::-1], [(v, u) for u, v in g.edges], g.edges + g.edges[::-1]):
+            h = Graph(edges=pairs)
+            assert (h.vertices, h.edges, h._adj) == (g.vertices, g.edges, g._adj)
+            assert parse_graph("".join(f"{u} {v}\n" for u, v in pairs)) == g
+
+
 class TestN2:
     def test_middle_edge_of_p4(self):
         g = path(4)
