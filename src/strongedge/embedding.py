@@ -50,7 +50,8 @@ derives from the host's without building a ``Graph``.
 An ``Embedding`` keeps ``first``, ``nxt`` (both read-only) and the certified
 face count.  What only some callers read is built on first read and kept:
 ``faces``, by ``_trace_faces`` (the one face tracer), checked against the
-count; ``rotation``, each vertex's neighbour tuple; and ``darts``, the
+count; ``rotation``, each vertex's neighbour tuple, which ``_certify`` also
+builds while it checks the cycles but does not keep; and ``darts``, the
 host-side index for the conflict graphs.  ``analyze`` and both colourers
 read none of the first two; the discharging audit reads the faces.
 """
@@ -166,8 +167,10 @@ def planar_embed(g: Graph) -> Embedding | None:
 
     The left-right test supplies the rotation and ``_certify`` checks it, so
     Euler's formula per connected component is asserted here, not left to
-    callers.  The rotation's neighbour tuples and the face walks are built
-    when first read (``Embedding``).  A negative verdict costs one test.
+    callers.  The check walks each vertex's cycle, building its neighbour
+    tuple, and keeps none of them; the ``rotation`` dict, built from them
+    again, and the face walks are built when first read (``Embedding``).  A
+    negative verdict costs one test.
     """
     found = _lr_darts(g)
     if found is None:
@@ -626,7 +629,6 @@ def _certify(
     first: list[int],
     nxt: list[int],
     labels: Sequence[int],
-    order: Iterable[int] | None = None,
     comps: Sequence[Sequence[int]] | None = None,
 ) -> tuple[list[tuple[int, ...]], int]:
     """The one check of a rotation system given on darts: ``(heads, number
@@ -639,50 +641,47 @@ def _certify(
     ``heads``).  Faces then follow the successor rule: after arriving at v
     along u->v, leave along the neighbour that follows u in the rotation at
     v.  They are counted, not recorded: each walk starts at the first dart
-    not yet walked in ``order`` (every dart, by index, when not given) and
-    only marks its darts.  Last comes Euler's formula, per connected
+    not yet walked, by index, and only marks its darts.  Last comes Euler's
+    formula, per connected
     component (``_check_euler``); ``comps`` are the components as labels,
     found from ``heads`` when not given (labels 0..n-1 only).
     """
     heads = _cycles(ends, first, nxt, labels)
     walked = bytearray(len(ends))
-    faces = []  # each face as its start dart's tail, all _check_euler reads
-    for d0 in range(len(ends)) if order is None else order:
+    starts = []  # each face's start vertex
+    for d0 in range(len(ends)):
         if walked[d0]:
             continue
-        faces.append((ends[d0],))
+        starts.append(ends[d0])
         d = d0
         while not walked[d]:  # the darts are a permutation (_cycles): back to d0
             walked[d] = 1
             d = nxt[d ^ 1]
-    _check_euler(len(heads), ends, faces, component_members(heads) if comps is None else comps)
-    return heads, len(faces)
+    _check_euler(len(heads), ends, starts, component_members(heads) if comps is None else comps)
+    return heads, len(starts)
 
 
-def _check_euler(
-    n: int, ends: Sequence[int], faces: Sequence[tuple[int, ...]], comps: Sequence[Sequence[int]]
-) -> None:
+def _check_euler(n: int, ends: Sequence[int], starts: Sequence[int], comps: Sequence[Sequence[int]]) -> None:
     """V - E + F = 2 on every component with an edge, for ``n`` vertices,
-    the darts ``ends`` (as in ``_certify``), the faces and the components.
-    Only each face's first vertex is read: a face is its walk, or any
-    sequence that starts at a vertex on it.
+    the darts ``ends`` (as in ``_certify``), one start vertex per face and
+    the components.
 
     Faces traced from a rotation system give each component V - E + F =
     2 - 2h for a genus h >= 0, so their total reaches E - V + 2C - I, for C
     components of which I are isolated vertices, exactly when every
     component is planar.  Any other total is broken down per component, to
     name one: an edge belongs to its endpoints' component, a face to its
-    first vertex's."""
+    start vertex's."""
     isolated = sum(len(comp) == 1 for comp in comps)
-    if len(faces) == len(ends) // 2 - n + 2 * len(comps) - isolated:
+    if len(starts) == len(ends) // 2 - n + 2 * len(comps) - isolated:
         return
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     ne = [0] * len(comps)
     nf = [0] * len(comps)
     for u in ends[::2]:
         ne[comp_of[u]] += 1
-    for walk in faces:
-        nf[comp_of[walk[0]]] += 1
+    for u in starts:
+        nf[comp_of[u]] += 1
     for i, comp in enumerate(comps):
         if ne[i] == 0:
             continue  # single vertex: one implicit face
@@ -691,4 +690,4 @@ def _check_euler(
                 f"face tracing broke Euler's formula on component {tuple(sorted(comp))[:5]}...: "
                 f"V={len(comp)} E={ne[i]} F={nf[i]}"
             )
-    raise EmbeddingError(f"face tracing broke Euler's formula: F={len(faces)}")
+    raise EmbeddingError(f"face tracing broke Euler's formula: F={len(starts)}")

@@ -340,7 +340,7 @@ class TestConflictGraph:
                         if i < j and edges_within_two(g, e, f)
                     ]
                     assert links_of(cg).edges == tuple(oracle)
-                    _certify(cg.ends, cg.first, cg.nxt, range(len(cg.first)), range(len(cg.ends)))
+                    _certify(cg.ends, cg.first, cg.nxt, range(len(cg.first)))
 
     @staticmethod
     def assert_matches_reference(g: Graph) -> None:
