@@ -14,7 +14,9 @@ restores the caller's setting when the command ends, however it ends.  The
 package builds no reference cycles, so a collection during a command would
 only rescan a heap that reference counting already frees; the one cyclic
 garbage a command leaves is the few dozen objects of each indented
-``json.dumps`` call, freed by the first collection after it.
+``json.dumps`` call, freed by the first collection after it.  Colourings
+are written without ``json.dumps`` (``colouring.colours_json``), so that
+call now prints only reports and the small members around a colouring.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ from . import __version__
 from .colouring import (
     InternalInconsistency,
     PreconditionError,
-    colouring_doc,
     colouring_from_json,
     colouring_to_json,
+    colours_json,
+    json_object,
     known_bound,
     trivial_lower_bound,
     verify_strong,
@@ -74,8 +77,23 @@ def _input_hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _emit(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+def _emit(doc: dict, **rendered: str) -> None:
+    """Print ``doc`` plus the members ``rendered``, whose values are JSON
+    text laid out one level deep, as ``json.dumps(indent=2, sort_keys=True)``
+    prints the whole; the colouring commands pass their colourings so."""
+    if not rendered:
+        print(json.dumps(doc, indent=2, sort_keys=True))
+        return
+    print(json_object({k: _member(v) for k, v in doc.items()} | rendered))
+
+
+def _member(value) -> str:
+    """``value`` as JSON text one level deep.  A scalar is the same text
+    indented or not, so only a container goes through the indenting
+    encoder."""
+    if isinstance(value, (dict, list)):
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+    return json.dumps(value)
 
 
 def cmd_analyze(args) -> int:
@@ -130,20 +148,21 @@ def cmd_solve(args) -> int:
                 "satisfiable": witness is not None,
                 "seconds": round(time.monotonic() - start, 6),
             }
-            if witness is not None:
-                doc["colouring"] = colouring_doc(witness)
         else:
             result = strong_chromatic_index(g, timeout=args.timeout)
+            witness = result.witness
             doc = {
                 "chi_s": result.chi_s,
                 "nodes": result.stats.nodes,
                 "seconds": round(result.stats.elapsed, 6),
-                "colouring": colouring_doc(result.witness),
             }
     except SolverTimeout:
         _log(f"budget exhausted: solve --timeout {args.timeout:g} s")
         return EXIT_BUDGET
-    _emit(doc)
+    if witness is None:
+        _emit(doc)
+    else:
+        _emit(doc, colouring=colouring_to_json(witness, depth=1))
     return EXIT_OK
 
 
@@ -181,6 +200,8 @@ def cmd_colour(args) -> int:
         # raises InternalInconsistency (exit 2) on a violation
         "valid": True,
     }
+    # the colours block is rendered once, for -o and stdout alike
+    colours = colours_json(col) if args.output or args.format == "json" else None
     # the files first, stdout last: a run that cannot write one exits 1 with
     # stdout empty and no trace file left behind
     if args.trace:
@@ -189,7 +210,7 @@ def cmd_colour(args) -> int:
     if args.output:
         try:
             with open(args.output, "w") as fh:
-                fh.write(colouring_to_json(col))
+                fh.write(colouring_to_json(col, colours=colours))
         except OSError:
             if args.trace:
                 os.remove(args.trace)
@@ -200,9 +221,7 @@ def cmd_colour(args) -> int:
         sys.stdout.write(to_dot(g, col.assignment))
         _log(json.dumps(report))
     else:
-        doc = colouring_doc(col)
-        doc["report"] = report
-        _emit(doc)
+        _emit({"palette": col.palette, "report": report}, colours=colours)
     return EXIT_OK
 
 

@@ -31,6 +31,20 @@ lowest free colour is then the lowest clear bit of the mask and the free
 count its popcount over the palette.  Colours outside the palette, which a
 loaded document may hold, are counted but get no bit: no free colour
 depends on them.
+
+A colouring document is written and read in one pass each.  ``colours_json``
+formats one ``"u-v": c`` string per coloured edge, sorts the strings and
+joins them at the indent: two strings first differ where their keys do, or,
+when one key is a prefix of the other, at the shorter one's closing ``"``
+(0x22), which sorts before ``-`` and every digit, so the strings fall in
+key order and the text equals ``json.dumps(indent=2, sort_keys=True)``
+byte for byte, with no keyed dict built and no pure-Python encoder run.
+Colours are ints (``put`` refuses anything else), so each prints as JSON
+writes it.  ``colouring_from_json`` looks each key up in a map from
+``f"{u}-{v}"`` to the edge, over the host's edges; only an entry that the
+map does not settle, a ``v-u`` key, a key it refuses or a colour that is
+not an int, is split and parsed as before, so it meets the same checks in
+the same order.
 """
 
 from __future__ import annotations
@@ -107,13 +121,18 @@ class PartialColouring:
 
     def assign(self, e: Edge, colour: int) -> None:
         e = edge_key(*e)
-        if 1 <= colour <= self.palette and _used_near(self, e, None) >> colour & 1:
-            raise ColouringError(f"colour {colour} conflicts near edge {e[0]}-{e[1]}")
+        # a colour that ``put`` refuses (not an int, or off the palette) gets its error
+        if type(colour) is int and 1 <= colour <= self.palette:
+            if _used_near(self, e, None) >> colour & 1:
+                raise ColouringError(f"colour {colour} conflicts near edge {e[0]}-{e[1]}")
         self.put(e, colour)
 
     def put(self, e: Edge, colour: int) -> None:
-        """Unchecked write; only palette membership is enforced."""
+        """Unchecked write; only the colour's type, int, and its palette
+        membership are enforced."""
         e = edge_key(*e)
+        if type(colour) is not int:
+            raise ColouringError(f"colour {colour!r} is not an int")
         if not 1 <= colour <= self.palette:
             raise ColouringError(f"colour {colour} outside palette 1..{self.palette}")
         old = self._assignment.get(e)
@@ -319,15 +338,32 @@ def known_bound(delta: int, girth: float) -> int:
 # -- JSON colouring document --------------------------------------------------
 
 
-def colouring_doc(c: PartialColouring) -> dict:
-    return {
-        "palette": c.palette,
-        "colours": {f"{u}-{v}": col for (u, v), col in sorted(c.assignment.items())},
-    }
+def json_object(members: dict[str, str], depth: int = 0) -> str:
+    """The JSON object with ``members``, laid out as ``json.dumps(indent=2,
+    sort_keys=True)`` lays it out ``depth`` levels deep: each value is text
+    already laid out one level deeper, and each key a plain identifier that
+    JSON writes as is."""
+    pad = "\n" + "  " * depth
+    return "{" + ",".join(f'{pad}  "{k}": {v}' for k, v in sorted(members.items())) + pad + "}"
 
 
-def colouring_to_json(c: PartialColouring) -> str:
-    return json.dumps(colouring_doc(c), indent=2, sort_keys=True)
+def colours_json(c: PartialColouring, depth: int = 1) -> str:
+    """The ``"colours"`` object of ``c``'s document, ``depth`` levels deep
+    (module docstring)."""
+    if not c._assignment:
+        return "{}"
+    pad = "\n" + "  " * depth
+    entries = sorted([f'"{u}-{v}": {col}' for (u, v), col in c._assignment.items()])
+    return "{" + pad + "  " + f",{pad}  ".join(entries) + pad + "}"
+
+
+def colouring_to_json(c: PartialColouring, depth: int = 0, colours: str | None = None) -> str:
+    """``c``'s document ``{"colours": ..., "palette": k}``, ``depth`` levels
+    deep; ``colours`` is its ``colours_json`` at ``depth + 1``, if the caller
+    has it already."""
+    if colours is None:
+        colours = colours_json(c, depth + 1)
+    return json_object({"colours": colours, "palette": json.dumps(c.palette)}, depth)
 
 
 def _no_repeats(pairs: list) -> dict:
@@ -342,9 +378,13 @@ def colouring_from_json(text: str, graph: Graph) -> PartialColouring:
     """Load a colouring document.  The palette and every colour must be JSON
     integers (not booleans), and each edge may be named once, in either
     order, by a key that reads back as ``f"{u}-{v}"`` (no sign, space,
-    underscore, leading zero or non-ASCII digit); anything else raises
-    ``ColouringError``.  Off-palette integers load, and ``verify_strong``
-    reports them."""
+    underscore, leading zero or non-ASCII digit); anything else, nesting too
+    deep for the parser included, raises ``ColouringError``.  Off-palette
+    integers load, and ``verify_strong`` reports them.
+
+    A key that names an edge of ``graph`` as ``u-v`` with an integer colour
+    is looked up by name (module docstring); every other entry is read
+    apart, checked in the order the messages list them."""
     try:
         doc = json.loads(text, object_pairs_hook=_no_repeats)
         if not isinstance(doc, dict):
@@ -355,22 +395,32 @@ def colouring_from_json(text: str, graph: Graph) -> PartialColouring:
         raw = doc["colours"]
         if not isinstance(raw, dict):
             raise TypeError("'colours' is not a JSON object")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ColouringError(f"bad colouring document: {exc}") from exc
     c = PartialColouring(graph, size)
     assignment = c._assignment
+    names = {f"{u}-{v}": e for e in graph.edges for u, v in (e,)}
     for key, col in raw.items():
-        try:
-            a, b = key.split("-")
-            u, v = int(a), int(b)
-            if type(col) is not int or f"{u}-{v}" != key:
-                raise ValueError
-        except ValueError:
-            raise ColouringError(f"bad colouring entry {key!r}: {col!r}") from None
-        if not graph.has_edge(u, v):
-            raise ColouringError(f"colouring names edge {key} missing from graph")
-        e = (u, v) if u < v else (v, u)
+        e = names.get(key)
+        if e is None or type(col) is not int:
+            e = _read_entry(key, col, graph)
         if e in assignment:
             raise ColouringError(f"colouring names edge {e[0]}-{e[1]} twice")
         assignment[e] = col
     return c
+
+
+def _read_entry(key: str, col, graph: Graph) -> Edge:
+    """The edge that the entry ``key: col`` colours, read from its key; raises
+    ``ColouringError`` unless the key is ``f"{u}-{v}"`` of an edge of
+    ``graph`` in either order and ``col`` an int."""
+    try:
+        a, b = key.split("-")
+        u, v = int(a), int(b)
+        if type(col) is not int or f"{u}-{v}" != key:
+            raise ValueError
+    except ValueError:
+        raise ColouringError(f"bad colouring entry {key!r}: {col!r}") from None
+    if not graph.has_edge(u, v):
+        raise ColouringError(f"colouring names edge {key} missing from graph")
+    return (u, v) if u < v else (v, u)

@@ -360,6 +360,64 @@ def reference_star_verify(
     return out
 
 
+# -- the colouring document as written and read before the one-pass writer ----
+#
+# ``colouring_doc`` plus ``json.dumps(indent=2, sort_keys=True)``, and
+# ``colouring_from_json`` as it was while it split and parsed every key, kept
+# so that tests can require the same bytes, loads and errors from the writer
+# and the lookup by edge name.
+
+
+def reference_colouring_doc(c: PartialColouring) -> dict:
+    return {
+        "palette": c.palette,
+        "colours": {f"{u}-{v}": col for (u, v), col in sorted(c.assignment.items())},
+    }
+
+
+def reference_colouring_to_json(c: PartialColouring) -> str:
+    return json.dumps(reference_colouring_doc(c), indent=2, sort_keys=True)
+
+
+def _reference_no_repeats(pairs: list) -> dict:
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        raise ValueError("a JSON object repeats a key")
+    return doc
+
+
+def reference_per_key_colouring_from_json(text: str, graph: Graph) -> PartialColouring:
+    try:
+        doc = json.loads(text, object_pairs_hook=_reference_no_repeats)
+        if not isinstance(doc, dict):
+            raise TypeError("the document is not a JSON object")
+        size = doc["palette"]
+        if type(size) is not int:
+            raise TypeError(f"'palette' is not an integer: {size!r}")
+        raw = doc["colours"]
+        if not isinstance(raw, dict):
+            raise TypeError("'colours' is not a JSON object")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ColouringError(f"bad colouring document: {exc}") from exc
+    c = PartialColouring(graph, size)
+    assignment = c._assignment
+    for key, col in raw.items():
+        try:
+            a, b = key.split("-")
+            u, v = int(a), int(b)
+            if type(col) is not int or f"{u}-{v}" != key:
+                raise ValueError
+        except ValueError:
+            raise ColouringError(f"bad colouring entry {key!r}: {col!r}") from None
+        if not graph.has_edge(u, v):
+            raise ColouringError(f"colouring names edge {key} missing from graph")
+        e = (u, v) if u < v else (v, u)
+        if e in assignment:
+            raise ColouringError(f"colouring names edge {e[0]}-{e[1]} twice")
+        assignment[e] = col
+    return c
+
+
 # -- C5's matcher as first written ----------------------------------------------
 #
 # ``girth6._match_c5`` as it was before it stopped scanning a hub at the first

@@ -248,18 +248,20 @@ def _json_garbage() -> int:
     [
         (["analyze", "G"], 1),
         (["discharge", "G"], 1),
-        (["colour", "--girth6", "G", "-o", "C", "--trace", "T"], 2),
+        (["colour", "--girth6", "G", "-o", "C", "--trace", "T"], 1),
         (["verify", "G", "C"], 1),
         (["colour", "--pipeline", "G"], 1),
-        (["solve", "G"], 1),
+        (["solve", "G"], 0),
         (["bench", "--count", "2"], 1),
     ],
     ids=lambda x: x if isinstance(x, int) else " ".join(x[:2]),
 )
 def test_commands_build_no_reference_cycles(tmp_path, capsys, argv, documents):
     """After a command, a collection finds only the indented JSON encoder's
-    garbage, once per document written: with the collector paused, nothing
-    the package built waits for it."""
+    garbage, once per document that goes through it: with the collector
+    paused, nothing the package built waits for it.  Colourings are written
+    without that encoder, so ``colour`` leaves the garbage of its report
+    alone, and ``solve``, whose other members are scalars, none."""
     g = write_graph(tmp_path, subdivide(wheel(5), 1))
     files = {"G": g, "C": str(tmp_path / "c.json"), "T": str(tmp_path / "t.json")}
     argv = [files.get(a, a) for a in argv]
