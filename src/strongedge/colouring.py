@@ -43,8 +43,8 @@ Colours are ints (``put`` refuses anything else), so each prints as JSON
 writes it.  ``colouring_from_json`` looks each key up in a map from
 ``f"{u}-{v}"`` to the edge, over the host's edges; only an entry that the
 map does not settle, a ``v-u`` key, a key it refuses or a colour that is
-not an int, is split and parsed as before, so it meets the same checks in
-the same order.
+not an int, is split and parsed by ``_read_entry``, so every entry meets
+the same checks in the same order whichever way it is read.
 """
 
 from __future__ import annotations

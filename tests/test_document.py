@@ -79,7 +79,8 @@ def colourings(draw):
 _scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
 _json = st.recursive(
     _scalars,
-    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
     max_leaves=8,
 )
 _reports = st.dictionaries(st.text(max_size=6), _json, max_size=6)
@@ -213,7 +214,9 @@ def documents(draw):
 @given(documents())
 def test_loader_matches_reference(doc):
     g, text = doc
-    assert loaded(colouring_from_json, text, g) == loaded(reference_per_key_colouring_from_json, text, g)
+    got = loaded(colouring_from_json, text, g)
+    want = loaded(reference_per_key_colouring_from_json, text, g)
+    assert got == want
 
 
 @pytest.mark.parametrize(
@@ -235,7 +238,9 @@ def test_loader_matches_reference(doc):
 def test_loader_matches_reference_on_named_cases(colours):
     g = path(3)
     text = json.dumps({"palette": 2, "colours": colours})
-    assert loaded(colouring_from_json, text, g) == loaded(reference_per_key_colouring_from_json, text, g)
+    got = loaded(colouring_from_json, text, g)
+    want = loaded(reference_per_key_colouring_from_json, text, g)
+    assert got == want
 
 
 @pytest.mark.parametrize("text", ["[" * 200_000, '{"a": ' * 100_000], ids=["arrays", "objects"])
@@ -243,7 +248,8 @@ def test_verify_refuses_deep_nesting_without_traceback(tmp_path, text):
     (tmp_path / "g.edges").write_text("0 1\n1 2\n")
     (tmp_path / "deep.json").write_text(text)
     proc = subprocess.run(
-        [sys.executable, "-m", "strongedge.cli", "verify", tmp_path / "g.edges", tmp_path / "deep.json"],
+        [sys.executable, "-m", "strongedge.cli", "verify", tmp_path / "g.edges",
+         tmp_path / "deep.json"],
         capture_output=True,
         text=True,
     )
@@ -256,24 +262,31 @@ def test_verify_refuses_deep_nesting_without_traceback(tmp_path, text):
 # -- the round trip --------------------------------------------------------------
 
 
-def _colourings():
-    girth6 = [subdivide(wheel(7), 1), subdivide(stacked_triangulation(30, seed=2), 1),
-              hex_with_leaves(4, 4, 3)]
-    planar = [wheel(8), grid(5, 6), stacked_triangulation(25, seed=1)]
-    small = [cycle(7), path(5), grid(2, 3)]
-    yield from (("girth6", colour_girth6(g)) for g in girth6)
-    yield from (("pipeline", colour_pipeline(g, budget=0)[0]) for g in planar)
-    for g in small:
-        result = strong_chromatic_index(g)
-        yield "solve", result.witness
-        yield "solve --k", is_strong_k_colourable(g, result.chi_s + 1)
+_COLOURERS = {
+    "girth6": colour_girth6,
+    "pipeline": lambda g: colour_pipeline(g, budget=0)[0],
+    "solve": lambda g: strong_chromatic_index(g).witness,
+    "solve --k": lambda g: is_strong_k_colourable(g, strong_chromatic_index(g).chi_s + 1),
+}
+_GIRTH6 = (
+    subdivide(wheel(7), 1), subdivide(stacked_triangulation(30, seed=2), 1), hex_with_leaves(4, 4, 3)
+)
+_SMALL = (cycle(7), path(5), grid(2, 3))
+_INPUTS = {
+    "girth6": _GIRTH6,
+    "pipeline": (wheel(8), grid(5, 6), stacked_triangulation(25, seed=1)),
+    "solve": _SMALL,
+    "solve --k": _SMALL,
+}
 
 
-@pytest.mark.parametrize("colourer, c", list(_colourings()), ids=lambda x: x if isinstance(x, str) else "")
-def test_round_trip_on_every_colourer(colourer, c):
-    assert all(type(col) is int for col in c._assignment.values())
-    back = colouring_from_json(colouring_to_json(c), c.graph)
-    assert (back.palette, back._assignment) == (c.palette, c._assignment)
+@pytest.mark.parametrize("colourer", _COLOURERS)
+def test_round_trip_on_every_colourer(colourer):
+    for g in _INPUTS[colourer]:
+        c = _COLOURERS[colourer](g)
+        assert all(type(col) is int for col in c._assignment.values())
+        back = colouring_from_json(colouring_to_json(c), g)
+        assert (back.palette, back._assignment) == (c.palette, c._assignment)
 
 
 @pytest.mark.parametrize("colour", [True, False, 2.0, 1.5, "1", None])
