@@ -383,8 +383,9 @@ def colouring_from_json(text: str, graph: Graph) -> PartialColouring:
     integers load, and ``verify_strong`` reports them.
 
     A key that names an edge of ``graph`` as ``u-v`` with an integer colour
-    is looked up by name (module docstring); every other entry is read
-    apart, checked in the order the messages list them."""
+    is looked up by name (module docstring); every other entry goes through
+    ``_read_entry``, which checks the key's spelling and the colour first,
+    then that the edge is in ``graph``."""
     try:
         doc = json.loads(text, object_pairs_hook=_no_repeats)
         if not isinstance(doc, dict):
