@@ -328,6 +328,14 @@ def seconds(text: str) -> float:
     return value
 
 
+def count(text: str) -> int:
+    """A corpus size: an int of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid count: {text!r} (negative)")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="strongedge",
@@ -377,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_verify)
 
     b = sub.add_parser("bench", help="corpus sweep")
-    b.add_argument("--count", type=int, default=20, help="corpus size")
+    b.add_argument("--count", type=count, default=20, help="corpus size")
     b.add_argument("--budget", type=seconds, default=2.0)
     b.set_defaults(fn=cmd_bench)
     return p

@@ -98,6 +98,8 @@ class PartialColouring:
     """
 
     def __init__(self, graph: Graph, palette: int):
+        if type(palette) is not int:  # a bool or float would not round-trip
+            raise ValueError(f"palette size must be an int, not {palette!r}")
         if palette < 1:
             raise ValueError("palette size must be >= 1")
         self.graph = graph
@@ -296,7 +298,8 @@ def trivial_lower_bound(g: Graph) -> int:
     conflict with uv, so they need pairwise distinct colours."""
     if g.num_edges() == 0:
         return 0
-    return max(g.degree(u) + g.degree(v) - 1 for u, v in g.edges)
+    adj = g._adj
+    return max(len(adj[u]) + len(adj[v]) for u, v in g.edges) - 1
 
 
 # -- published upper-bound table ---------------------------------------------
@@ -363,7 +366,7 @@ def colouring_to_json(c: PartialColouring, depth: int = 0, colours: str | None =
     has it already."""
     if colours is None:
         colours = colours_json(c, depth + 1)
-    return json_object({"colours": colours, "palette": json.dumps(c.palette)}, depth)
+    return json_object({"colours": colours, "palette": str(c.palette)}, depth)
 
 
 def _no_repeats(pairs: list) -> dict:

@@ -39,21 +39,22 @@ rotation is ``first``, the dart each vertex's rotation starts at, and
 ``nxt``, the dart after each dart around its tail.  ``_certify`` is the one
 checker of a rotation system: given the darts' tails, ``first`` and ``nxt``
 as integer lists, it checks that each vertex's cycle holds exactly the darts
-leaving it, counts the faces by walking the darts in index order, marking
-each but recording no walk, and checks Euler's formula against the number
-of connected components (``graph.component_members``), with no per-vertex
-indexes or sorting.
-Two callers share it: ``planar_embed`` on the left-right test's rotation,
-and the pipeline's per-class check on each conflict graph, whose darts it
-derives from the host's without building a ``Graph``.
+leaving it, building nothing, counts the faces by walking the darts in
+index order, marking each but recording no walk, and checks Euler's formula
+against the connected components, which the caller supplies, with no
+per-vertex indexes or sorting.  Two callers share it: ``planar_embed`` on
+the left-right test's rotation, with ``Graph.components()``, and the
+pipeline's per-class check on each conflict graph, whose darts it derives
+from the host's without building a ``Graph``, with the components of the
+sorted neighbour lists it reads off the links for its node search.
 
 An ``Embedding`` keeps ``first``, ``nxt`` (both read-only) and the certified
 face count.  What only some callers read is built on first read and kept:
 ``faces``, by ``_trace_faces`` (the one face tracer), checked against the
-count; ``rotation``, each vertex's neighbour tuple, which ``_certify`` also
-builds while it checks the cycles but does not keep; and ``darts``, the
-host-side index for the conflict graphs.  ``analyze`` and both colourers
-read none of the first two; the discharging audit reads the faces.
+count; ``rotation``, each vertex's neighbour tuple, built once ``_certify``'s
+cycle check has run again; and ``darts``, the host-side index for the
+conflict graphs.  ``analyze`` and both colourers read none of the first
+two; the discharging audit reads the faces.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from functools import cached_property
 from itertools import chain, compress
 from typing import Iterable, NamedTuple, Sequence
 
-from .graph import Graph, component_members
+from .graph import Graph
 
 Rows = Sequence[Sequence[int]]
 
@@ -86,8 +87,9 @@ class Embedding:
 
     @cached_property
     def rotation(self) -> dict[int, tuple[int, ...]]:
-        """Each vertex's neighbours in rotation order, from ``first``, with
-        each cycle checked again (``_cycles``)."""
+        """Each vertex's neighbours in rotation order, from ``first``, once
+        the cycle check that ``_certify`` ran has accepted them again
+        (``_cycles``)."""
         g = self.graph
         ends = list(chain.from_iterable(g.edges))
         return dict(zip(g.vertices, _cycles(ends, self.first, self.nxt, g.vertices)))
@@ -167,18 +169,17 @@ def planar_embed(g: Graph) -> Embedding | None:
 
     The left-right test supplies the rotation and ``_certify`` checks it, so
     Euler's formula per connected component is asserted here, not left to
-    callers.  The check walks each vertex's cycle, building its neighbour
-    tuple, and keeps none of them; the ``rotation`` dict, built from them
-    again, and the face walks are built when first read (``Embedding``).  A
-    negative verdict costs one test.
+    callers.  The check walks each vertex's cycle and builds nothing; the
+    components it needs are the graph's own, kept for girth; the
+    ``rotation`` dict and the face walks are built when first read
+    (``Embedding``).  A negative verdict costs one test.
     """
     found = _lr_darts(g)
     if found is None:
         return None
     first, nxt = found
     ends = list(chain.from_iterable(g.edges))
-    _, count = _certify(ends, first, nxt, g.vertices, comps=g.components())
-    return Embedding(g, first, nxt, count)
+    return Embedding(g, first, nxt, _certify(ends, first, nxt, g.vertices, g.components()))
 
 
 def _lr_darts(g: Graph):
@@ -411,22 +412,17 @@ def _lr(nbr: Rows, star: Rows, first: list[int], cw: list[int]):
                 side[refs[i]] *= side[refs[i + 1]]
         nesting[k] *= side[k]
     ordered = [sorted(ks, key=nesting.__getitem__) if len(ks) > 1 else ks for ks in out]
-    # ``first[v]`` is v's leftmost dart, where its clockwise walk starts
+    # ``first[v]`` is v's leftmost dart, where its clockwise walk starts;
+    # each dart is spliced into its circular list in place
     ccw = [0] * (2 * m)
-
-    def insert(d: int, before: int, after: int) -> None:
-        cw[d], ccw[d] = before, after
-        ccw[before] = cw[after] = d
-
     for v in compress(range(n), ordered):  # the vertices with kernel edges
-        prev = -1
-        for k in ordered[v]:
+        ks = ordered[v]
+        prev = last = 2 * ks[-1] + (v > dst[ks[-1]])
+        for k in ks:  # close the cycle from its last dart round to its first
             d = 2 * k + (v > dst[k])
-            if prev < 0:
-                cw[d] = ccw[d] = first[v] = d
-            else:
-                insert(d, cw[prev], prev)
+            cw[prev], ccw[d] = d, prev
             prev = d
+        first[v] = cw[last]
     left_ref = [-1] * n
     right_ref = [-1] * n
     ind = [0] * n
@@ -442,23 +438,30 @@ def _lr(nbr: Rows, star: Rows, first: list[int], cw: list[int]):
                 w = dst[k]
                 d = 2 * k + (w > v)
                 if parent[w] == k:  # tree edge: d becomes w's first dart
-                    if first[w] < 0:
+                    a = first[w]
+                    if a < 0:
                         cw[d] = ccw[d] = d
-                    else:
-                        insert(d, first[w], ccw[first[w]])
+                    else:  # before a
+                        b = ccw[a]
+                        cw[d], ccw[d] = a, b
+                        ccw[a] = cw[b] = d
                     first[w] = d
                     left_ref[v] = right_ref[v] = d ^ 1
                     ind[v] = i
                     stack.append(v)
                     stack.append(w)
                     break
-                if side[k] == 1:
-                    insert(d, cw[right_ref[w]], right_ref[w])
-                else:
-                    insert(d, left_ref[w], ccw[left_ref[w]])
-                    if first[w] == left_ref[w]:
+                if side[k] == 1:  # after right_ref[w]
+                    b = right_ref[w]
+                    a = cw[b]
+                else:  # before left_ref[w]
+                    a = left_ref[w]
+                    b = ccw[a]
+                    if first[w] == a:
                         first[w] = d
                     left_ref[w] = d
+                cw[d], ccw[d] = a, b  # between b and a
+                ccw[a] = cw[b] = d
     return ccw, src
 
 
@@ -485,14 +488,13 @@ class _Constraints:
         self.stack_bottom: list[list[int] | None] = [None] * m
         self.pairs: list[list[int]] = []
 
-    def _conflicting(self, low: int, high: int, b: int) -> bool:
-        return (low >= 0 or high >= 0) and self.lowpt[high] > self.lowpt[b]
-
     def add_constraints(self, ei: int, e: int) -> bool:
         """Merge the return edges of ``ei``, a later child edge below parent
         edge ``e``, with the intervals they conflict with; False if they
-        cannot be placed (the graph is not planar)."""
-        lowpt, ref, pairs, conflicting = self.lowpt, self.ref, self.pairs, self._conflicting
+        cannot be placed (the graph is not planar).  An interval conflicts
+        with ``ei`` when it is not empty and its high end's lowpoint lies
+        above ``ei``'s."""
+        lowpt, ref, pairs = self.lowpt, self.ref, self.pairs
         p = [-1, -1, -1, -1]
         bottom = self.stack_bottom[ei]
         while True:  # merge return edges of ei into p.right
@@ -512,15 +514,18 @@ class _Constraints:
             if (pairs[-1] if pairs else None) is bottom:
                 break
         # merge conflicting return edges of earlier siblings into p.left
+        low = lowpt[ei]
         while True:
-            top = pairs[-1]
-            if not (conflicting(top[0], top[1], ei) or conflicting(top[2], top[3], ei)):
+            q = pairs[-1]
+            left = (q[0] >= 0 or q[1] >= 0) and lowpt[q[1]] > low
+            right = (q[2] >= 0 or q[3] >= 0) and lowpt[q[3]] > low
+            if not (left or right):
                 break
-            q = pairs.pop()
-            if conflicting(q[2], q[3], ei):
+            if right:
+                if left:
+                    return False
                 q[0], q[1], q[2], q[3] = q[2], q[3], q[0], q[1]
-            if conflicting(q[2], q[3], ei):
-                return False
+            pairs.pop()
             if p[2] >= 0:  # p.right may still be empty
                 ref[p[2]] = q[3]
             if q[2] >= 0:
@@ -576,28 +581,41 @@ def _not_a_permutation(v: int) -> EmbeddingError:
     return EmbeddingError(f"rotation at vertex {v} is not a permutation of its neighbours")
 
 
+def _check_cycles(ends: Sequence[int], first: list[int], nxt: list[int], labels: Sequence[int]) -> None:
+    """Raise ``EmbeddingError`` unless every dart lies on exactly one cycle
+    of ``nxt``, its tail's, started from ``first``: each cycle then holds
+    exactly the darts leaving its vertex.  Builds nothing."""
+    seen = bytearray(len(ends))
+    for v, f in zip(labels, first):
+        if f < 0:
+            continue
+        d = f
+        while True:
+            if ends[d] != v or seen[d]:
+                raise _not_a_permutation(v)
+            seen[d] = 1
+            d = nxt[d]
+            if d == f:
+                break
+    if 0 in seen:
+        raise _not_a_permutation(ends[seen.index(0)])
+
+
 def _cycles(ends: Sequence[int], first: list[int], nxt: list[int], labels: Sequence[int]):
     """Each vertex's neighbours in rotation order: the heads of the darts on
-    its cycle, from ``first``.  Raises ``EmbeddingError`` unless every dart
-    lies on exactly one cycle, its tail's, so that each cycle holds exactly
-    the darts leaving its vertex."""
-    seen = bytearray(len(ends))
+    its cycle, from ``first``, once ``_check_cycles`` has accepted them."""
+    _check_cycles(ends, first, nxt, labels)
     heads = []
-    for v, f in zip(labels, first):
+    for f in first:
         walk = []
         if f >= 0:
             d = f
             while True:
-                if ends[d] != v or seen[d]:
-                    raise _not_a_permutation(v)
-                seen[d] = 1
                 walk.append(ends[d ^ 1])
                 d = nxt[d]
                 if d == f:
                     break
         heads.append(tuple(walk))
-    if 0 in seen:
-        raise _not_a_permutation(ends[seen.index(0)])
     return heads
 
 
@@ -629,24 +647,23 @@ def _certify(
     first: list[int],
     nxt: list[int],
     labels: Sequence[int],
-    comps: Sequence[Sequence[int]] | None = None,
-) -> tuple[list[tuple[int, ...]], int]:
-    """The one check of a rotation system given on darts: ``(heads, number
-    of faces)`` if it is a planar embedding, else ``EmbeddingError``.
+    comps: Sequence[Sequence[int]],
+) -> int:
+    """The one check of a rotation system given on darts: the number of
+    faces if it is a planar embedding, else ``EmbeddingError``.
 
     Dart ``d`` leaves ``ends[d]`` for ``ends[d ^ 1]``; vertex i is
     ``labels[i]``, its rotation starts at dart ``first[i]`` (-1 if it has
     none) and ``nxt[d]`` is the dart after d around its tail.  Each vertex's
-    cycle must hold exactly its own darts (``_cycles``, which gives
-    ``heads``).  Faces then follow the successor rule: after arriving at v
+    cycle must hold exactly its own darts (``_check_cycles``, which builds
+    nothing).  Faces then follow the successor rule: after arriving at v
     along u->v, leave along the neighbour that follows u in the rotation at
     v.  They are counted, not recorded: each walk starts at the first dart
     not yet walked, by index, and only marks its darts.  Last comes Euler's
-    formula, per connected
-    component (``_check_euler``); ``comps`` are the components as labels,
-    found from ``heads`` when not given (labels 0..n-1 only).
+    formula, per connected component (``_check_euler``); ``comps`` are the
+    components as labels, which the caller already has.
     """
-    heads = _cycles(ends, first, nxt, labels)
+    _check_cycles(ends, first, nxt, labels)
     walked = bytearray(len(ends))
     starts = []  # each face's start vertex
     for d0 in range(len(ends)):
@@ -654,11 +671,11 @@ def _certify(
             continue
         starts.append(ends[d0])
         d = d0
-        while not walked[d]:  # the darts are a permutation (_cycles): back to d0
+        while not walked[d]:  # the darts are a permutation (_check_cycles): back to d0
             walked[d] = 1
             d = nxt[d ^ 1]
-    _check_euler(len(heads), ends, starts, component_members(heads) if comps is None else comps)
-    return heads, len(starts)
+    _check_euler(len(labels), ends, starts, comps)
+    return len(starts)
 
 
 def _check_euler(n: int, ends: Sequence[int], starts: Sequence[int], comps: Sequence[Sequence[int]]) -> None:

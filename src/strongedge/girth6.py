@@ -28,9 +28,12 @@ removes its plan's edges from the copy, and the extension puts them back,
 last plan first, so every plan is extended against the graph it was built
 on.
 
-Each kind keeps a min-heap of candidate anchors that holds every vertex at
-which the kind matches, so the search pops non-matching vertices off the
-top and stops at the first match, the smallest anchor.
+In the reduction loop each kind keeps a min-heap of candidate anchors that
+holds every vertex at which the kind matches, so the search pops
+non-matching vertices off the top and stops at the first match, the
+smallest anchor.  A one-shot search (``discharge``'s) builds no heap: it
+walks the vertices in label order, once per kind, and stops at the same
+anchor.
 
 A matcher at u reads along chains u = x0, x1, ..., xj: u's neighbour list,
 the degree of each vertex it reaches, and the neighbour list of a vertex
@@ -527,13 +530,23 @@ def find_configuration(
     """First configuration present in ``g`` in kind order C1..C9, smallest
     anchor first, or None when no pattern occurs.
 
-    ``candidates`` gives each kind a min-heap that holds every anchor of
-    that kind present in ``g``, asked for only when the search reaches the
-    kind; vertices that no longer match are popped from it.  The reduction
-    loop passes the one it keeps on ``g``; without it a fresh one is built.
+    The reduction loop passes the ``candidates`` it keeps on ``g``: each
+    kind's min-heap holds every anchor of that kind present in ``g``, is
+    asked for only when the search reaches the kind, and loses the vertices
+    that no longer match.  A one-shot search, with no ``candidates``, walks
+    ``g``'s vertices once per kind in label order (the order ``Graph``
+    keeps them in), through the kind's degree range, and returns the first
+    match: the anchor a fresh heap would pop first, with no heap built.
     """
     if candidates is None:
-        candidates = _Candidates(g)
+        adj = g._adj
+        for match, _, (lo, hi), _ in _KINDS.values():
+            for u, ns in adj.items():
+                if lo <= len(ns) <= hi:
+                    cfg = match(g, u)
+                    if cfg is not None:
+                        return cfg
+        return None
     for name, kind in _KINDS.items():
         heap = candidates.heap(name)
         while heap:

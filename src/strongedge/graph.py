@@ -177,11 +177,17 @@ class Graph:
 
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, in sorted order.
-        The walk runs once per graph; later calls read the kept result."""
+        The walk runs once per graph; later calls read the kept result.
+        With labels 0..n-1 the positions are the labels, and are not looked
+        up."""
         if self._components is None:
-            labels = self.vertices
-            comps = component_members(self.numbering()[1])
-            self._components = tuple(tuple(labels[i] for i in sorted(c)) for c in comps)
+            pos, nbr = self.numbering()
+            comps = map(sorted, component_members(nbr))
+            if isinstance(pos, range):  # labels 0..n-1 are their own positions
+                self._components = tuple(map(tuple, comps))
+            else:
+                labels = self.vertices
+                self._components = tuple(tuple(labels[i] for i in c) for c in comps)
         return list(self._components)
 
     def is_connected(self) -> bool:

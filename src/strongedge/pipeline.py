@@ -20,7 +20,9 @@ darts, each host edge oriented toward its end of larger degree: a class
 reads only the out-darts of its matched vertices, so the Delta classes
 together cost O(sum over edges of the smaller end degree), O(E) on planar
 hosts (Chiba-Nishizeki 1985), and no class builds a ``Graph``.  The node
-search and the five-colour fallback read sorted integer neighbour lists.
+search and the five-colour fallback read sorted integer neighbour lists,
+built from each class's links; their components are the ones the
+certificate's Euler check counts against.
 
 The composite colouring is checked once, by ``require_strong``, in
 ``colour_pipeline``; the steps before it do not re-check their classes or
@@ -39,7 +41,7 @@ from .colouring import InternalInconsistency, PartialColouring, PreconditionErro
 from .embedding import Embedding, EmbeddingError, _certify, planar_embed
 from . import exact
 from .exact import SolverTimeout
-from .graph import Edge, Graph, edge_key
+from .graph import Edge, Graph, component_members, edge_key
 
 
 @dataclass(frozen=True)
@@ -295,20 +297,35 @@ def colour_planar_nodes(cg: ConflictGraph, budget: float | None = None) -> dict[
     """Proper node colouring of a planar conflict graph with at most 5
     colours; an exact search reaches 4 unless the budget interferes.
 
-    Planarity is checked first, by ``embedding._certify`` on the darts of
-    ``cg``: a rotation system that fails the checks means the derivation or
-    the host was wrong.  The search and the fallback read each node's
-    neighbours sorted, as ``Graph.neighbours`` lists them."""
+    Each node's neighbours are read from the links, ``cg.ends``, and sorted,
+    as ``Graph.neighbours`` lists them; the search and the fallback read
+    these lists.  Planarity is checked first, by ``embedding._certify`` on
+    the darts of ``cg``, with the components of those lists: a rotation
+    system that fails the checks means the derivation or the host was
+    wrong."""
     n = len(cg.first)
+    adj = _link_lists(cg.ends, n)
     try:
-        heads, _ = _certify(cg.ends, cg.first, cg.nxt, range(n))
+        _certify(cg.ends, cg.first, cg.nxt, range(n), component_members(adj))
     except EmbeddingError as exc:
         raise InternalInconsistency(
             "conflict graph of a matching in a planar host must be planar"
         ) from exc
-    adj = [sorted(ns) for ns in heads]
     colour = _search_colours(adj, 4, budget) if n else []
     return dict(enumerate(colour if colour is not None else _five_colour_planar(adj)))
+
+
+def _link_lists(ends: list[int], n: int) -> list[list[int]]:
+    """Each of the nodes 0..n-1's neighbours, ascending, from the links
+    ``ends[2l]``-``ends[2l + 1]``."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    it = iter(ends)
+    for a, b in zip(it, it):
+        adj[a].append(b)
+        adj[b].append(a)
+    for ns in adj:
+        ns.sort()
+    return adj
 
 
 def _five_colour_planar(adj: list[list[int]]) -> list[int]:

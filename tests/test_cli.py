@@ -519,6 +519,18 @@ def test_usage_error_exits_1(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_negative_bench_count_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--count", "-1"])
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error: argument --count: invalid count: '-1' (negative)" in out.err
+    assert "Traceback" not in out.err
+    assert main(["bench", "--count", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"instances": [], "failures": 0}
+
+
 @pytest.mark.parametrize("flag", ["--help", "--version"])
 def test_help_and_version_exit_0(flag, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -73,6 +73,11 @@ def test_palette_is_an_int_from_1():
     for k in (0, -1):
         with pytest.raises(ValueError, match=r"^palette size must be >= 1$"):
             PartialColouring(path(3), k)
+    # a bool or float palette would be written as true or 3.0, which the
+    # loader refuses
+    for k in (True, 1.0, 3.0):
+        with pytest.raises(ValueError, match=rf"^palette size must be an int, not {k!r}$"):
+            PartialColouring(path(3), k)
     c = PartialColouring(path(3), 2)
     assert c.palette == 2
     c.put((0, 1), 2)

@@ -172,23 +172,19 @@ def test_euler_on_connected_planar(g):
 
 @pytest.mark.parametrize("g", [wheel(5), stacked_triangulation(9, seed=3)], ids=["wheel5", "tri9"])
 def test_dart_on_another_vertex_cycle(g):
-    # swap the second darts of vertices 0 and 1: every dart still lies on
-    # exactly one cycle, but each cycle holds a dart leaving the other vertex
     emb = planar_embed(g)
     ends = [v for e in g.edges for v in e]
-    first, nxt = emb.first, list(emb.nxt)
-    a, b = first[0], first[1]
-    a1, b1 = nxt[a], nxt[b]
-    nxt[a], nxt[b], nxt[a1], nxt[b1] = b1, a1, nxt[b1], nxt[a1]
+    first, nxt = emb.first, trade_darts_of_zero_and_one(emb.first, emb.nxt)
     with pytest.raises(EmbeddingError, match="permutation"):
-        _certify(ends, first, nxt, g.vertices)
+        _certify(ends, first, nxt, g.vertices, g.components())
 
 
 def test_torus_rotation_fails_euler():
     # sorted neighbour lists of K4 trace two faces, not four: a torus
-    ends, first, nxt = sorted_darts(complete_graph(4))
+    g = complete_graph(4)
+    ends, first, nxt = sorted_darts(g)
     with pytest.raises(EmbeddingError, match="Euler"):
-        _certify(ends, first, nxt, range(4))
+        _certify(ends, first, nxt, range(4), g.components())
 
 
 # -- the left-right test against networkx's -------------------------------------
@@ -424,8 +420,32 @@ def drop_a_dart_at_zero(first: list[int], nxt: list[int]) -> list[int]:
     return nxt
 
 
+def repeat_a_dart_at_zero(first: list[int], nxt: list[int]) -> list[int]:
+    """``nxt`` with vertex 0's third dart leading back to its second, so
+    that its cycle meets the second dart twice before it closes."""
+    nxt = list(nxt)
+    b = nxt[first[0]]
+    nxt[nxt[b]] = b
+    return nxt
+
+
+def trade_darts_of_zero_and_one(first: list[int], nxt: list[int]) -> list[int]:
+    """``nxt`` with the second darts of vertices 0 and 1 traded: every dart
+    still lies on exactly one cycle, but each of the two cycles holds a dart
+    leaving the other vertex."""
+    nxt = list(nxt)
+    a, b = first[0], first[1]
+    a1, b1 = nxt[a], nxt[b]
+    nxt[a], nxt[b], nxt[a1], nxt[b1] = b1, a1, nxt[b1], nxt[a1]
+    return nxt
+
+
+# each case runs through both ways of supplying the components: planar_embed
+# passes the graph's, the pipeline those of the lists it reads off the links
 CORRUPTIONS = {
     "not a permutation": (drop_a_dart_at_zero, r"rotation at vertex 0 is not a permutation"),
+    "dart twice": (repeat_a_dart_at_zero, r"rotation at vertex 0 is not a permutation"),
+    "dart of another vertex": (trade_darts_of_zero_and_one, r"rotation at vertex 0 is not a permutation"),
     "genus 1": (swap_two_darts_at_zero, r"Euler's formula on component \(0, 1, 2, 3\)\.\.\.: V=4 E=6 F=2"),
 }
 

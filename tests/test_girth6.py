@@ -262,17 +262,23 @@ class TestFindConfiguration:
         assert count["pushes"] <= 4 * count["steps"]
 
     def test_fresh_search_agrees_with_a_full_scan(self):
-        """Without the loop's heaps, find_configuration builds fresh ones;
-        its answer is the full scan's on the inputs of the 100-instance
-        corpus and of the audit-large benchmark pool."""
+        """Without the loop's heaps, find_configuration walks the vertices
+        in label order; its answer is the full scan's on the inputs of the
+        100-instance corpus and of the audit-large benchmark pool, each also
+        relabelled v -> 2v+1 and to random sparse labels, which change the
+        order the walk and the scan follow."""
         graphs = [generate(spec) for _, spec in _bench_corpus(100)]
         graphs += [
             subdivide(stacked_triangulation(n, seed=s), 1)
             for n, seeds in ((200, (0, 1, 2, 3, 5, 6)), (400, (0, 7, 8)))
             for s in seeds
         ]
+        rng = random.Random(29)
         for g in graphs:
-            assert find_configuration(g) == full_scan(g)
+            sparse = dict(zip(g.vertices, rng.sample(range(10 * g.num_vertices()), g.num_vertices())))
+            for label in (lambda v: v, lambda v: 2 * v + 1, sparse.__getitem__):
+                h = Graph(map(label, g.vertices), [(label(u), label(v)) for u, v in g.edges])
+                assert find_configuration(h) == full_scan(h)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(small_graphs(max_vertices=12) | planar_with_hubs())

@@ -34,6 +34,7 @@ from strongedge.pipeline import (
     EdgeColouring,
     _class1_lists,
     _five_colour_planar,
+    _link_lists,
     class1_edge_colour,
     colour_pipeline,
     colour_planar_nodes,
@@ -339,8 +340,21 @@ class TestConflictGraph:
                         for j, f in enumerate(cg.nodes)
                         if i < j and edges_within_two(g, e, f)
                     ]
-                    assert links_of(cg).edges == tuple(oracle)
-                    _certify(cg.ends, cg.first, cg.nxt, range(len(cg.first)))
+                    links = links_of(cg)
+                    assert links.edges == tuple(oracle)
+                    _certify(cg.ends, cg.first, cg.nxt, range(len(cg.first)), links.components())
+
+    def test_link_lists_are_the_sorted_rotation(self):
+        # colour_planar_nodes reads each node's neighbours off the links:
+        # they are the certified rotation's tuples, sorted
+        k2n = Graph(range(22), [(a, i) for a in (0, 1) for i in range(2, 22)])
+        for g in PLANAR_CORPUS + [k2n] + [generate(spec) for _, spec in _bench_corpus(100)]:
+            emb = planar_embed(g)
+            for cls in every_class(g):
+                cg = conflict_graph(emb, cls)
+                n = len(cg.first)
+                expected = [sorted(ns) for ns in _cycles(cg.ends, cg.first, cg.nxt, range(n))]
+                assert _link_lists(cg.ends, n) == expected
 
     @staticmethod
     def assert_matches_reference(g: Graph) -> None:
