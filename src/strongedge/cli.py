@@ -169,6 +169,9 @@ def cmd_solve(args) -> int:
 def cmd_colour(args) -> int:
     if args.trace and not args.girth6:
         raise PreconditionError("--trace needs --girth6, the only colourer that records steps")
+    # -o would overwrite the trace; realpath sees through ./, .. and symlinks
+    if args.trace and args.output and os.path.realpath(args.trace) == os.path.realpath(args.output):
+        raise PreconditionError(f"-o and --trace must name different files: {args.output}")
     g, data = _read_graph(args.graph)
     trace: list[ExtendStep] = []
     delta = g.max_degree()

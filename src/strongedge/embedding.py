@@ -1,7 +1,7 @@
 """Combinatorial planar embeddings: rotation systems and face walks.
 
 Planarity is decided by the left-right test (Brandes 2009), run here over
-the graph's integer numbering: ``Graph.numbering``'s neighbour positions and
+the graph's integer numbering: the ``Numbering``'s neighbour positions and
 ``Graph.stars``'s edge indices, aligned with them, so vertex i is
 ``g.vertices[i]`` and edge k is ``g.edges[k]``; ``planar_embed`` returns None
 for a non-planar graph.  A face is its walk, a tuple of vertices: ``walk[i]
@@ -37,23 +37,28 @@ The rotation is certified on integer darts: dart ``2k`` runs along edge k
 from ``g.edges[k][0]`` to ``g.edges[k][1]`` and dart ``2k + 1`` back.  A
 rotation is ``first``, the dart each vertex's rotation starts at, and
 ``nxt``, the dart after each dart around its tail.  ``_certify`` is the one
-checker of a rotation system: given the darts' tails, ``first`` and ``nxt``
-as integer lists, it checks that each vertex's cycle holds exactly the darts
-leaving it, building nothing, counts the faces by walking the darts in
-index order, marking each but recording no walk, and checks Euler's formula
-against the connected components, which the caller supplies, with no
-per-vertex indexes or sorting.  Two callers share it: ``planar_embed`` on
-the left-right test's rotation, with ``Graph.components()``, and the
-pipeline's per-class check on each conflict graph, whose darts it derives
-from the host's without building a ``Graph``, with the components of the
-sorted neighbour lists it reads off the links for its node search.
+checker of a rotation system: on the vertices 0..n-1, given the darts'
+tail positions, ``first`` and ``nxt`` as integer lists, it checks that each
+vertex's cycle holds exactly the darts leaving it, building nothing, counts
+the faces by walking the darts in index order, marking each but recording
+no walk, and checks Euler's formula against the connected components, which
+the caller supplies, with no per-vertex indexes or sorting.  Two callers
+share it: ``planar_embed`` on the left-right test's rotation, with the
+``Numbering``'s dart tails and components, and the pipeline's per-class
+check on each conflict graph, whose darts it derives from the host's
+without building a ``Graph``, with the components of the sorted neighbour
+lists it reads off the links for its node search.  A rotation that fails
+is the package's fault, never the input's (a non-planar graph gets None),
+so ``EmbeddingError`` is an ``InternalInconsistency``; its messages name
+positions, which are the labels when those are 0..n-1.
 
 An ``Embedding`` keeps ``first``, ``nxt`` (both read-only) and the certified
 face count.  What only some callers read is built on first read and kept:
 ``faces``, by ``_trace_faces`` (the one face tracer), checked against the
-count; ``rotation``, each vertex's neighbour tuple, built once ``_certify``'s
-cycle check has run again; and ``darts``, the host-side index for the
-conflict graphs.  ``analyze`` and both colourers read none of the first
+count and walked on labels; ``rotation``, each vertex's neighbour tuple,
+built on positions once ``_certify``'s cycle check has run again and mapped
+back to labels; and ``darts``, what the conflict graphs read of the host
+beyond its ``Numbering``.  ``analyze`` and both colourers read none of the first
 two; the discharging audit reads the faces.
 """
 
@@ -64,13 +69,16 @@ from functools import cached_property
 from itertools import chain, compress
 from typing import Iterable, NamedTuple, Sequence
 
+from .colouring import InternalInconsistency
 from .graph import Graph
 
 Rows = Sequence[Sequence[int]]
 
 
-class EmbeddingError(ValueError):
-    pass
+class EmbeddingError(InternalInconsistency):
+    """A rotation that fails its certificate.  No input raises it: the
+    left-right test returns None for a non-planar graph, so a failed check
+    is a fault in the package (exit 2 from the command line)."""
 
 
 @dataclass(frozen=True)
@@ -89,19 +97,21 @@ class Embedding:
     def rotation(self) -> dict[int, tuple[int, ...]]:
         """Each vertex's neighbours in rotation order, from ``first``, once
         the cycle check that ``_certify`` ran has accepted them again
-        (``_cycles``)."""
+        (``_cycles``, on positions, mapped back to labels here)."""
         g = self.graph
-        ends = list(chain.from_iterable(g.edges))
-        return dict(zip(g.vertices, _cycles(ends, self.first, self.nxt, g.vertices)))
+        labels = g.vertices
+        heads = _cycles(g.numbering().tail, self.first, self.nxt)
+        return {v: tuple(map(labels.__getitem__, hs)) for v, hs in zip(labels, heads)}
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
-        """The face walks (module docstring).  Raises ``EmbeddingError`` if
-        they are not ``face_count``, as when ``nxt`` changed after
-        ``_certify`` accepted it."""
+        """The face walks (module docstring), on labels, so the darts' tails
+        are listed here as labels.  Raises ``EmbeddingError`` if they are
+        not ``face_count``, as when ``nxt`` changed after ``_certify``
+        accepted it."""
         g = self.graph
         ends = list(chain.from_iterable(g.edges))
-        nbr, star = g.numbering()[1], g.stars()
+        nbr, star = g.numbering().nbr, g.stars()
         darts = (2 * k + (i > j) for i, js in enumerate(nbr) for j, k in zip(js, star[i]))
         faces = _trace_faces(ends, self.nxt, darts)
         if len(faces) != self.face_count:
@@ -116,32 +126,25 @@ class Embedding:
 
 
 class HostDarts(NamedTuple):
-    """Integer views of a host embedding, for scans that must not read a
-    whole rotation: ``vertex`` is ``g.numbering()``'s map from a label to its
-    position, ``edge`` maps an edge to its index, ``degree``, ``tail`` and
-    ``pos`` give each vertex's degree and each dart's tail and position in
-    its tail's rotation (counted from ``first``), and ``out[i]`` lists
-    ``(j, d)`` for the darts d from i to j along the edges oriented toward
-    the end with the larger ``(degree, index)``.  Reading ``out[i]`` once per
-    edge at i, at every vertex, costs the smaller end degree summed over the
-    edges: at most 2aE for arboricity a, so O(E) on a planar graph
-    (Chiba-Nishizeki 1985)."""
+    """What a host embedding adds to its graph's ``Numbering``, for scans
+    that must not read a whole rotation: ``edge`` maps an edge to its index,
+    ``pos`` gives each dart's position in its tail's rotation (counted from
+    ``first``), and ``out[i]`` lists ``(j, d)`` for the darts d from i to j
+    along the edges oriented toward the end with the larger ``(degree,
+    index)``.  Positions, dart tails and degrees are the numbering's.
+    Reading ``out[i]`` once per edge at i, at every vertex, costs the
+    smaller end degree summed over the edges: at most 2aE for arboricity a,
+    so O(E) on a planar graph (Chiba-Nishizeki 1985)."""
 
-    vertex: Sequence[int] | dict[int, int]
     edge: dict[tuple[int, int], int]
-    degree: list[int]
-    tail: list[int]
     pos: list[int]
     out: list[list[tuple[int, int]]]
 
     @classmethod
     def build(cls, emb: Embedding) -> "HostDarts":
         g, first, nxt = emb.graph, emb.first, emb.nxt
-        vertex, nbr = g.numbering()
+        _, nbr, tail, _ = g.numbering()
         degree = [len(ns) for ns in nbr]
-        tail = list(chain.from_iterable(g.edges))
-        if not isinstance(vertex, range):  # labels are their own indices in a range
-            tail = [vertex[a] for a in tail]
         pos = [0] * len(tail)
         for f in first:
             if f >= 0:
@@ -160,7 +163,7 @@ class HostDarts(NamedTuple):
             else:
                 out[j].append((i, d + 1))
         edge = {e: k for k, e in enumerate(g.edges)}
-        return cls(vertex, edge, degree, tail, pos, out)
+        return cls(edge, pos, out)
 
 
 def planar_embed(g: Graph) -> Embedding | None:
@@ -170,16 +173,16 @@ def planar_embed(g: Graph) -> Embedding | None:
     The left-right test supplies the rotation and ``_certify`` checks it, so
     Euler's formula per connected component is asserted here, not left to
     callers.  The check walks each vertex's cycle and builds nothing; the
-    components it needs are the graph's own, kept for girth; the
-    ``rotation`` dict and the face walks are built when first read
-    (``Embedding``).  A negative verdict costs one test.
+    dart tails and components it needs are the graph's ``Numbering``, kept
+    for girth; the ``rotation`` dict and the face walks are built when
+    first read (``Embedding``).  A negative verdict costs one test.
     """
     found = _lr_darts(g)
     if found is None:
         return None
     first, nxt = found
-    ends = list(chain.from_iterable(g.edges))
-    return Embedding(g, first, nxt, _certify(ends, first, nxt, g.vertices, g.components()))
+    _, _, tail, comps = g.numbering()
+    return Embedding(g, first, nxt, _certify(tail, first, nxt, comps))
 
 
 def _lr_darts(g: Graph):
@@ -195,7 +198,7 @@ def _lr_darts(g: Graph):
     n, m = g.num_vertices(), g.num_edges()
     if n > 2 and m > 3 * n - 6:
         return None
-    nbr, star = g.numbering()[1], g.stars()
+    nbr, star = g.numbering().nbr, g.stars()
     first, nxt = [-1] * n, [0] * (2 * m)
     knbr, kstar, chains, inner = _series_kernel(nbr, star, first, nxt)
     found = _lr(knbr, kstar, first, nxt)
@@ -581,12 +584,12 @@ def _not_a_permutation(v: int) -> EmbeddingError:
     return EmbeddingError(f"rotation at vertex {v} is not a permutation of its neighbours")
 
 
-def _check_cycles(ends: Sequence[int], first: list[int], nxt: list[int], labels: Sequence[int]) -> None:
+def _check_cycles(ends: Sequence[int], first: list[int], nxt: list[int]) -> None:
     """Raise ``EmbeddingError`` unless every dart lies on exactly one cycle
     of ``nxt``, its tail's, started from ``first``: each cycle then holds
     exactly the darts leaving its vertex.  Builds nothing."""
     seen = bytearray(len(ends))
-    for v, f in zip(labels, first):
+    for v, f in enumerate(first):
         if f < 0:
             continue
         d = f
@@ -601,10 +604,10 @@ def _check_cycles(ends: Sequence[int], first: list[int], nxt: list[int], labels:
         raise _not_a_permutation(ends[seen.index(0)])
 
 
-def _cycles(ends: Sequence[int], first: list[int], nxt: list[int], labels: Sequence[int]):
+def _cycles(ends: Sequence[int], first: list[int], nxt: list[int]):
     """Each vertex's neighbours in rotation order: the heads of the darts on
     its cycle, from ``first``, once ``_check_cycles`` has accepted them."""
-    _check_cycles(ends, first, nxt, labels)
+    _check_cycles(ends, first, nxt)
     heads = []
     for f in first:
         walk = []
@@ -642,28 +645,23 @@ def _trace_faces(ends: Sequence[int], nxt: list[int], darts: Iterable[int]) -> l
     return faces
 
 
-def _certify(
-    ends: Sequence[int],
-    first: list[int],
-    nxt: list[int],
-    labels: Sequence[int],
-    comps: Sequence[Sequence[int]],
-) -> int:
+def _certify(ends: Sequence[int], first: list[int], nxt: list[int], comps: Sequence[Sequence[int]]) -> int:
     """The one check of a rotation system given on darts: the number of
     faces if it is a planar embedding, else ``EmbeddingError``.
 
-    Dart ``d`` leaves ``ends[d]`` for ``ends[d ^ 1]``; vertex i is
-    ``labels[i]``, its rotation starts at dart ``first[i]`` (-1 if it has
-    none) and ``nxt[d]`` is the dart after d around its tail.  Each vertex's
+    The vertices are the positions 0..n-1, for ``n = len(first)``, and its
+    messages name them.  Dart ``d`` leaves ``ends[d]`` for ``ends[d ^ 1]``;
+    vertex i's rotation starts at dart ``first[i]`` (-1 if it has none) and
+    ``nxt[d]`` is the dart after d around its tail.  Each vertex's
     cycle must hold exactly its own darts (``_check_cycles``, which builds
     nothing).  Faces then follow the successor rule: after arriving at v
     along u->v, leave along the neighbour that follows u in the rotation at
     v.  They are counted, not recorded: each walk starts at the first dart
     not yet walked, by index, and only marks its darts.  Last comes Euler's
     formula, per connected component (``_check_euler``); ``comps`` are the
-    components as labels, which the caller already has.
+    components as positions, which the caller already has.
     """
-    _check_cycles(ends, first, nxt, labels)
+    _check_cycles(ends, first, nxt)
     walked = bytearray(len(ends))
     starts = []  # each face's start vertex
     for d0 in range(len(ends)):
@@ -674,7 +672,7 @@ def _certify(
         while not walked[d]:  # the darts are a permutation (_check_cycles): back to d0
             walked[d] = 1
             d = nxt[d ^ 1]
-    _check_euler(len(labels), ends, starts, comps)
+    _check_euler(len(first), ends, starts, comps)
     return len(starts)
 
 

@@ -10,7 +10,8 @@ suffice when more than k of them meet one, and neither
 The search itself, ``_Search``, colours items under integer conflict lists
 and is the package's only colouring search: here the items are the edge
 indices of ``g.edges`` and the conflicts are edges within distance 2, read
-off ``Graph.numbering`` and ``Graph.stars``, and the pipeline runs it on
+off ``Graph.numbering`` (neighbour positions and dart tails) and
+``Graph.stars``, and the pipeline runs it on
 incident edges (class-1 edge colouring) and on conflict-graph neighbours
 (node colouring).  It is iterative, so input size is bounded by time, not
 by recursion depth, and a search node costs O(deg) plus a scan of at most
@@ -45,7 +46,7 @@ from heapq import heappop, heappush
 from math import inf
 
 from .colouring import InternalInconsistency, PartialColouring, require_strong
-from .graph import Edge, Graph
+from .graph import Graph
 
 
 class SolverTimeout(Exception):
@@ -65,22 +66,23 @@ class SolveResult:
     stats: SolveStats
 
 
-def _conflict_lists(g: Graph) -> tuple[list[Edge], list[list[int]]]:
-    """Edges in identity order plus, per edge, the indices of all edges
-    within distance 2 (the clique structure the colouring must respect).
+def _conflict_lists(g: Graph) -> list[list[int]]:
+    """Per edge of ``g.edges``, the indices of all edges within distance 2
+    (the clique structure the colouring must respect).
 
     Built from vertex rings over ``g.numbering()`` and ``g.stars()``:
     ``ring[i]`` holds the indices of the edges meeting N(i), and the edges
     within distance 2 of ``uv`` are those meeting N(u) ∪ N(v), which
-    contains u and v, so they are ``ring[u] | ring[v]`` less ``uv`` itself."""
-    (pos, nbr), star = g.numbering(), g.stars()
+    contains u and v, so they are ``ring[u] | ring[v]`` less ``uv`` itself;
+    the ends u and v are read from the numbering's dart tails."""
+    (_, nbr, tail, _), star = g.numbering(), g.stars()
     ring = [{k for x in js for k in star[x]} for js in nbr]
-    edges, conflicts = list(g.edges), []
-    for k, (u, v) in enumerate(edges):
-        near = ring[pos[u]] | ring[pos[v]]
+    conflicts = []
+    for k, (u, v) in enumerate(zip(tail[::2], tail[1::2])):
+        near = ring[u] | ring[v]
         near.discard(k)
         conflicts.append(sorted(near))
-    return edges, conflicts
+    return conflicts
 
 
 def clique_lower_bound(g: Graph) -> int:
@@ -300,13 +302,11 @@ def is_strong_k_colourable(
         return PartialColouring(g, max(k, 1))
     if k == 0 or k < clique_lower_bound(g):
         return None
-    edges, conflicts = _conflict_lists(g)
-    return _decide(g, edges, conflicts, k, deadline, stats, node_limit)
+    return _decide(g, _conflict_lists(g), k, deadline, stats, node_limit)
 
 
 def _decide(
     g: Graph,
-    edges: list[Edge],
     conflicts: list[list[int]],
     k: int,
     deadline: float | None,
@@ -323,7 +323,7 @@ def _decide(
     if not found:
         return None
     witness = PartialColouring(g, k)
-    for e, c in zip(edges, search.colour):
+    for e, c in zip(g.edges, search.colour):
         witness.put(e, c)
     require_strong(g, witness, "solver witness invalid")
     return witness
@@ -340,10 +340,10 @@ def strong_chromatic_index(g: Graph, timeout: float | None = None) -> SolveResul
     if g.num_edges() == 0:
         stats.elapsed = time.monotonic() - start
         return SolveResult(0, PartialColouring(g, 1), stats)
-    edges, conflicts = _conflict_lists(g)
+    conflicts = _conflict_lists(g)
     k = max(clique_lower_bound(g), 1)
     while True:
-        witness = _decide(g, edges, conflicts, k, deadline, stats)
+        witness = _decide(g, conflicts, k, deadline, stats)
         if witness is not None:
             stats.elapsed = time.monotonic() - start
             return SolveResult(k, witness, stats)

@@ -759,15 +759,15 @@ class _WorkingGraph(Graph):
     """Mutable copy of a graph for the reduction loop.  Edges are removed and
     put back in place; neighbour tuples stay sorted, ``_edges`` is a set, and
     ``high_degree`` counts the vertices of degree >= 4.  Each change drops
-    the girth, components and numbering that ``Graph`` keeps: the numbering's
-    ``nbr`` holds the neighbour tuples that a change replaces."""
+    the girth and numbering that ``Graph`` keeps: the numbering's ``nbr``,
+    ``tail`` and ``comps`` all read the edges that a change replaces."""
 
     __slots__ = ("high_degree",)
 
     def __init__(self, g: Graph):
         self._adj = dict(g._adj)
         self._edges = set(g.edges)
-        self._girth = self._components = self._numbering = None
+        self._girth = self._numbering = None
         self.high_degree = sum(1 for ns in self._adj.values() if len(ns) >= 4)
 
     @property
@@ -775,7 +775,7 @@ class _WorkingGraph(Graph):
         return tuple(sorted(self._edges))
 
     def remove_edges(self, edges) -> None:
-        self._girth = self._components = self._numbering = None
+        self._girth = self._numbering = None
         adj = self._adj
         for u, v in edges:
             self._edges.remove((u, v))
@@ -786,7 +786,7 @@ class _WorkingGraph(Graph):
                 adj[a] = ns[:i] + ns[i + 1:]
 
     def add_edges(self, edges) -> None:
-        self._girth = self._components = self._numbering = None
+        self._girth = self._numbering = None
         adj = self._adj
         for u, v in edges:
             self._edges.add((u, v))

@@ -16,17 +16,18 @@ normal-form keys of the lines it has checked and hands them to
 ``Graph._build``, the builder that ``Graph()`` calls after its own checks,
 which it keeps for every other caller.
 
-The integer passes (girth, components, the left-right test, the conflict
-lists) share one numbering: vertex i is ``g.vertices[i]`` and edge k is
-``g.edges[k]``.  ``Graph.numbering`` is kept; ``Graph.stars``, aligned with
-it, is built on each call, so no graph keeps 2|E| edge indices.
+The whole-graph passes (girth, components, the left-right test and its
+certificate, the conflict lists) work on positions: vertex i is
+``g.vertices[i]`` and edge k is ``g.edges[k]``.  ``Graph.numbering``, kept,
+is the one place that maps labels to positions; ``Graph.stars``, aligned
+with it, is built on each call, so no graph keeps 2|E| edge indices.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 
@@ -49,6 +50,21 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+class Numbering(NamedTuple):
+    """A graph on positions: ``pos[v]`` is label v's position in
+    ``vertices``, ``nbr[i]`` lists position i's neighbour positions,
+    ascending, ``tail[d]`` is the position of dart d's tail (dart ``2k``
+    leaves edge k's lower end, ``2k + 1`` its upper end) and ``comps`` holds
+    the components as tuples of positions, in ``component_members`` order.
+    With labels 0..n-1, ``pos`` is a ``range`` and ``nbr`` and ``tail`` hold
+    the labels themselves."""
+
+    pos: Sequence[int] | dict[int, int]
+    nbr: tuple[tuple[int, ...], ...]
+    tail: tuple[int, ...]
+    comps: tuple[tuple[int, ...], ...]
+
+
 class Graph:
     """Immutable simple graph with sorted adjacency lists.
 
@@ -57,7 +73,7 @@ class Graph:
     and the degree sum always equals twice the edge count.
     """
 
-    __slots__ = ("_adj", "_edges", "_girth", "_components", "_numbering")
+    __slots__ = ("_adj", "_edges", "_girth", "_numbering")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[Edge] = ()):
         verts = {int(v) for v in vertices}
@@ -86,8 +102,7 @@ class Graph:
         self._adj: dict[int, tuple[int, ...]] = {v: tuple(ns) for v, ns in adj.items()}
         self._edges: tuple[Edge, ...] = tuple(ordered)
         self._girth: float | None = None
-        self._components: tuple[tuple[int, ...], ...] | None = None
-        self._numbering = None
+        self._numbering: Numbering | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -146,20 +161,21 @@ class Graph:
 
     # -- derived structure -------------------------------------------------
 
-    def numbering(self) -> tuple[Sequence[int] | dict[int, int], tuple[tuple[int, ...], ...]]:
-        """``(pos, nbr)``: ``pos[v]`` is label v's position in ``vertices``
-        and ``nbr[i]`` the positions of position i's neighbours, ascending.
-        Built once per graph; with labels 0..n-1, ``pos`` is a ``range`` and
-        ``nbr`` holds the neighbour tuples themselves."""
+    def numbering(self) -> Numbering:
+        """The graph on positions (``Numbering``), built once and kept."""
         if self._numbering is None:
             adj = self._adj
             n = len(adj)
+            ends = chain.from_iterable(self.edges)
             # labels are sorted and distinct, so 0..n-1 are their own positions
             if not n or next(reversed(adj)) == n - 1:
-                self._numbering = range(n), tuple(adj.values())
+                pos, nbr, tail = range(n), tuple(adj.values()), tuple(ends)
             else:
                 pos = {v: i for i, v in enumerate(adj)}
-                self._numbering = pos, tuple(tuple(map(pos.__getitem__, ns)) for ns in adj.values())
+                nbr = tuple(tuple(map(pos.__getitem__, ns)) for ns in adj.values())
+                tail = tuple(map(pos.__getitem__, ends))
+            comps = tuple(map(tuple, component_members(nbr)))
+            self._numbering = Numbering(pos, nbr, tail, comps)
         return self._numbering
 
     def stars(self) -> list[list[int]]:
@@ -167,31 +183,21 @@ class Graph:
         ``numbering()``'s ``nbr``: edge ``stars()[i][t]`` joins i and
         ``nbr[i][t]``.  Edges are sorted, so a vertex's edges come in
         neighbour order (module docstring).  Built on each call."""
-        pos, nbr = self.numbering()
+        _, nbr, tail, _ = self.numbering()
         star: list[list[int]] = [[] for _ in nbr]
-        ends = self.edges if isinstance(pos, range) else ((pos[a], pos[b]) for a, b in self.edges)
-        for k, (i, j) in enumerate(ends):
+        for k, (i, j) in enumerate(zip(tail[::2], tail[1::2])):
             star[i].append(k)
             star[j].append(k)
         return star
 
     def components(self) -> list[tuple[int, ...]]:
-        """Connected components as sorted vertex tuples, in sorted order.
-        The walk runs once per graph; later calls read the kept result.
-        With labels 0..n-1 the positions are the labels, and are not looked
-        up."""
-        if self._components is None:
-            pos, nbr = self.numbering()
-            comps = map(sorted, component_members(nbr))
-            if isinstance(pos, range):  # labels 0..n-1 are their own positions
-                self._components = tuple(map(tuple, comps))
-            else:
-                labels = self.vertices
-                self._components = tuple(tuple(labels[i] for i in c) for c in comps)
-        return list(self._components)
+        """Connected components as sorted vertex tuples, in sorted order:
+        ``numbering()``'s ``comps`` as labels, built on each call."""
+        labels = self.vertices
+        return [tuple(map(labels.__getitem__, sorted(c))) for c in self.numbering().comps]
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        return len(self.numbering().comps) <= 1
 
     def girth(self) -> float:
         """Length of a shortest cycle, or ACYCLIC for forests.
@@ -212,10 +218,10 @@ class Graph:
         if self._girth is not None:
             return self._girth
         best = ACYCLIC
-        if len(self._edges) == len(self._adj) - len(self.components()):
+        _, nbrs, _, comps = self.numbering()
+        if len(self._edges) == len(self._adj) - len(comps):
             self._girth = best
             return best
-        nbrs = self.numbering()[1]
         n = len(nbrs)
         seen = [-1] * n
         dist = [0] * n

@@ -187,9 +187,10 @@ def class1_edge_colour(g: Graph, budget: float | None = None) -> EdgeColouring |
 def _class1_lists(g: Graph) -> list[list[int]]:
     """Per edge k, the indices of the edges sharing an end with it, less k:
     the star of its lower end, then that of its upper end (``g.stars()``,
-    ascending in each)."""
-    pos, star = g.numbering()[0], g.stars()
-    return [[j for v in e for j in star[pos[v]] if j != k] for k, e in enumerate(g.edges)]
+    ascending in each), the ends read from ``g.numbering()``'s dart tails."""
+    tail, star = g.numbering().tail, g.stars()
+    ends = zip(tail[::2], tail[1::2])
+    return [[j for i in e for j in star[i] if j != k] for k, e in enumerate(ends)]
 
 
 def _search_colours(
@@ -246,22 +247,21 @@ def conflict_graph(emb: Embedding, matching: list[Edge]) -> ConflictGraph:
     smaller end degree per host edge, not the squared degrees that reading
     every matched vertex's rotation would.
     """
-    host = emb.darts
-    vertex, pos, degree, tail, out = host.vertex, host.pos, host.degree, host.tail, host.out
+    (vertex, nbr, tail, _), (edge, pos, out) = emb.graph.numbering(), emb.darts
     edges = sorted((u, v) if u < v else (v, u) for u, v in matching)
     n = len(edges)
     # per matched vertex: its node, the position of its dart to its partner,
     # the offset of its darts in the node's rotation, and its degree
     at: dict[int, tuple[int, int, int, int]] = {}
     for i, (u, v) in enumerate(edges):
-        k = host.edge.get((u, v))
+        k = edge.get((u, v))
         if k is None:
             raise ValueError(f"edge {u}-{v} not in graph")
         a, b = vertex[u], vertex[v]
         if a in at or b in at:
             raise ValueError("edge set is not a matching")
-        at[a] = (i, pos[2 * k], 0, degree[a])
-        at[b] = (i, pos[2 * k + 1], degree[a], degree[b])
+        at[a] = (i, pos[2 * k], 0, len(nbr[a]))
+        at[b] = (i, pos[2 * k + 1], len(nbr[a]), len(nbr[b]))
     kept: dict[int, int] = {}  # link i * n + j (i < j) -> dart of its smallest host edge
     for a, (i, _, _, _) in at.items():
         for w, d in out[a]:
@@ -306,7 +306,7 @@ def colour_planar_nodes(cg: ConflictGraph, budget: float | None = None) -> dict[
     n = len(cg.first)
     adj = _link_lists(cg.ends, n)
     try:
-        _certify(cg.ends, cg.first, cg.nxt, range(n), component_members(adj))
+        _certify(cg.ends, cg.first, cg.nxt, component_members(adj))
     except EmbeddingError as exc:
         raise InternalInconsistency(
             "conflict graph of a matching in a planar host must be planar"

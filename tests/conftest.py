@@ -263,7 +263,7 @@ def reference_graph(vertices=(), edges=()) -> Graph:
     g = Graph.__new__(Graph)
     g._adj = {v: tuple(sorted(ns)) for v, ns in sorted(adj.items())}
     g._edges = tuple(sorted(edge_set))
-    g._girth = g._components = None
+    g._girth = g._numbering = None
     return g
 
 

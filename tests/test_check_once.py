@@ -12,6 +12,7 @@ import strongedge.colouring as colouring
 import strongedge.embedding as embedding
 import strongedge.exact as exact
 import strongedge.girth6 as girth6
+import strongedge.graph as graph
 import strongedge.pipeline as pipeline
 from strongedge.cli import EXIT_INCONSISTENT, main
 from strongedge.colouring import InternalInconsistency, PreconditionError
@@ -152,21 +153,20 @@ def test_corrupted_solver_witness_caught(tmp_path, capsys, monkeypatch):
     _assert_exit_2(["solve", "--k", "5", p], capsys)
 
 
-# -- Graph.components is walked once per graph --------------------------------
+# -- a graph's components are walked once per graph ---------------------------
 
 
 @pytest.fixture
 def component_walks(monkeypatch):
-    """Calls of ``Graph.components`` that had no kept result to read."""
+    """Walks of ``component_members`` made for a ``Graph``'s numbering."""
     walks = []
-    real = Graph.components
+    real = graph.component_members
 
-    def counted(self):
-        if self._components is None:
-            walks.append(self)
-        return real(self)
+    def counted(nbr):
+        walks.append(nbr)
+        return real(nbr)
 
-    monkeypatch.setattr(Graph, "components", counted)
+    monkeypatch.setattr(graph, "component_members", counted)
     return walks
 
 
@@ -191,11 +191,13 @@ def test_working_graph_drops_kept_facts():
     assert work.numbering()[1] == g.numbering()[1]
     work.remove_edges([(0, 1), (3, 4)])
     assert work.components() == [(0, 4, 5), (1, 2, 3)]
+    assert work.numbering().comps == ((0, 5, 4), (1, 2, 3))
     assert work.girth() == ACYCLIC
     assert work.numbering()[1] == ((5,), (2,), (1, 3), (2,), (5,), (0, 4))
     assert work.stars() == [[0], [1], [1, 2], [2], [3], [0, 3]]
     work.add_edges([(3, 4), (0, 1)])
     assert work.components() == [tuple(range(6))] and work.girth() == 6
+    assert work.numbering().comps == ((0, 1, 5, 2, 4, 3),)
     assert work.numbering()[1] == g.numbering()[1]
     assert g.components() == [tuple(range(6))]
     assert g.numbering()[1] == ((1, 5), (0, 2), (1, 3), (2, 4), (3, 5), (0, 4))

@@ -497,6 +497,24 @@ def test_trace_needs_girth6(tmp_path, capsys):
     assert not trace.exists()
 
 
+@pytest.mark.parametrize("spelling", ["P", "./P", "symlink"])
+def test_output_and_trace_on_one_file_exit_1(spelling, tmp_path, capsys, monkeypatch):
+    """``-o`` would overwrite the trace: the command is refused before
+    anything is written, however the second path spells the file."""
+    monkeypatch.chdir(tmp_path)
+    p = write_graph(tmp_path, subdivide(wheel(6), 1))
+    other = spelling
+    if spelling == "symlink":
+        os.symlink("P", "link")
+        other = "link"
+    assert main(["colour", "--girth6", p, "-o", "P", "--trace", other]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and "-o" in out.err and "--trace" in out.err
+    assert "Traceback" not in out.err
+    assert not (tmp_path / "P").exists()
+
+
 def test_verify_zero_palette_is_bad_document(tmp_path, capsys):
     p = write_graph(tmp_path, path(3))
     doc = tmp_path / "zero.json"

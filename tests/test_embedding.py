@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import strongedge.embedding as embedding
 from conftest import complete_graph, small_graphs, sorted_darts
-from strongedge.cli import _bench_corpus
+from strongedge.cli import EXIT_INCONSISTENT, _bench_corpus, main
 from strongedge.colouring import InternalInconsistency
 from strongedge.embedding import (
     Embedding,
@@ -30,7 +30,7 @@ from strongedge.generators import (
     subdivide,
     wheel,
 )
-from strongedge.graph import Graph
+from strongedge.graph import Graph, to_edge_list
 from strongedge.pipeline import ConflictGraph, colour_planar_nodes
 
 
@@ -176,7 +176,7 @@ def test_dart_on_another_vertex_cycle(g):
     ends = [v for e in g.edges for v in e]
     first, nxt = emb.first, trade_darts_of_zero_and_one(emb.first, emb.nxt)
     with pytest.raises(EmbeddingError, match="permutation"):
-        _certify(ends, first, nxt, g.vertices, g.components())
+        _certify(ends, first, nxt, g.components())
 
 
 def test_torus_rotation_fails_euler():
@@ -184,7 +184,7 @@ def test_torus_rotation_fails_euler():
     g = complete_graph(4)
     ends, first, nxt = sorted_darts(g)
     with pytest.raises(EmbeddingError, match="Euler"):
-        _certify(ends, first, nxt, range(4), g.components())
+        _certify(ends, first, nxt, g.components())
 
 
 # -- the left-right test against networkx's -------------------------------------
@@ -462,6 +462,46 @@ def test_planar_embed_certificate_rejects(monkeypatch, corrupt, message):
     monkeypatch.setattr(embedding, "_lr_darts", corrupted)
     with pytest.raises(EmbeddingError, match=message):
         planar_embed(complete_graph(4))
+
+
+@pytest.mark.parametrize("corrupt, message", CORRUPTIONS.values(), ids=CORRUPTIONS)
+def test_planar_embed_certificate_rejects_on_relabelled_host(monkeypatch, corrupt, message):
+    # labels 2v+1 differ from the positions that the certificate works on;
+    # its messages name positions, so they read as on labels 0..n-1
+    real = embedding._lr_darts
+
+    def corrupted(g):
+        first, nxt = real(g)
+        return first, corrupt(first, nxt)
+
+    monkeypatch.setattr(embedding, "_lr_darts", corrupted)
+    k4 = complete_graph(4)
+    g = Graph([2 * v + 1 for v in k4.vertices], [(2 * a + 1, 2 * b + 1) for a, b in k4.edges])
+    with pytest.raises(EmbeddingError, match=message):
+        planar_embed(g)
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze"], ["discharge"], ["colour", "--girth6"], ["colour", "--pipeline"]]
+)
+@pytest.mark.parametrize("corrupt", [c for c, _ in CORRUPTIONS.values()], ids=CORRUPTIONS)
+def test_certificate_failure_exits_2(tmp_path, capsys, monkeypatch, argv, corrupt):
+    # no input fails the certificate (a non-planar graph gets None), so a
+    # failure is the package's fault: exit 2, not "bad input"
+    real = embedding._lr_darts
+
+    def corrupted(g):
+        first, nxt = real(g)
+        return first, corrupt(first, nxt)
+
+    monkeypatch.setattr(embedding, "_lr_darts", corrupted)
+    p = tmp_path / "g.edges"
+    p.write_text(to_edge_list(subdivide(wheel(5), 1)))
+    assert main([*argv, str(p)]) == EXIT_INCONSISTENT
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("internal inconsistency:")
+    assert "Traceback" not in out.err
 
 
 @pytest.mark.parametrize("corrupt, message", CORRUPTIONS.values(), ids=CORRUPTIONS)

@@ -144,7 +144,7 @@ def assert_search_matches(conflicts: list[list[int]], k: int) -> tuple[int, int]
 def assert_matches_reference(g: Graph) -> None:
     """``assert_search_matches`` at every k from the trivial lower bound up
     to chi_s."""
-    _, conflicts = _conflict_lists(g)
+    conflicts = _conflict_lists(g)
     for k in range(max(trivial_lower_bound(g), 1), strong_chromatic_index(g).chi_s + 1):
         assert_search_matches(conflicts, k)
 
@@ -195,7 +195,7 @@ class TestNodeLimit:
 
     def test_nodes_kept_at_the_limit(self):
         for limit in (0, 3):
-            search = _Search(_conflict_lists(cycle(6))[1], 3, None, node_limit=limit)
+            search = _Search(_conflict_lists(cycle(6)), 3, None, node_limit=limit)
             with pytest.raises(SolverTimeout):
                 search.run()
             assert search.nodes == limit
@@ -293,7 +293,7 @@ class TestKernel:
         # thousands of assigns and unassigns at chi_s - 1, so items leave and
         # re-enter saturation buckets whose stale entries are still queued
         for g in (hex_with_leaves(6, 6, 2), hex_with_leaves(4, 10, 1)):
-            _, conflicts = _conflict_lists(g)
+            conflicts = _conflict_lists(g)
             k = strong_chromatic_index(g).chi_s - 1
             assert is_strong_k_colourable(g, k) is None
             nodes, chrono_nodes = assert_search_matches(conflicts, k)
@@ -321,7 +321,7 @@ class TestKernel:
         # min(k, n, largest conflict degree + 1) + 1), and isolated items,
         # which wait in bucket 0
         for g in (path(2), path(3), star(3), cycle(5), complete_graph(4)):
-            _, conflicts = _conflict_lists(g)
+            conflicts = _conflict_lists(g)
             n = len(conflicts)
             for k in (1, n - 1, n, n + 1, 10 * n):
                 assert_search_matches(conflicts, k)
@@ -367,13 +367,13 @@ class TestConflictLists:
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(small_graphs(max_vertices=9), relabelled_graphs(max_vertices=9)))
     def test_star_lists_match_n2_edges_on_small_graphs(self, g):
-        assert _conflict_lists(g) == reference_conflict_lists(g)
+        assert (list(g.edges), _conflict_lists(g)) == reference_conflict_lists(g)
 
     def test_star_lists_match_n2_edges_on_corpus(self):
         hub = stacked_triangulation(90, seed=23)
         assert hub.max_degree() >= 40
         for g in [hub] + [generate(spec) for _, spec in _bench_corpus(100)]:
-            assert _conflict_lists(g) == reference_conflict_lists(g)
+            assert (list(g.edges), _conflict_lists(g)) == reference_conflict_lists(g)
 
     def test_index_matches_per_k_rebuild(self):
         named = [cycle(n) for n in range(3, 10)] + [star(4), path(7), complete_graph(4)]
@@ -407,7 +407,7 @@ def assert_bound_sound(g: Graph) -> None:
     bound = clique_lower_bound(g)
     assert trivial_lower_bound(g) <= bound <= strong_chromatic_index(g).chi_s
     if g.num_edges() <= 12:
-        assert bound <= brute_max_clique(_conflict_lists(g)[1])
+        assert bound <= brute_max_clique(_conflict_lists(g))
 
 
 class TestCliqueLowerBound:
@@ -472,7 +472,7 @@ class TestKernelUpkeep:
     @settings(max_examples=150, deadline=None)
     @given(small_graphs(max_vertices=7, max_edges=12), st.integers(1, 7))
     def test_edge_conflict_lists(self, g, k):
-        self.assert_same_as_reference(_conflict_lists(g)[1], k)
+        self.assert_same_as_reference(_conflict_lists(g), k)
 
     @settings(max_examples=500, deadline=None)
     @given(symmetric_lists(), st.integers(1, 7))
@@ -496,7 +496,7 @@ class TestKernelUpkeep:
     def test_nodes_kept_on_timeout(self):
         # the node count lives in a local during the run; a timeout still
         # leaves it on the search object for callers that read it after
-        search = _Search(_conflict_lists(cycle(6))[1], 3, time.monotonic() - 1)
+        search = _Search(_conflict_lists(cycle(6)), 3, time.monotonic() - 1)
         with pytest.raises(SolverTimeout):
             search.run()
         assert search.nodes == 1

@@ -1,3 +1,5 @@
+from collections import deque
+
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings
@@ -255,16 +257,48 @@ class TestInvariants:
 
 
 def reference_numbering(g: Graph):
-    """``(pos, nbr, stars)`` built from ``g.vertices`` and ``g.edges`` alone:
-    positions, sorted neighbour positions, and each position's edge indices
+    """``(pos, nbr, tail, comps, stars)`` built from ``g.vertices`` and
+    ``g.edges`` alone: positions, sorted neighbour positions, each dart's
+    tail position (the lower end of edge k for dart 2k, the upper for
+    2k + 1), the components as breadth-first orders from their smallest
+    positions, ascending neighbours first, and each position's edge indices
     listed by neighbour position."""
     pos = {v: i for i, v in enumerate(g.vertices)}
     links = {i: [] for i in range(len(pos))}
+    tail = []
     for k, (a, b) in enumerate(g.edges):
         links[pos[a]].append((pos[b], k))
         links[pos[b]].append((pos[a], k))
+        tail += [pos[a], pos[b]]
     rows = [sorted(links[i]) for i in range(len(pos))]
-    return pos, [[j for j, _ in row] for row in rows], [[k for _, k in row] for row in rows]
+    nbr = [[j for j, _ in row] for row in rows]
+    comps, reached = [], set()
+    for s in range(len(pos)):
+        if s in reached:
+            continue
+        reached.add(s)
+        order, queue = [], deque([s])
+        while queue:
+            x = queue.popleft()
+            order.append(x)
+            for y in nbr[x]:
+                if y not in reached:
+                    reached.add(y)
+                    queue.append(y)
+        comps.append(order)
+    return pos, nbr, tail, comps, [[k for _, k in row] for row in rows]
+
+
+def assert_numbering_matches_reference(g: Graph):
+    pos, nbr, tail, comps = g.numbering()
+    ref_pos, ref_nbr, ref_tail, ref_comps, ref_stars = reference_numbering(g)
+    assert {v: pos[v] for v in g.vertices} == ref_pos
+    assert [list(row) for row in nbr] == ref_nbr
+    assert list(tail) == ref_tail
+    assert [list(c) for c in comps] == ref_comps
+    assert g.stars() == ref_stars
+    labels = g.vertices
+    assert g.components() == sorted(tuple(sorted(labels[i] for i in c)) for c in ref_comps)
 
 
 NUMBERING_CASES = {
@@ -280,27 +314,19 @@ NUMBERING_CASES = {
 class TestNumbering:
     @pytest.mark.parametrize("g", NUMBERING_CASES.values(), ids=NUMBERING_CASES)
     def test_matches_reference(self, g):
-        pos, nbr = g.numbering()
-        ref_pos, ref_nbr, ref_stars = reference_numbering(g)
-        assert {v: pos[v] for v in g.vertices} == ref_pos
-        assert [list(row) for row in nbr] == ref_nbr
-        assert g.stars() == ref_stars
+        assert_numbering_matches_reference(g)
         labels_are_positions = g.vertices == tuple(range(g.num_vertices()))
-        assert isinstance(pos, range) is labels_are_positions
+        assert isinstance(g.numbering().pos, range) is labels_are_positions
 
     @settings(max_examples=40, deadline=None)
     @given(sparse_labelled_graphs())
     def test_matches_reference_on_sparse_labels(self, g):
-        pos, nbr = g.numbering()
-        ref_pos, ref_nbr, ref_stars = reference_numbering(g)
-        assert {v: pos[v] for v in g.vertices} == ref_pos
-        assert [list(row) for row in nbr] == ref_nbr
-        assert g.stars() == ref_stars
+        assert_numbering_matches_reference(g)
 
     @pytest.mark.parametrize("labels", [[0, 1, 2], [1, 5, 9]])
     def test_kept_and_read_only(self, labels):
         g = Graph(labels, [(labels[0], labels[1]), (labels[1], labels[2])])
-        pos, nbr = g.numbering()
+        pos, nbr, _, _ = g.numbering()
         assert g.numbering()[1] is nbr
         with pytest.raises(TypeError):
             nbr[0] = (2,)
@@ -314,7 +340,7 @@ class TestNumbering:
 
     def test_labels_0_to_n_minus_1_share_the_neighbour_tuples(self):
         g = cycle(5)
-        pos, nbr = g.numbering()
+        pos, nbr, _, _ = g.numbering()
         assert pos == range(5)
         assert all(row is g.neighbours(v) for v, row in zip(g.vertices, nbr))
 

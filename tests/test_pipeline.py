@@ -195,7 +195,7 @@ def links_of(cg: ConflictGraph) -> Graph:
 
 def rotation_of(cg: ConflictGraph) -> dict[int, tuple[int, ...]]:
     """The rotation of ``cg`` as neighbour tuples."""
-    return dict(enumerate(_cycles(cg.ends, cg.first, cg.nxt, range(len(cg.first)))))
+    return dict(enumerate(_cycles(cg.ends, cg.first, cg.nxt)))
 
 
 def every_class(g: Graph):
@@ -271,7 +271,7 @@ class TestClass1:
         lists and the solver's sorted ones are interchangeable."""
         rnd = random.Random(8)
         for g in PLANAR_CORPUS + [generate(spec) for _, spec in _bench_corpus(100)]:
-            runs = [(_class1_lists(g), g.max_degree()), (_conflict_lists(g)[1], trivial_lower_bound(g))]
+            runs = [(_class1_lists(g), g.max_degree()), (_conflict_lists(g), trivial_lower_bound(g))]
             for lists, k in runs:
                 results = []
                 for order in range(3):
@@ -342,7 +342,7 @@ class TestConflictGraph:
                     ]
                     links = links_of(cg)
                     assert links.edges == tuple(oracle)
-                    _certify(cg.ends, cg.first, cg.nxt, range(len(cg.first)), links.components())
+                    _certify(cg.ends, cg.first, cg.nxt, links.components())
 
     def test_link_lists_are_the_sorted_rotation(self):
         # colour_planar_nodes reads each node's neighbours off the links:
@@ -353,7 +353,7 @@ class TestConflictGraph:
             for cls in every_class(g):
                 cg = conflict_graph(emb, cls)
                 n = len(cg.first)
-                expected = [sorted(ns) for ns in _cycles(cg.ends, cg.first, cg.nxt, range(n))]
+                expected = [sorted(ns) for ns in _cycles(cg.ends, cg.first, cg.nxt)]
                 assert _link_lists(cg.ends, n) == expected
 
     @staticmethod
