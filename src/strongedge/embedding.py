@@ -47,9 +47,7 @@ share it: ``planar_embed`` on the left-right test's rotation, with the
 ``Numbering``'s dart tails and components, and the pipeline's per-class
 check on each conflict graph, whose darts it derives from the host's
 without building a ``Graph``, with the components of the sorted neighbour
-lists it reads off the links for its node search.  A rotation that fails
-is the package's fault, never the input's (a non-planar graph gets None),
-so ``EmbeddingError`` is an ``InternalInconsistency``; its messages name
+lists it reads off the links for its node search.  Its messages name
 positions, which are the labels when those are 0..n-1.
 
 An ``Embedding`` keeps ``first``, ``nxt`` (both read-only) and the certified

@@ -450,9 +450,8 @@ CORRUPTIONS = {
 }
 
 
-@pytest.mark.parametrize("corrupt, message", CORRUPTIONS.values(), ids=CORRUPTIONS)
-def test_planar_embed_certificate_rejects(monkeypatch, corrupt, message):
-    # the left-right test's rotation corrupted before it reaches _certify
+def corrupt_lr_darts(monkeypatch, corrupt):
+    """Corrupt the left-right test's rotation before it reaches _certify."""
     real = embedding._lr_darts
 
     def corrupted(g):
@@ -460,6 +459,11 @@ def test_planar_embed_certificate_rejects(monkeypatch, corrupt, message):
         return first, corrupt(first, nxt)
 
     monkeypatch.setattr(embedding, "_lr_darts", corrupted)
+
+
+@pytest.mark.parametrize("corrupt, message", CORRUPTIONS.values(), ids=CORRUPTIONS)
+def test_planar_embed_certificate_rejects(monkeypatch, corrupt, message):
+    corrupt_lr_darts(monkeypatch, corrupt)
     with pytest.raises(EmbeddingError, match=message):
         planar_embed(complete_graph(4))
 
@@ -468,13 +472,7 @@ def test_planar_embed_certificate_rejects(monkeypatch, corrupt, message):
 def test_planar_embed_certificate_rejects_on_relabelled_host(monkeypatch, corrupt, message):
     # labels 2v+1 differ from the positions that the certificate works on;
     # its messages name positions, so they read as on labels 0..n-1
-    real = embedding._lr_darts
-
-    def corrupted(g):
-        first, nxt = real(g)
-        return first, corrupt(first, nxt)
-
-    monkeypatch.setattr(embedding, "_lr_darts", corrupted)
+    corrupt_lr_darts(monkeypatch, corrupt)
     k4 = complete_graph(4)
     g = Graph([2 * v + 1 for v in k4.vertices], [(2 * a + 1, 2 * b + 1) for a, b in k4.edges])
     with pytest.raises(EmbeddingError, match=message):
@@ -488,13 +486,7 @@ def test_planar_embed_certificate_rejects_on_relabelled_host(monkeypatch, corrup
 def test_certificate_failure_exits_2(tmp_path, capsys, monkeypatch, argv, corrupt):
     # no input fails the certificate (a non-planar graph gets None), so a
     # failure is the package's fault: exit 2, not "bad input"
-    real = embedding._lr_darts
-
-    def corrupted(g):
-        first, nxt = real(g)
-        return first, corrupt(first, nxt)
-
-    monkeypatch.setattr(embedding, "_lr_darts", corrupted)
+    corrupt_lr_darts(monkeypatch, corrupt)
     p = tmp_path / "g.edges"
     p.write_text(to_edge_list(subdivide(wheel(5), 1)))
     assert main([*argv, str(p)]) == EXIT_INCONSISTENT
