@@ -69,8 +69,15 @@ def _read_graph(path: str) -> tuple[Graph, bytes]:
     return parse_graph(data.decode()), data
 
 
-def _girth_json(girth: float):
-    return "acyclic" if girth == ACYCLIC else int(girth)
+def _graph_facts(g: Graph, planar: bool = True) -> dict:
+    """Delta, girth and the published bound, as every report prints them;
+    the bound table covers planar graphs with Delta >= 3 only."""
+    delta, girth = g.max_degree(), g.girth()
+    return {
+        "delta": delta,
+        "girth": "acyclic" if girth == ACYCLIC else int(girth),
+        "known_bound": known_bound(delta, girth) if planar and delta >= 3 else None,
+    }
 
 
 def _input_hash(data: bytes) -> str:
@@ -98,21 +105,15 @@ def _member(value) -> str:
 
 def cmd_analyze(args) -> int:
     g, data = _read_graph(args.graph)
-    emb = planar_embed(g)
-    planar = emb is not None
-    delta = g.max_degree()
-    girth = g.girth()
+    planar = planar_embed(g) is not None
     doc = {
         "input": args.graph,
         "input_hash": _input_hash(data),
         "vertices": g.num_vertices(),
         "edges": g.num_edges(),
-        "delta": delta,
-        "girth": _girth_json(girth),
+        **_graph_facts(g, planar),
         "planar": planar,
         "trivial_lower_bound": trivial_lower_bound(g),
-        # the bound table covers planar graphs with delta >= 3 only
-        "known_bound": known_bound(delta, girth) if planar and delta >= 3 else None,
     }
     _emit(doc)
     return EXIT_OK
@@ -169,13 +170,14 @@ def cmd_solve(args) -> int:
 def cmd_colour(args) -> int:
     if args.trace and not args.girth6:
         raise PreconditionError("--trace needs --girth6, the only colourer that records steps")
-    # -o would overwrite the trace; realpath sees through ./, .. and symlinks
-    if args.trace and args.output and os.path.realpath(args.trace) == os.path.realpath(args.output):
-        raise PreconditionError(f"-o and --trace must name different files: {args.output}")
+    # a file written over the input or the other output is lost; realpath
+    # sees through ./, .. and symlinks
+    paths = [p for p in (args.graph, args.output, args.trace) if p]
+    if len(set(map(os.path.realpath, paths))) < len(paths):
+        raise PreconditionError(f"the input, -o and --trace must name different files: {' '.join(paths)}")
     g, data = _read_graph(args.graph)
     trace: list[ExtendStep] = []
-    delta = g.max_degree()
-    girth = g.girth()
+    known = _graph_facts(g)
     start = time.monotonic()
     if args.girth6:
         try:
@@ -193,11 +195,11 @@ def cmd_colour(args) -> int:
         **facts,
         "command": "colour --girth6" if args.girth6 else "colour --pipeline",
         "input_hash": _input_hash(data),
-        "delta": delta,
-        "girth": _girth_json(girth),
+        "delta": known["delta"],
+        "girth": known["girth"],
         "planar": True,
         "colours_used": col.colours_used(),
-        "known_bound": known_bound(delta, girth) if delta >= 3 else None,
+        "known_bound": known["known_bound"],
         "seconds": round(time.monotonic() - start, 6),
         # each colourer checks its colouring once, with verify_strong, and
         # raises InternalInconsistency (exit 2) on a violation
@@ -273,16 +275,7 @@ def _bench_corpus(seed_count: int) -> list[tuple[str, GeneratorSpec]]:
 
 def _bench_one(name: str, spec: GeneratorSpec, budget: float) -> dict:
     g = generate(spec)
-    delta = g.max_degree()
-    girth = g.girth()
-    row = {
-        "name": name,
-        "vertices": g.num_vertices(),
-        "edges": g.num_edges(),
-        "delta": delta,
-        "girth": _girth_json(girth),
-        "known_bound": known_bound(delta, girth) if delta >= 3 else None,
-    }
+    row = {"name": name, "vertices": g.num_vertices(), "edges": g.num_edges(), **_graph_facts(g)}
     # each colourer checks its colouring once, with verify_strong, and
     # raises InternalInconsistency (exit 2) on a violation, so a row that
     # completes is valid

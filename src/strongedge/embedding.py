@@ -39,10 +39,11 @@ rotation is ``first``, the dart each vertex's rotation starts at, and
 ``nxt``, the dart after each dart around its tail.  ``_certify`` is the one
 checker of a rotation system: on the vertices 0..n-1, given the darts'
 tail positions, ``first`` and ``nxt`` as integer lists, it checks that each
-vertex's cycle holds exactly the darts leaving it, building nothing, counts
-the faces by walking the darts in index order, marking each but recording
-no walk, and checks Euler's formula against the connected components, which
-the caller supplies, with no per-vertex indexes or sorting.  Two callers
+vertex's cycle holds exactly the darts leaving it, in the package's one walk
+of those cycles (``_check_cycles``), which returns each dart's place around
+its tail; counts the faces by walking the darts in index order, marking each
+but recording no walk; and checks Euler's formula against the connected
+components, which the caller supplies, with no sorting.  Two callers
 share it: ``planar_embed`` on the left-right test's rotation, with the
 ``Numbering``'s dart tails and components, and the pipeline's per-class
 check on each conflict graph, whose darts it derives from the host's
@@ -50,14 +51,14 @@ without building a ``Graph``, with the components of the sorted neighbour
 lists it reads off the links for its node search.  Its messages name
 positions, which are the labels when those are 0..n-1.
 
-An ``Embedding`` keeps ``first``, ``nxt`` (both read-only) and the certified
-face count.  What only some callers read is built on first read and kept:
-``faces``, by ``_trace_faces`` (the one face tracer), checked against the
-count and walked on labels; ``rotation``, each vertex's neighbour tuple,
-built on positions once ``_certify``'s cycle check has run again and mapped
+An ``Embedding`` keeps ``first``, ``nxt``, the places ``pos`` (all three
+read-only) and the certified face count.  What only some callers read is
+built on first read and kept: ``faces``, by ``_trace_faces`` (the one face
+tracer), checked against the count and walked on labels; ``rotation``, each
+vertex's neighbour tuple, placed by the cycle check run again and mapped
 back to labels; and ``darts``, what the conflict graphs read of the host
-beyond its ``Numbering``.  ``analyze`` and both colourers read none of the first
-two; the discharging audit reads the faces.
+beyond its ``Numbering`` and ``pos``.  ``analyze`` and both colourers read
+none of the first two; the discharging audit reads the faces.
 """
 
 from __future__ import annotations
@@ -82,20 +83,24 @@ class EmbeddingError(InternalInconsistency):
 @dataclass(frozen=True)
 class Embedding:
     """A certified planar embedding of ``graph``: its rotation on darts,
-    ``first`` and ``nxt`` (module docstring), both read-only, and
+    ``first`` and ``nxt`` (module docstring), ``pos``, each dart's place
+    around its tail, counted from ``first``, all three read-only, and
     ``face_count``, the number of faces that ``_certify`` counted.  The
     views below are built from them on first read and kept."""
 
     graph: Graph
     first: list[int] = field(repr=False)
     nxt: list[int] = field(repr=False)
+    pos: list[int] = field(repr=False)
     face_count: int
 
     @cached_property
     def rotation(self) -> dict[int, tuple[int, ...]]:
         """Each vertex's neighbours in rotation order, from ``first``, once
         the cycle check that ``_certify`` ran has accepted them again
-        (``_cycles``, on positions, mapped back to labels here)."""
+        (``_cycles``, on positions, mapped back to labels here).  Raises
+        ``EmbeddingError`` if ``nxt`` changed after ``_certify`` and fails
+        that check."""
         g = self.graph
         labels = g.vertices
         heads = _cycles(g.numbering().tail, self.first, self.nxt)
@@ -124,35 +129,24 @@ class Embedding:
 
 
 class HostDarts(NamedTuple):
-    """What a host embedding adds to its graph's ``Numbering``, for scans
-    that must not read a whole rotation: ``edge`` maps an edge to its index,
-    ``pos`` gives each dart's position in its tail's rotation (counted from
-    ``first``), and ``out[i]`` lists ``(j, d)`` for the darts d from i to j
-    along the edges oriented toward the end with the larger ``(degree,
-    index)``.  Positions, dart tails and degrees are the numbering's.
+    """What a host embedding adds to its graph's ``Numbering`` and its
+    ``pos``, for scans that must not read a whole rotation: ``edge`` maps an
+    edge to its index, and ``out[i]`` lists ``(j, d)`` for the darts d from
+    i to j along the edges oriented toward the end with the larger
+    ``(degree, index)``.  Positions, dart tails and degrees are the
+    numbering's.
     Reading ``out[i]`` once per edge at i, at every vertex, costs the
     smaller end degree summed over the edges: at most 2aE for arboricity a,
     so O(E) on a planar graph (Chiba-Nishizeki 1985)."""
 
     edge: dict[tuple[int, int], int]
-    pos: list[int]
     out: list[list[tuple[int, int]]]
 
     @classmethod
     def build(cls, emb: Embedding) -> "HostDarts":
-        g, first, nxt = emb.graph, emb.first, emb.nxt
+        g = emb.graph
         _, nbr, tail, _ = g.numbering()
         degree = [len(ns) for ns in nbr]
-        pos = [0] * len(tail)
-        for f in first:
-            if f >= 0:
-                d, p = f, 0
-                while True:
-                    pos[d] = p
-                    p += 1
-                    d = nxt[d]
-                    if d == f:
-                        break
         out: list[list[tuple[int, int]]] = [[] for _ in degree]
         for d in range(0, len(tail), 2):
             i, j = tail[d], tail[d + 1]  # i < j, as edges are sorted
@@ -161,7 +155,7 @@ class HostDarts(NamedTuple):
             else:
                 out[j].append((i, d + 1))
         edge = {e: k for k, e in enumerate(g.edges)}
-        return cls(edge, pos, out)
+        return cls(edge, out)
 
 
 def planar_embed(g: Graph) -> Embedding | None:
@@ -170,17 +164,19 @@ def planar_embed(g: Graph) -> Embedding | None:
 
     The left-right test supplies the rotation and ``_certify`` checks it, so
     Euler's formula per connected component is asserted here, not left to
-    callers.  The check walks each vertex's cycle and builds nothing; the
-    dart tails and components it needs are the graph's ``Numbering``, kept
-    for girth; the ``rotation`` dict and the face walks are built when
-    first read (``Embedding``).  A negative verdict costs one test.
+    callers.  The check walks each vertex's cycle once and returns each
+    dart's place around its tail, which the ``Embedding`` keeps; the dart
+    tails and components it needs are the graph's ``Numbering``, kept for
+    girth; the ``rotation`` dict and the face walks are built when first
+    read (``Embedding``).  A negative verdict costs one test.
     """
     found = _lr_darts(g)
     if found is None:
         return None
     first, nxt = found
     _, _, tail, comps = g.numbering()
-    return Embedding(g, first, nxt, _certify(tail, first, nxt, comps))
+    face_count, pos = _certify(tail, first, nxt, comps)
+    return Embedding(g, first, nxt, pos, face_count)
 
 
 def _lr_darts(g: Graph):
@@ -582,42 +578,41 @@ def _not_a_permutation(v: int) -> EmbeddingError:
     return EmbeddingError(f"rotation at vertex {v} is not a permutation of its neighbours")
 
 
-def _check_cycles(ends: Sequence[int], first: list[int], nxt: list[int]) -> None:
-    """Raise ``EmbeddingError`` unless every dart lies on exactly one cycle
-    of ``nxt``, its tail's, started from ``first``: each cycle then holds
-    exactly the darts leaving its vertex.  Builds nothing."""
-    seen = bytearray(len(ends))
+def _check_cycles(ends: Sequence[int], first: list[int], nxt: list[int]) -> list[int]:
+    """Each dart's place around its tail, counted from ``first``: the
+    package's one walk of a vertex's cycle.  Raises ``EmbeddingError``
+    unless every dart lies on exactly one cycle of ``nxt``, its tail's, so
+    that each cycle holds exactly the darts leaving its vertex."""
+    pos = [-1] * len(ends)
+    seen = 0
     for v, f in enumerate(first):
         if f < 0:
             continue
-        d = f
+        d, p = f, 0
         while True:
-            if ends[d] != v or seen[d]:
+            if ends[d] != v or pos[d] >= 0:
                 raise _not_a_permutation(v)
-            seen[d] = 1
+            pos[d] = p
+            p += 1
             d = nxt[d]
             if d == f:
                 break
-    if 0 in seen:
-        raise _not_a_permutation(ends[seen.index(0)])
+        seen += p
+    if seen != len(ends):
+        raise _not_a_permutation(ends[pos.index(-1)])
+    return pos
 
 
-def _cycles(ends: Sequence[int], first: list[int], nxt: list[int]):
+def _cycles(ends: Sequence[int], first: list[int], nxt: list[int]) -> list[tuple[int, ...]]:
     """Each vertex's neighbours in rotation order: the heads of the darts on
-    its cycle, from ``first``, once ``_check_cycles`` has accepted them."""
-    _check_cycles(ends, first, nxt)
-    heads = []
-    for f in first:
-        walk = []
-        if f >= 0:
-            d = f
-            while True:
-                walk.append(ends[d ^ 1])
-                d = nxt[d]
-                if d == f:
-                    break
-        heads.append(tuple(walk))
-    return heads
+    its cycle, from ``first``, placed by ``_check_cycles``."""
+    pos = _check_cycles(ends, first, nxt)
+    heads: list[list[int]] = [[] for _ in first]
+    for v in ends:  # a slot per dart
+        heads[v].append(v)
+    for d, (v, p) in enumerate(zip(ends, pos)):
+        heads[v][p] = ends[d ^ 1]
+    return list(map(tuple, heads))
 
 
 def _trace_faces(ends: Sequence[int], nxt: list[int], darts: Iterable[int]) -> list[tuple[int, ...]]:
@@ -643,23 +638,24 @@ def _trace_faces(ends: Sequence[int], nxt: list[int], darts: Iterable[int]) -> l
     return faces
 
 
-def _certify(ends: Sequence[int], first: list[int], nxt: list[int], comps: Sequence[Sequence[int]]) -> int:
+def _certify(ends: Sequence[int], first: list[int], nxt: list[int], comps: Rows) -> tuple[int, list[int]]:
     """The one check of a rotation system given on darts: the number of
-    faces if it is a planar embedding, else ``EmbeddingError``.
+    faces and each dart's place around its tail if it is a planar
+    embedding, else ``EmbeddingError``.
 
     The vertices are the positions 0..n-1, for ``n = len(first)``, and its
     messages name them.  Dart ``d`` leaves ``ends[d]`` for ``ends[d ^ 1]``;
     vertex i's rotation starts at dart ``first[i]`` (-1 if it has none) and
     ``nxt[d]`` is the dart after d around its tail.  Each vertex's
-    cycle must hold exactly its own darts (``_check_cycles``, which builds
-    nothing).  Faces then follow the successor rule: after arriving at v
+    cycle must hold exactly its own darts (``_check_cycles``, which returns
+    the places).  Faces then follow the successor rule: after arriving at v
     along u->v, leave along the neighbour that follows u in the rotation at
     v.  They are counted, not recorded: each walk starts at the first dart
     not yet walked, by index, and only marks its darts.  Last comes Euler's
     formula, per connected component (``_check_euler``); ``comps`` are the
     components as positions, which the caller already has.
     """
-    _check_cycles(ends, first, nxt)
+    pos = _check_cycles(ends, first, nxt)
     walked = bytearray(len(ends))
     starts = []  # each face's start vertex
     for d0 in range(len(ends)):
@@ -671,7 +667,7 @@ def _certify(ends: Sequence[int], first: list[int], nxt: list[int], comps: Seque
             walked[d] = 1
             d = nxt[d ^ 1]
     _check_euler(len(first), ends, starts, comps)
-    return len(starts)
+    return len(starts), pos
 
 
 def _check_euler(n: int, ends: Sequence[int], starts: Sequence[int], comps: Sequence[Sequence[int]]) -> None:

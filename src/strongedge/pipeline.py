@@ -241,13 +241,13 @@ def conflict_graph(emb: Embedding, matching: list[Edge]) -> ConflictGraph:
 
     Only host edges with both ends matched become links, and each is found
     from its lower end, along the oriented darts of ``emb.darts``; its two
-    darts are placed by their positions in the host rotations, counted from
-    the matching edge at each end.  So a class costs the out-degrees of its
-    matched vertices, and all the classes of an edge colouring cost the
-    smaller end degree per host edge, not the squared degrees that reading
-    every matched vertex's rotation would.
+    darts are placed by their places in the host rotations (``emb.pos``),
+    counted from the matching edge at each end.  So a class costs the
+    out-degrees of its matched vertices, and all the classes of an edge
+    colouring cost the smaller end degree per host edge, not the squared
+    degrees that reading every matched vertex's rotation would.
     """
-    (vertex, nbr, tail, _), (edge, pos, out) = emb.graph.numbering(), emb.darts
+    (vertex, nbr, tail, _), (edge, out), pos = emb.graph.numbering(), emb.darts, emb.pos
     edges = sorted((u, v) if u < v else (v, u) for u, v in matching)
     n = len(edges)
     # per matched vertex: its node, the position of its dart to its partner,

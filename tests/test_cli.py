@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -513,6 +514,49 @@ def test_output_and_trace_on_one_file_exit_1(spelling, tmp_path, capsys, monkeyp
     assert out.err.startswith("error: ") and "-o" in out.err and "--trace" in out.err
     assert "Traceback" not in out.err
     assert not (tmp_path / "P").exists()
+
+
+@pytest.mark.parametrize("option", ["-o", "--trace"])
+@pytest.mark.parametrize("spelling", ["P", "./P", "symlink"])
+def test_output_or_trace_on_the_input_exit_1(option, spelling, tmp_path, capsys, monkeypatch):
+    """Writing over the input graph would lose it: the command is refused
+    before the input is read or anything is written, however the output
+    spells the input's file."""
+    monkeypatch.chdir(tmp_path)
+    text = to_edge_list(subdivide(wheel(6), 1))
+    (tmp_path / "P").write_text(text)
+    monkeypatch.setattr(cli, "_read_graph", lambda path: pytest.fail("the input was read"))
+    other = spelling
+    if spelling == "symlink":
+        os.symlink("P", "link")
+        other = "link"
+    assert main(["colour", "--girth6", "P", option, other]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: the input, -o and --trace must name different files")
+    assert "Traceback" not in out.err
+    assert (tmp_path / "P").read_text() == text
+
+
+DOT_REPORTS = {
+    "--girth6": '{"algorithm": "girth6", "palette": 16, "steps": 20, "command": "colour --girth6", '
+    '"input_hash": "7a61c4bc9179a339", "delta": 5, "girth": 6, "planar": true, "colours_used": 6, '
+    '"known_bound": 16, "seconds": S, "valid": true}',
+    "--pipeline": '{"algorithm": "pipeline", "palette": 15, "regime": "class1", "classCount": 5, '
+    '"maxC": 3, "bound_claimed": 20, "command": "colour --pipeline", "input_hash": "7a61c4bc9179a339", '
+    '"delta": 5, "girth": 6, "planar": true, "colours_used": 10, "known_bound": 16, "seconds": S, '
+    '"valid": true}',
+}
+
+
+@pytest.mark.parametrize("mode", DOT_REPORTS)
+def test_dot_report_on_stderr_is_pinned(mode, tmp_path, capsys):
+    """``--format dot`` logs the report unsorted, so its key order is
+    output: Delta, girth and the bound sit where they always have."""
+    p = write_graph(tmp_path, subdivide(wheel(5), 1))
+    assert main(["colour", mode, p, "--format", "dot"]) == 0
+    err = capsys.readouterr().err
+    assert re.sub(r'"seconds": [0-9.e-]+', '"seconds": S', err) == DOT_REPORTS[mode] + "\n"
 
 
 def test_verify_zero_palette_is_bad_document(tmp_path, capsys):

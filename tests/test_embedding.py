@@ -533,3 +533,36 @@ def test_changed_nxt_fails_the_first_faces_read():
     emb.nxt[emb.nxt.index(0)] = emb.nxt[0]
     with pytest.raises(EmbeddingError, match="does not close"):
         emb.faces
+
+
+def test_changed_nxt_fails_the_first_rotation_read():
+    # rotation runs the cycle check again, so a dart cut out of vertex 0's
+    # cycle after planar_embed is caught on the first read
+    emb = planar_embed(complete_graph(4))
+    emb.nxt[:] = drop_a_dart_at_zero(emb.first, emb.nxt)
+    with pytest.raises(EmbeddingError, match="rotation at vertex 0 is not a permutation"):
+        emb.rotation
+
+
+def reference_places(emb: Embedding) -> list[int]:
+    """Each dart's index in its tail's rotation, walked from ``first``."""
+    pos = [None] * len(emb.nxt)
+    for f in emb.first:
+        if f >= 0:
+            d, p = f, 0
+            while pos[d] is None:
+                pos[d] = p
+                d, p = emb.nxt[d], p + 1
+    return pos
+
+
+def test_pos_is_each_darts_place_around_its_tail():
+    for _, spec in _bench_corpus(100):
+        g = generate(spec)
+        n = g.num_vertices()
+        sparse = dict(zip(g.vertices, random.Random(spec.seed).sample(range(10 * n), n)))
+        for label in (lambda v: v, lambda v: 2 * v + 1, sparse.__getitem__):
+            h = Graph(map(label, g.vertices), [(label(a), label(b)) for a, b in g.edges])
+            emb = planar_embed(h)
+            assert emb.pos == reference_places(emb)
+            assert sorted(emb.pos) == sorted(p for ns in h.numbering().nbr for p in range(len(ns)))
